@@ -84,20 +84,6 @@ _BATCH_SUBMITTED = counter("measure.batch.submitted")
 _WORKER_MS = histogram("measure.batch.worker_ms")
 
 
-def _md5_hex(data: bytes) -> str:
-    """md5 hexdigest usable on FIPS-enabled Pythons.
-
-    The fingerprint is a cache key, not a security boundary, so it must
-    be declared as such (``usedforsecurity=False``) where the kwarg
-    exists; older signatures (<3.9 style) take no kwarg at all.
-    """
-    try:
-        h = hashlib.md5(data, usedforsecurity=False)
-    except TypeError:
-        h = hashlib.md5(data)
-    return h.hexdigest()
-
-
 def default_jobs() -> int:
     """Worker-process count from ``REPRO_JOBS`` (default 1 = serial).
 
@@ -296,7 +282,9 @@ class MeasurementEngine:
         key = (workload, input_name)
         if key not in cls._fingerprints:
             source = get_workload(workload).source(input_name)
-            cls._fingerprints[key] = _md5_hex(source.encode())[:10]
+            cls._fingerprints[key] = hashlib.md5(
+                source.encode(), usedforsecurity=False
+            ).hexdigest()[:10]
         return cls._fingerprints[key]
 
     @classmethod
@@ -338,7 +326,7 @@ class MeasurementEngine:
         art_key = None
         exe = None
         if self.artifacts is not None:
-            art_key = _md5_hex(
+            art_key = hashlib.md5(
                 "|".join(
                     [
                         workload,
@@ -348,8 +336,9 @@ class MeasurementEngine:
                         str(issue_width),
                     ]
                     + [str(v) for v in compiler.cache_key()]
-                ).encode()
-            )
+                ).encode(),
+                usedforsecurity=False,
+            ).hexdigest()
             exe = self.artifacts.load_binary(art_key)
         if exe is None:
             module = get_workload(workload).module(input_name)
@@ -591,7 +580,9 @@ class MeasurementEngine:
                 "interval": self.smarts_interval,
             },
             refs={
-                "config_digest": _md5_hex("|".join(keys).encode())[:16],
+                "config_digest": hashlib.md5(
+                    "|".join(keys).encode(), usedforsecurity=False
+                ).hexdigest()[:16],
                 "result_keys": cap_result_keys(sorted(set(keys))),
             },
         )

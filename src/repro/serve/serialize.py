@@ -54,15 +54,6 @@ class SchemaVersionError(SerializationError):
     """The payload was written by an incompatible schema version."""
 
 
-def _md5_hex(data: bytes) -> str:
-    """FIPS-safe md5 hexdigest (identity/cache key, not security)."""
-    try:
-        h = hashlib.md5(data, usedforsecurity=False)
-    except TypeError:
-        h = hashlib.md5(data)
-    return h.hexdigest()
-
-
 # ----------------------------------------------------------------------
 # Fingerprints
 # ----------------------------------------------------------------------
@@ -103,7 +94,7 @@ def space_fingerprint(space: ParameterSpace) -> str:
     ranges, level counts) -- two spaces with the same fingerprint accept
     the same coded design matrices."""
     blob = json.dumps(space_spec(space), sort_keys=True).encode()
-    return _md5_hex(blob)[:12]
+    return hashlib.md5(blob, usedforsecurity=False).hexdigest()[:12]
 
 
 def corpus_fingerprint(x: np.ndarray, y: np.ndarray) -> str:
@@ -331,7 +322,9 @@ def model_to_payload(
             name: {
                 "dtype": str(a.dtype),
                 "shape": list(a.shape),
-                "md5": _md5_hex(np.ascontiguousarray(a).tobytes()),
+                "md5": hashlib.md5(
+                    np.ascontiguousarray(a).tobytes(), usedforsecurity=False
+                ).hexdigest(),
             }
             for name, a in sorted(arrays.items())
         },
@@ -389,7 +382,9 @@ def model_from_payload(
             f"payload has {sorted(arrays)}"
         )
     for name, meta in declared.items():
-        actual = _md5_hex(np.ascontiguousarray(arrays[name]).tobytes())
+        actual = hashlib.md5(
+            np.ascontiguousarray(arrays[name]).tobytes(), usedforsecurity=False
+        ).hexdigest()
         if actual != meta["md5"]:
             raise SerializationError(
                 f"array {name!r} is corrupt: checksum {actual} != "

@@ -11,9 +11,11 @@ Components:
   arrays, composed into an I/D + unified-L2 hierarchy;
 * :mod:`repro.sim.bpred` -- the combined bimodal + 2-level branch
   predictor with a chooser, plus a BTB;
-* :mod:`repro.sim.ooo` -- the trace-driven out-of-order timing model
-  (fetch -> RUU dispatch -> issue over FU pools -> commit, with a store
-  buffer and fetch redirects on taken branches and mispredictions);
+* :mod:`repro.sim.ooo` -- the trace-driven out-of-order timing model:
+  one cache/predictor kernel over the trace's event list, and a timing
+  loop (fetch -> RUU dispatch -> issue over FU pools -> commit, with a
+  store buffer, a memory bus and fetch redirects on taken branches and
+  mispredictions) that reads the kernel's per-position outcomes;
 * :mod:`repro.sim.smarts` -- SMARTS systematic sampling: continuous
   functional warming with detailed timing on periodic windows, and a
   confidence interval on the CPI estimate;

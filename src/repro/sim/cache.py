@@ -7,8 +7,7 @@ same non-linear cache responses the paper's SimpleScalar produced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
 from repro.sim.config import MicroarchConfig
 
@@ -34,21 +33,23 @@ class Cache:
 
     def access(self, addr: int) -> bool:
         """Access the block containing ``addr``; returns hit, updates LRU."""
-        block = addr // self.block_size
-        set_index = block % self.n_sets
+        return self.access_block(addr // self.block_size)
+
+    def access_block(self, block: int) -> bool:
+        """Access block number ``block`` (``addr // block_size``)."""
+        ways = self._sets[block % self.n_sets]
         tag = block // self.n_sets
-        ways = self._sets[set_index]
-        try:
-            ways.remove(tag)
-            ways.append(tag)
+        if tag in ways:
+            if ways[-1] != tag:
+                ways.remove(tag)
+                ways.append(tag)
             self.hits += 1
             return True
-        except ValueError:
-            self.misses += 1
-            ways.append(tag)
-            if len(ways) > self.assoc:
-                ways.pop(0)
-            return False
+        self.misses += 1
+        ways.append(tag)
+        if len(ways) > self.assoc:
+            del ways[0]
+        return False
 
     def probe(self, addr: int) -> bool:
         """Check residency without updating LRU or statistics."""
@@ -71,15 +72,11 @@ class Cache:
 
 
 class CacheHierarchy:
-    """L1 I/D caches over a unified L2 over memory behind a shared bus.
+    """L1 I/D caches over a unified L2 over memory.
 
-    ``*_latency`` methods take the request time (``now``, in the timing
-    model's cycle domain), return the total access latency in cycles, and
-    update all levels' state (fills on miss).  Misses to main memory
-    serialize on the L2<->memory bus (``bus_transfer_cycles`` per block),
-    which bounds memory-level parallelism: without the bus, an out-of-
-    order core with a large window would hide arbitrarily many misses and
-    software prefetching would be worthless.
+    Holds the tag state and the statistics.  Latencies, and the L2<->memory
+    bus on which misses to memory serialize, belong to the timing loop of
+    :class:`repro.sim.ooo.OooTimingModel`.
     """
 
     def __init__(self, config: MicroarchConfig):
@@ -99,46 +96,8 @@ class CacheHierarchy:
         self.ul2 = Cache(
             config.l2_size, config.l2_assoc, config.block_size, name="ul2"
         )
-        #: Cycle at which the memory bus becomes free.
-        self.bus_free = 0
+        #: Block fetches from memory in detailed timing.
         self.memory_accesses = 0
-
-    def reset_bus(self) -> None:
-        """Reset the bus clock (called at each SMARTS window start)."""
-        self.bus_free = 0
-
-    def _memory_access(self, request_time: int) -> int:
-        """Latency of a block fetch from memory requested at a time."""
-        start = request_time if request_time > self.bus_free else self.bus_free
-        self.bus_free = start + self.config.bus_transfer_cycles
-        self.memory_accesses += 1
-        return (start - request_time) + self.config.memory_latency
-
-    def data_latency(self, addr: int, now: int = 0) -> int:
-        """Latency of a data access through DL1 (fills on miss)."""
-        if self.dl1.access(addr):
-            return self.config.dcache_latency
-        lat = self.config.dcache_latency + self.config.l2_latency
-        if self.ul2.access(addr):
-            return lat
-        return lat + self._memory_access(now + lat)
-
-    def inst_latency(self, addr: int, now: int = 0) -> int:
-        """Latency of an instruction-block fetch through IL1."""
-        if self.il1.access(addr):
-            return self.config.icache_latency
-        lat = self.config.icache_latency + self.config.l2_latency
-        if self.ul2.access(addr):
-            return lat
-        return lat + self._memory_access(now + lat)
-
-    def prefetch(self, addr: int, now: int = 0) -> None:
-        """Non-binding prefetch: fills DL1/L2 and occupies the bus on a
-        memory miss (prefetch traffic contends with demand misses)."""
-        if self.dl1.access(addr):
-            return
-        if not self.ul2.access(addr):
-            self._memory_access(now + self.config.l2_latency)
 
     def warm_data(self, addr: int) -> None:
         """Functional warming of the data path (SMARTS skip mode)."""

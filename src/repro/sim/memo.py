@@ -15,7 +15,7 @@ simulator, shared across design points, engines and worker processes:
   the key cover everything the unit's incoming microarchitectural state
   depends on (every earlier trace byte and the unit schedule), so a hit
   is exact, never approximate.  On a hit the detailed window is
-  replaced by the ~4x cheaper state-replay pass
+  replaced by the much cheaper state-replay pass
   (:meth:`repro.sim.ooo.OooTimingModel.replay_window`).
 
 Keys embed the **full** timing key -- every field of
@@ -57,14 +57,6 @@ UNIT_HITS = counter("sim.memo.unit.hits")
 UNIT_MISSES = counter("sim.memo.unit.misses")
 
 
-def _md5_hex(data: bytes) -> str:
-    try:
-        h = hashlib.md5(data, usedforsecurity=False)
-    except TypeError:
-        h = hashlib.md5(data)
-    return h.hexdigest()
-
-
 def timing_key(config: MicroarchConfig) -> str:
     """The full timing identity of a microarchitecture.
 
@@ -103,12 +95,13 @@ class TimingMemo:
         warmup: int,
         cooldown: int,
     ) -> str:
-        return _md5_hex(
+        return hashlib.md5(
             (
                 f"{static_dig}|{trace_dig}|{tkey}|{mode}|{unit_size}|"
                 f"{interval}|{offset}|{warmup}|{cooldown}"
-            ).encode()
-        )
+            ).encode(),
+            usedforsecurity=False,
+        ).hexdigest()
 
     # -- run level ------------------------------------------------------
     def get_run(self, key: str) -> Optional[dict]:

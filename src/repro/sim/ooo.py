@@ -1,4 +1,4 @@
-"""Trace-driven out-of-order superscalar timing model.
+"""Trace-driven out-of-order timing model.
 
 A SimpleScalar-sim-outorder-style model driven by the functional trace:
 
@@ -20,29 +20,48 @@ Execution time is the commit cycle of the last instruction.  The model
 keeps real cache tag and predictor state, which may be shared with a
 SMARTS warming pass (:mod:`repro.sim.smarts`).
 
-Hot-loop implementation notes
------------------------------
-The per-instruction loops index flat per-position tables precomputed by
-:mod:`repro.sim.tracepack` (class codes, latencies, destination/source
-registers, instruction-block ids, branch outcomes) instead of chasing
-``trace[i] -> instr -> attribute`` chains, and the L1/L2 tag arrays,
-branch predictor tables, BTB and RAS are updated inline with local
-variables (statistics accumulate in local ints and flush once per
-window).  The semantics are bit-identical to the original per-event
-model -- the golden-measurement test (``tests/test_sim_memo.py``) pins
-cycles/checksums captured from the pre-flattening implementation.
+One kernel, one timing loop
+---------------------------
+:meth:`OooTimingModel._walk` is the only code that updates the tag
+arrays, the predictor tables, the BTB and the RAS and their counters.
+It visits only the trace's *event list* (instruction-block changes,
+memory operations, control transfers; see
+:meth:`repro.sim.tracepack.TraceTables.events_for`), and can write one
+outcome code per position: where the IL1 and DL1 accesses were served,
+and whether a control transfer was a correctly predicted redirect or a
+mispredict.  Functional warming (:meth:`~OooTimingModel.warm`) and memo
+replay (:meth:`~OooTimingModel.replay_window`) are that kernel alone.
+:meth:`~OooTimingModel.simulate_window` runs the kernel over its window
+first, then a timing loop (fetch, RUU, FU pools, store buffer, memory
+bus, commit) that reads only the codes.
 
-``warm`` walks only the precomputed *event list* (block changes, memory
-operations, control transfers) -- straight-line ALU instructions inside
-an already-tracked I-cache block touch no state during functional
-warming, so they are skipped wholesale.  ``replay_window`` reproduces a
-detailed window's cache/predictor *state* (and statistics) without the
-pipeline timing -- the memo-hit path of :mod:`repro.sim.smarts`.
+The split is exact because no cache or predictor update depends on the
+clock:
+
+* a redirect always lands on the next instruction: a mispredict resolves
+  at ``complete + penalty >= fetch + FRONT_DEPTH + 2``, while the next
+  instruction is fetched at ``fetch + 1`` at the latest;
+* so the front end accesses IL1 at the window start, at every
+  instruction-block change and after every taken or mispredicted
+  transfer, whatever the timing -- and a same-block re-fetch after a
+  redirect is always an MRU hit, which changes only the hit count;
+* data-side tag updates are the same whether a load is forwarded from
+  the store buffer or served by the hierarchy: DL1, then UL2 on a miss;
+* predictions are functions of the predictor tables and the branch
+  history, never of the cycle.
+
+Bus contention, the store-forwarded load that skips the bus, and the
+memory-access count are timing, so they live in the timing loop only.
+The golden tests (``tests/test_sim_memo.py``,
+``tests/test_sim_detailed_golden.py``) pin cycles and statistics
+captured before this split.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
+from heapq import heapreplace
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -60,8 +79,6 @@ from repro.sim.tracepack import (
     EV_CALL,
     EV_DATA,
     EV_INST,
-    EV_JUMP,
-    EV_PF,
     EV_RET,
     JUMP as _JUMP,
     LOAD as _LOAD,
@@ -83,6 +100,12 @@ _RUU_STALLS = counter("sim.ooo.ruu_stalls")
 
 #: Front-end pipeline depth between fetch and dispatch.
 FRONT_DEPTH = 2
+
+#: Outcome codes :meth:`OooTimingModel._walk` writes per trace position
+#: (OR-ed; zero means IL1/DL1 hits and no fetch redirect).
+IL1_L2, IL1_MEM, DL1_L2, DL1_MEM, REDIRECT, MISPREDICT = 1, 2, 4, 8, 16, 32
+_IL1_MISS = IL1_L2 | IL1_MEM
+_DL1_MISS = DL1_L2 | DL1_MEM
 
 
 @dataclass
@@ -113,8 +136,147 @@ class OooTimingModel:
         self.btb = BranchTargetBuffer(config.btb_entries)
         self.ras = ReturnAddressStack()
 
-    def _tables(self, trace: Sequence[Tuple[int, int]]) -> TraceTables:
-        return tables_for(self.exe, trace)
+    # ------------------------------------------------------------------
+    def _walk(
+        self, tables: TraceTables, start: int, end: int, out: Optional[List[int]]
+    ) -> None:
+        """Apply trace[start:end] to the caches, predictor, BTB and RAS.
+
+        Visits the event list only; every counter (cache hits/misses,
+        predictor lookups/mispredictions) is updated as the detailed
+        pipeline would.  When ``out`` is given (a zeroed list of
+        ``end - start`` ints), ``out[i - start]`` receives position
+        ``i``'s outcome code (``IL1_*``, ``DL1_*``, ``REDIRECT``,
+        ``MISPREDICT``).
+        """
+        if start >= end:
+            return
+        block_size = self.config.block_size
+        blocks = tables.blocks_for(block_size)
+        ev_pos, ev_kind = tables.events_for(block_size)
+        lo = bisect_left(ev_pos, start)
+        hi = bisect_left(ev_pos, end)
+        positions = ev_pos[lo:hi]
+        kinds = ev_kind[lo:hi]
+        # A window starts with no current fetch block, so its first
+        # instruction accesses IL1 -- through its own block-change event
+        # if it has one.
+        if not positions or positions[0] != start or kinds[0] != EV_INST:
+            positions.insert(0, start)
+            kinds.insert(0, EV_INST)
+        eas = tables.eas
+        pcs = tables.pcs
+        taken_pos = tables.taken
+        next_pos = tables.next_pc
+        last = end - 1
+
+        # Tag arrays: the MRU-hit fast path is inline; any other access
+        # goes through Cache.access_block, which keeps its own counts.
+        hierarchy = self.hierarchy
+        il1 = hierarchy.il1
+        dl1 = hierarchy.dl1
+        ul2 = hierarchy.ul2
+        i_sets = il1._sets
+        i_nsets = il1.n_sets
+        d_sets = dl1._sets
+        d_nsets = dl1.n_sets
+        i_mru = d_mru = 0
+
+        bpred = self.bpred
+        bim_tab = bpred._bimodal
+        gsh_tab = bpred._gshare
+        cho_tab = bpred._chooser
+        bp_mask = bpred._mask
+        history = bpred._history
+        h_mask = bpred._history_mask
+        bp_lookups = bp_wrong = 0
+        btb_tags = self.btb._tags
+        btb_targets = self.btb._targets
+        btb_mask = self.btb._mask
+        ras_stack = self.ras._stack
+        ras_depth = self.ras.depth
+
+        for i, kind in zip(positions, kinds):
+            if kind == EV_DATA:
+                blk = eas[i] // block_size
+                ways = d_sets[blk % d_nsets]
+                if ways and ways[-1] == blk // d_nsets:
+                    d_mru += 1
+                elif not dl1.access_block(blk):
+                    level = DL1_L2 if ul2.access_block(blk) else DL1_MEM
+                    if out is not None:
+                        out[i - start] += level
+                continue
+            if kind == EV_INST:
+                blk = blocks[i]
+                ways = i_sets[blk % i_nsets]
+                if ways and ways[-1] == blk // i_nsets:
+                    i_mru += 1
+                elif not il1.access_block(blk):
+                    level = IL1_L2 if ul2.access_block(blk) else IL1_MEM
+                    if out is not None:
+                        out[i - start] = level
+                continue
+            if kind == EV_BRANCH:
+                pc = pcs[i]
+                taken = taken_pos[i]
+                pcm = pc & bp_mask
+                gsh = (pc ^ history) & bp_mask
+                b = bim_tab[pcm]
+                g = gsh_tab[gsh]
+                bim_p = b >= 2
+                gsh_p = g >= 2
+                pred = bim_p if cho_tab[pcm] >= 2 else gsh_p
+                bp_lookups += 1
+                if pred != taken:
+                    bp_wrong += 1
+                if bim_p != gsh_p:
+                    c = cho_tab[pcm]
+                    if bim_p == taken:
+                        cho_tab[pcm] = c + 1 if c < 3 else 3
+                    else:
+                        cho_tab[pcm] = c - 1 if c > 0 else 0
+                if taken:
+                    bim_tab[pcm] = b + 1 if b < 3 else 3
+                    gsh_tab[gsh] = g + 1 if g < 3 else 3
+                    history = ((history << 1) | 1) & h_mask
+                    target = next_pos[i]
+                    bi = pc & btb_mask
+                    if pred and btb_tags[bi] == pc and btb_targets[bi] == target:
+                        code = REDIRECT
+                    else:
+                        code = MISPREDICT
+                    btb_tags[bi] = pc
+                    btb_targets[bi] = target
+                else:
+                    bim_tab[pcm] = b - 1 if b > 0 else 0
+                    gsh_tab[gsh] = g - 1 if g > 0 else 0
+                    history = (history << 1) & h_mask
+                    if not pred:
+                        continue  # correctly predicted fall-through
+                    code = MISPREDICT
+            elif kind == EV_CALL:
+                ras_stack.append(pcs[i] + 1)
+                if len(ras_stack) > ras_depth:
+                    del ras_stack[0]
+                code = REDIRECT
+            elif kind == EV_RET:
+                predicted = ras_stack.pop() if ras_stack else None
+                code = REDIRECT if predicted == next_pos[i] else MISPREDICT
+            else:  # EV_JUMP
+                code = REDIRECT
+            # Fetch restarts at i + 1.  A new block has its own EV_INST
+            # event; a re-fetch of the same block is an MRU hit.
+            if i < last and blocks[i + 1] == blocks[i]:
+                i_mru += 1
+            if out is not None:
+                out[i - start] += code
+
+        il1.hits += i_mru
+        dl1.hits += d_mru
+        bpred._history = history
+        bpred.lookups += bp_lookups
+        bpred.mispredictions += bp_wrong
 
     # ------------------------------------------------------------------
     def simulate_window(
@@ -128,8 +290,8 @@ class OooTimingModel:
         """Detailed timing for trace[start:end].
 
         Pipeline state (register readiness, FU occupancy, RUU, store
-        buffer) starts cold at relative cycle 0; cache and predictor
-        state persists across calls.  When ``measure_from`` /
+        buffer, memory bus) starts cold at relative cycle 0; cache and
+        predictor state persists across calls.  When ``measure_from`` /
         ``measure_to`` are given, only the commit-time interval between
         those trace positions is reported: instructions before
         ``measure_from`` are *detailed warming* (removing cold-pipeline
@@ -137,13 +299,12 @@ class OooTimingModel:
         (keeping the pipe full at the window's end so its drain is not
         billed to the window) -- SMARTS-style window bracketing.
         """
+        T = tables_for(self.exe, trace)
+        codes = [0] * (end - start)
+        self._walk(T, start, end, codes)
+
         cfg = self.config
         mdesc = self.mdesc
-        hierarchy = self.hierarchy
-        bpred = self.bpred
-        btb = self.btb
-        ras = self.ras
-        T = self._tables(trace)
         block_size = cfg.block_size
         width = cfg.issue_width
         ruu_size = cfg.ruu_size
@@ -155,49 +316,28 @@ class OooTimingModel:
         mem_lat = cfg.memory_latency
         btc = cfg.bus_transfer_cycles
 
-        # Flat per-position tables (precomputed once per binary+trace).
         eas = T.eas
         cls_pos = T.cls
         lat_pos = T.lat_for(mdesc)
         dst_pos = T.dst
         srcs_pos = T.srcs
-        pcs = T.pcs
-        blocks = T.blocks_for(block_size)
-        taken_pos = T.taken
-        next_pos = T.next_pc
 
-        # Inline cache state: local bindings of the tag arrays, stats in
-        # local ints, flushed after the loop.
-        il1 = hierarchy.il1
-        dl1 = hierarchy.dl1
-        ul2 = hierarchy.ul2
-        i_sets = il1._sets
-        i_nsets = il1.n_sets
-        i_assoc = il1.assoc
-        d_sets = dl1._sets
-        d_nsets = dl1.n_sets
-        d_assoc = dl1.assoc
-        l_sets = ul2._sets
-        l_nsets = ul2.n_sets
-        l_assoc = ul2.assoc
-        i_hits = i_miss = d_hits = d_miss = l_hits = l_miss = 0
-        hierarchy.reset_bus()
         bus_free = 0
         mem_acc = 0
 
-        # Inline branch predictor / BTB / RAS state.
-        bim_tab = bpred._bimodal
-        gsh_tab = bpred._gshare
-        cho_tab = bpred._chooser
-        bp_mask = bpred._mask
-        history = bpred._history
-        h_mask = bpred._history_mask
-        bp_lookups = bp_wrong = 0
-        btb_tags = btb._tags
-        btb_targets = btb._targets
-        btb_mask = btb._mask
-        ras_stack = ras._stack
-        ras_depth = ras.depth
+        def memory_fetch(request: int) -> int:
+            """Cycles from ``request`` until a block arrives from memory.
+
+            Fetches serialize on the L2<->memory bus,
+            ``bus_transfer_cycles`` each.  The bus bounds memory-level
+            parallelism: without it a large window would hide any number
+            of misses, and software prefetching would be worthless.
+            """
+            nonlocal bus_free, mem_acc
+            begin = request if request > bus_free else bus_free
+            bus_free = begin + btc
+            mem_acc += 1
+            return begin - request + mem_lat
 
         # Control ops and NOPs contend only for issue bandwidth (no FU
         # pool), exactly as in the per-event model.
@@ -216,7 +356,6 @@ class OooTimingModel:
 
         fetch_cycle = 0
         slots = 0
-        cur_block = -1
         redirect_at = 0
         last_commit = 0
         last_commit_cycle = -1
@@ -229,7 +368,7 @@ class OooTimingModel:
         measure_to = end if measure_to is None else measure_to
         warm_boundary_commit = 0
         end_boundary_commit: Optional[int] = None
-        for i in range(start, end):
+        for i, oc in zip(range(start, end), codes):
             if i == measure_from:
                 warm_boundary_commit = last_commit
             if i == measure_to:
@@ -240,53 +379,14 @@ class OooTimingModel:
             if redirect_at > fetch_cycle:
                 fetch_cycle = redirect_at
                 slots = 0
-                cur_block = -1
-            block = blocks[i]
-            if block != cur_block:
-                # Inline inst_latency(byte_addr, fetch_cycle).
-                si = block % i_nsets
-                tag = block // i_nsets
-                ways = i_sets[si]
-                if ways and ways[-1] == tag:
-                    i_hits += 1
-                    ilat = icache_lat
-                else:
-                    try:
-                        ways.remove(tag)
-                        ways.append(tag)
-                        i_hits += 1
-                        ilat = icache_lat
-                    except ValueError:
-                        i_miss += 1
-                        ways.append(tag)
-                        if len(ways) > i_assoc:
-                            del ways[0]
-                        ilat = icache_lat + l2_lat
-                        si2 = block % l_nsets
-                        tag2 = block // l_nsets
-                        ways2 = l_sets[si2]
-                        if ways2 and ways2[-1] == tag2:
-                            l_hits += 1
-                        else:
-                            try:
-                                ways2.remove(tag2)
-                                ways2.append(tag2)
-                                l_hits += 1
-                            except ValueError:
-                                l_miss += 1
-                                ways2.append(tag2)
-                                if len(ways2) > l_assoc:
-                                    del ways2[0]
-                                req = fetch_cycle + ilat
-                                bstart = req if req > bus_free else bus_free
-                                bus_free = bstart + btc
-                                mem_acc += 1
-                                ilat += (bstart - req) + mem_lat
-                if ilat > icache_lat:
-                    fetch_cycle += ilat - icache_lat
-                    n_icache_stall_cycles += ilat - icache_lat
+            if oc & _IL1_MISS:
+                stall = l2_lat
+                if oc & IL1_MEM:
+                    stall += memory_fetch(fetch_cycle + icache_lat + l2_lat)
+                if stall:
+                    fetch_cycle += stall
+                    n_icache_stall_cycles += stall
                     slots = 0
-                cur_block = block
             if slots >= width:
                 fetch_cycle += 1
                 slots = 0
@@ -310,73 +410,29 @@ class OooTimingModel:
             issue = ready
             pool = fu_pools[code]
             if pool is not None:
-                best = 0
-                best_t = pool[0]
-                for k in range(1, len(pool)):
-                    if pool[k] < best_t:
-                        best_t = pool[k]
-                        best = k
-                if best_t > issue:
-                    issue = best_t
-                pool[best] = issue + 1
+                # A heap of unit free times: the first to free up takes
+                # the instruction (units are interchangeable).
+                free = pool[0]
+                if free > issue:
+                    issue = free
+                heapreplace(pool, issue + 1)
 
             # ---------------- execute / complete ----------------
             if code == _LOAD:
-                ea = eas[i]
-                eb = ea // block_size
-                fwd = False
+                eb = eas[i] // block_size
                 for drain, sblock in store_buffer:
                     if sblock == eb and drain > issue:
-                        fwd = True
+                        # Forwarded from the store buffer: no bus trip.
+                        complete = issue + 1
                         break
-                # Inline dl1/ul2 access (same tag updates whether the
-                # store buffer forwards or the hierarchy serves it).
-                si = eb % d_nsets
-                tag = eb // d_nsets
-                ways = d_sets[si]
-                if ways and ways[-1] == tag:
-                    d_hits += 1
-                    dlat = dcache_lat
-                    l2_needed = False
                 else:
-                    try:
-                        ways.remove(tag)
-                        ways.append(tag)
-                        d_hits += 1
-                        dlat = dcache_lat
-                        l2_needed = False
-                    except ValueError:
-                        d_miss += 1
-                        ways.append(tag)
-                        if len(ways) > d_assoc:
-                            del ways[0]
-                        dlat = dcache_lat + l2_lat
-                        l2_needed = True
-                if l2_needed:
-                    si2 = eb % l_nsets
-                    tag2 = eb // l_nsets
-                    ways2 = l_sets[si2]
-                    if ways2 and ways2[-1] == tag2:
-                        l_hits += 1
-                    else:
-                        try:
-                            ways2.remove(tag2)
-                            ways2.append(tag2)
-                            l_hits += 1
-                        except ValueError:
-                            l_miss += 1
-                            ways2.append(tag2)
-                            if len(ways2) > l_assoc:
-                                del ways2[0]
-                            if not fwd:
-                                req = issue + dlat
-                                bstart = req if req > bus_free else bus_free
-                                bus_free = bstart + btc
-                                mem_acc += 1
-                                dlat += (bstart - req) + mem_lat
-                complete = issue + 1 if fwd else issue + dlat
+                    dlat = dcache_lat
+                    if oc & _DL1_MISS:
+                        dlat += l2_lat
+                        if oc & DL1_MEM:
+                            dlat += memory_fetch(issue + dlat)
+                    complete = issue + dlat
             elif code == _STORE:
-                ea = eas[i]
                 if store_buffer:
                     store_buffer = [sb for sb in store_buffer if sb[0] > issue]
                     if len(store_buffer) >= sbuf_size:
@@ -386,89 +442,16 @@ class OooTimingModel:
                         store_buffer = [
                             sb for sb in store_buffer if sb[0] > issue
                         ]
-                eb = ea // block_size
-                si = eb % d_nsets
-                tag = eb // d_nsets
-                ways = d_sets[si]
-                if ways and ways[-1] == tag:
-                    d_hits += 1
-                    dlat = dcache_lat
-                else:
-                    try:
-                        ways.remove(tag)
-                        ways.append(tag)
-                        d_hits += 1
-                        dlat = dcache_lat
-                    except ValueError:
-                        d_miss += 1
-                        ways.append(tag)
-                        if len(ways) > d_assoc:
-                            del ways[0]
-                        dlat = dcache_lat + l2_lat
-                        si2 = eb % l_nsets
-                        tag2 = eb // l_nsets
-                        ways2 = l_sets[si2]
-                        if ways2 and ways2[-1] == tag2:
-                            l_hits += 1
-                        else:
-                            try:
-                                ways2.remove(tag2)
-                                ways2.append(tag2)
-                                l_hits += 1
-                            except ValueError:
-                                l_miss += 1
-                                ways2.append(tag2)
-                                if len(ways2) > l_assoc:
-                                    del ways2[0]
-                                req = issue + dlat
-                                bstart = req if req > bus_free else bus_free
-                                bus_free = bstart + btc
-                                mem_acc += 1
-                                dlat += (bstart - req) + mem_lat
-                store_buffer.append((issue + dlat, eb))
+                dlat = dcache_lat
+                if oc & _DL1_MISS:
+                    dlat += l2_lat
+                    if oc & DL1_MEM:
+                        dlat += memory_fetch(issue + dlat)
+                store_buffer.append((issue + dlat, eas[i] // block_size))
                 complete = issue + 1
             elif code == _PF:
-                # Inline hierarchy.prefetch(ea, issue).
-                ea = eas[i]
-                eb = ea // block_size
-                si = eb % d_nsets
-                tag = eb // d_nsets
-                ways = d_sets[si]
-                pf_l1_hit = False
-                if ways and ways[-1] == tag:
-                    d_hits += 1
-                    pf_l1_hit = True
-                else:
-                    try:
-                        ways.remove(tag)
-                        ways.append(tag)
-                        d_hits += 1
-                        pf_l1_hit = True
-                    except ValueError:
-                        d_miss += 1
-                        ways.append(tag)
-                        if len(ways) > d_assoc:
-                            del ways[0]
-                if not pf_l1_hit:
-                    si2 = eb % l_nsets
-                    tag2 = eb // l_nsets
-                    ways2 = l_sets[si2]
-                    if ways2 and ways2[-1] == tag2:
-                        l_hits += 1
-                    else:
-                        try:
-                            ways2.remove(tag2)
-                            ways2.append(tag2)
-                            l_hits += 1
-                        except ValueError:
-                            l_miss += 1
-                            ways2.append(tag2)
-                            if len(ways2) > l_assoc:
-                                del ways2[0]
-                            req = issue + l2_lat
-                            bstart = req if req > bus_free else bus_free
-                            bus_free = bstart + btc
-                            mem_acc += 1
+                if oc & DL1_MEM:
+                    memory_fetch(issue + l2_lat)
                 complete = issue + 1
             else:
                 complete = issue + lat_pos[i]
@@ -478,71 +461,8 @@ class OooTimingModel:
                 regs_ready[d] = complete
 
             # ---------------- control flow ----------------
-            if code == _BRANCH:
-                pc = pcs[i]
-                taken = taken_pos[i]
-                # Inline bpred.predict_and_update(pc, taken).
-                pcm = pc & bp_mask
-                gsh = (pc ^ history) & bp_mask
-                if cho_tab[pcm] >= 2:
-                    pred = bim_tab[pcm] >= 2
-                else:
-                    pred = gsh_tab[gsh] >= 2
-                bp_lookups += 1
-                if pred != taken:
-                    bp_wrong += 1
-                bim_p = bim_tab[pcm] >= 2
-                gsh_p = gsh_tab[gsh] >= 2
-                if bim_p != gsh_p:
-                    c = cho_tab[pcm]
-                    if bim_p == taken:
-                        cho_tab[pcm] = c + 1 if c < 3 else 3
-                    else:
-                        cho_tab[pcm] = c - 1 if c > 0 else 0
-                b = bim_tab[pcm]
-                g = gsh_tab[gsh]
-                if taken:
-                    bim_tab[pcm] = b + 1 if b < 3 else 3
-                    gsh_tab[gsh] = g + 1 if g < 3 else 3
-                    history = ((history << 1) | 1) & h_mask
-                else:
-                    bim_tab[pcm] = b - 1 if b > 0 else 0
-                    gsh_tab[gsh] = g - 1 if g > 0 else 0
-                    history = (history << 1) & h_mask
-                if taken:
-                    next_pc = next_pos[i]
-                    bi = pc & btb_mask
-                    pred_target = (
-                        btb_targets[bi] if btb_tags[bi] == pc else None
-                    )
-                    btb_tags[bi] = pc
-                    btb_targets[bi] = next_pc
-                    mispredict = (not pred) or pred_target != next_pc
-                else:
-                    mispredict = pred
-                if mispredict:
-                    t = complete + penalty
-                    if t > redirect_at:
-                        redirect_at = t
-                    n_mispredicts += 1
-                elif taken:
-                    fetch_cycle = fetch_time + 1
-                    slots = 0
-                    cur_block = -1
-            elif code == _JUMP:
-                fetch_cycle = fetch_time + 1
-                slots = 0
-                cur_block = -1
-            elif code == _CALL:
-                ras_stack.append(pcs[i] + 1)
-                if len(ras_stack) > ras_depth:
-                    del ras_stack[0]
-                fetch_cycle = fetch_time + 1
-                slots = 0
-                cur_block = -1
-            elif code == _RET:
-                pred_pc = ras_stack.pop() if ras_stack else None
-                if pred_pc != next_pos[i]:
+            if oc >= REDIRECT:
+                if oc & MISPREDICT:
                     t = complete + penalty
                     if t > redirect_at:
                         redirect_at = t
@@ -550,7 +470,6 @@ class OooTimingModel:
                 else:
                     fetch_cycle = fetch_time + 1
                     slots = 0
-                    cur_block = -1
 
             # ---------------- commit ----------------
             commit = complete if complete > last_commit else last_commit
@@ -566,19 +485,7 @@ class OooTimingModel:
             last_commit = commit
             ruu_append(commit)
 
-        # Flush inline state and statistics back to the model objects.
-        il1.hits += i_hits
-        il1.misses += i_miss
-        dl1.hits += d_hits
-        dl1.misses += d_miss
-        ul2.hits += l_hits
-        ul2.misses += l_miss
-        hierarchy.bus_free = bus_free
-        hierarchy.memory_accesses += mem_acc
-        bpred._history = history
-        bpred.lookups += bp_lookups
-        bpred.mispredictions += bp_wrong
-
+        self.hierarchy.memory_accesses += mem_acc
         if end_boundary_commit is None:
             end_boundary_commit = last_commit
         _INSTRUCTIONS.inc(end - start)
@@ -604,501 +511,20 @@ class OooTimingModel:
         """Functional warming only: update caches and predictors.
 
         Used by SMARTS between detailed windows; no timing state changes.
-        Only *event* positions are visited: instruction-block changes,
-        loads/stores/prefetches, and control transfers.  Straight-line
-        instructions inside an already-tracked block touch no warming
-        state, so skipping them is exact, not an approximation.
+        Only event positions are visited, so straight-line instructions
+        inside an already-fetched block cost nothing.
         """
-        if start >= end:
-            return
-        cfg = self.config
-        hierarchy = self.hierarchy
-        bpred = self.bpred
-        btb = self.btb
-        T = self._tables(trace)
-        block_size = cfg.block_size
-        l2_lat = cfg.l2_latency
-        btc = cfg.bus_transfer_cycles
+        self._walk(tables_for(self.exe, trace), start, end, None)
 
-        eas = T.eas
-        pcs = T.pcs
-        taken_pos = T.taken
-        next_pos = T.next_pc
-        byte_pos = T.byte_addr
-
-        il1 = hierarchy.il1
-        dl1 = hierarchy.dl1
-        ul2 = hierarchy.ul2
-        i_sets = il1._sets
-        i_nsets = il1.n_sets
-        i_assoc = il1.assoc
-        d_sets = dl1._sets
-        d_nsets = dl1.n_sets
-        d_assoc = dl1.assoc
-        l_sets = ul2._sets
-        l_nsets = ul2.n_sets
-        l_assoc = ul2.assoc
-        i_hits = i_miss = d_hits = d_miss = l_hits = l_miss = 0
-        bus_free = hierarchy.bus_free
-        mem_acc = 0
-
-        bim_tab = bpred._bimodal
-        gsh_tab = bpred._gshare
-        cho_tab = bpred._chooser
-        bp_mask = bpred._mask
-        history = bpred._history
-        h_mask = bpred._history_mask
-        btb_tags = btb._tags
-        btb_targets = btb._targets
-        btb_mask = btb._mask
-        ras_stack = self.ras._stack
-        ras_depth = self.ras.depth
-
-        from bisect import bisect_left
-
-        ev_pos, ev_kind = T.events_for(block_size)
-        lo = bisect_left(ev_pos, start)
-        hi = bisect_left(ev_pos, end)
-        # The warm loop tracks the current instruction block per call
-        # (reset at the window start), so the first instruction always
-        # warms IL1 even mid-block, unless its block-change event is
-        # about to do exactly that.
-        if lo >= hi or ev_pos[lo] != start or ev_kind[lo] != EV_INST:
-            blk = byte_pos[start] // block_size
-            si = blk % i_nsets
-            tag = blk // i_nsets
-            ways = i_sets[si]
-            if ways and ways[-1] == tag:
-                i_hits += 1
-            else:
-                try:
-                    ways.remove(tag)
-                    ways.append(tag)
-                    i_hits += 1
-                except ValueError:
-                    i_miss += 1
-                    ways.append(tag)
-                    if len(ways) > i_assoc:
-                        del ways[0]
-                    si2 = blk % l_nsets
-                    tag2 = blk // l_nsets
-                    ways2 = l_sets[si2]
-                    if ways2 and ways2[-1] == tag2:
-                        l_hits += 1
-                    else:
-                        try:
-                            ways2.remove(tag2)
-                            ways2.append(tag2)
-                            l_hits += 1
-                        except ValueError:
-                            l_miss += 1
-                            ways2.append(tag2)
-                            if len(ways2) > l_assoc:
-                                del ways2[0]
-
-        for idx in range(lo, hi):
-            kind = ev_kind[idx]
-            i = ev_pos[idx]
-            if kind == EV_INST:
-                blk = byte_pos[i] // block_size
-                si = blk % i_nsets
-                tag = blk // i_nsets
-                ways = i_sets[si]
-                if ways and ways[-1] == tag:
-                    i_hits += 1
-                    continue
-                try:
-                    ways.remove(tag)
-                    ways.append(tag)
-                    i_hits += 1
-                except ValueError:
-                    i_miss += 1
-                    ways.append(tag)
-                    if len(ways) > i_assoc:
-                        del ways[0]
-                    si2 = blk % l_nsets
-                    tag2 = blk // l_nsets
-                    ways2 = l_sets[si2]
-                    if ways2 and ways2[-1] == tag2:
-                        l_hits += 1
-                    else:
-                        try:
-                            ways2.remove(tag2)
-                            ways2.append(tag2)
-                            l_hits += 1
-                        except ValueError:
-                            l_miss += 1
-                            ways2.append(tag2)
-                            if len(ways2) > l_assoc:
-                                del ways2[0]
-            elif kind == EV_DATA:
-                blk = eas[i] // block_size
-                si = blk % d_nsets
-                tag = blk // d_nsets
-                ways = d_sets[si]
-                if ways and ways[-1] == tag:
-                    d_hits += 1
-                    continue
-                try:
-                    ways.remove(tag)
-                    ways.append(tag)
-                    d_hits += 1
-                except ValueError:
-                    d_miss += 1
-                    ways.append(tag)
-                    if len(ways) > d_assoc:
-                        del ways[0]
-                    si2 = blk % l_nsets
-                    tag2 = blk // l_nsets
-                    ways2 = l_sets[si2]
-                    if ways2 and ways2[-1] == tag2:
-                        l_hits += 1
-                    else:
-                        try:
-                            ways2.remove(tag2)
-                            ways2.append(tag2)
-                            l_hits += 1
-                        except ValueError:
-                            l_miss += 1
-                            ways2.append(tag2)
-                            if len(ways2) > l_assoc:
-                                del ways2[0]
-            elif kind == EV_BRANCH:
-                pc = pcs[i]
-                taken = taken_pos[i]
-                # Inline bpred.update(pc, taken) -- warming trains the
-                # tables but records no prediction statistics.
-                pcm = pc & bp_mask
-                gsh = (pc ^ history) & bp_mask
-                bim_p = bim_tab[pcm] >= 2
-                gsh_p = gsh_tab[gsh] >= 2
-                if bim_p != gsh_p:
-                    c = cho_tab[pcm]
-                    if bim_p == taken:
-                        cho_tab[pcm] = c + 1 if c < 3 else 3
-                    else:
-                        cho_tab[pcm] = c - 1 if c > 0 else 0
-                b = bim_tab[pcm]
-                g = gsh_tab[gsh]
-                if taken:
-                    bim_tab[pcm] = b + 1 if b < 3 else 3
-                    gsh_tab[gsh] = g + 1 if g < 3 else 3
-                    history = ((history << 1) | 1) & h_mask
-                    bi = pc & btb_mask
-                    btb_tags[bi] = pc
-                    btb_targets[bi] = next_pos[i]
-                else:
-                    bim_tab[pcm] = b - 1 if b > 0 else 0
-                    gsh_tab[gsh] = g - 1 if g > 0 else 0
-                    history = (history << 1) & h_mask
-            elif kind == EV_CALL:
-                ras_stack.append(pcs[i] + 1)
-                if len(ras_stack) > ras_depth:
-                    del ras_stack[0]
-            elif kind == EV_RET:
-                if ras_stack:
-                    ras_stack.pop()
-            elif kind == EV_PF:
-                # Inline hierarchy.prefetch(ea) at now=0: fills DL1/L2
-                # and occupies the bus on a memory miss.
-                blk = eas[i] // block_size
-                si = blk % d_nsets
-                tag = blk // d_nsets
-                ways = d_sets[si]
-                if ways and ways[-1] == tag:
-                    d_hits += 1
-                    continue
-                try:
-                    ways.remove(tag)
-                    ways.append(tag)
-                    d_hits += 1
-                except ValueError:
-                    d_miss += 1
-                    ways.append(tag)
-                    if len(ways) > d_assoc:
-                        del ways[0]
-                    si2 = blk % l_nsets
-                    tag2 = blk // l_nsets
-                    ways2 = l_sets[si2]
-                    if ways2 and ways2[-1] == tag2:
-                        l_hits += 1
-                    else:
-                        try:
-                            ways2.remove(tag2)
-                            ways2.append(tag2)
-                            l_hits += 1
-                        except ValueError:
-                            l_miss += 1
-                            ways2.append(tag2)
-                            if len(ways2) > l_assoc:
-                                del ways2[0]
-                            req = l2_lat
-                            bstart = req if req > bus_free else bus_free
-                            bus_free = bstart + btc
-                            mem_acc += 1
-            # EV_JUMP: no warming state (only replay_window needs it).
-
-        il1.hits += i_hits
-        il1.misses += i_miss
-        dl1.hits += d_hits
-        dl1.misses += d_miss
-        ul2.hits += l_hits
-        ul2.misses += l_miss
-        hierarchy.bus_free = bus_free
-        hierarchy.memory_accesses += mem_acc
-        bpred._history = history
-
-    # ------------------------------------------------------------------
     def replay_window(
         self, trace: Sequence[Tuple[int, int]], start: int, end: int
     ) -> None:
-        """Replicate a detailed window's state without the timing model.
+        """Leave caches, predictor, BTB and RAS (and their statistics)
+        exactly as :meth:`simulate_window` over the same window would.
 
         Used by the SMARTS memo on a unit hit: the unit's cycles come
-        from the memo, but the caches, predictor, BTB and RAS must end
-        up exactly as the detailed simulation would have left them so
-        every subsequent unit stays bit-identical.  This works because
-        the detailed pipeline's cache/predictor *update sequence* is
-        timing-independent:
-
-        * data-side tag updates are the same whether a load is forwarded
-          from the store buffer (``warm_data``) or served by the
-          hierarchy (``data_latency``) -- DL1 access, then UL2 on miss;
-        * the front end re-accesses IL1 exactly after every *taken*
-          control transfer and after every misprediction, and a pending
-          redirect always lands on the immediately following instruction
-          (the resolve cycle exceeds the next fetch cycle by
-          construction: ``complete + penalty >= fetch + FRONT_DEPTH + 2``
-          while the next fetch is at most ``fetch + 1``);
-        * mispredictions are pure predictor-state functions of the
-          branch history, not of the cycle clock.
-
-        Statistics (cache hits/misses, predictor lookups/mispredicts)
-        match the detailed window too; the only divergence is
-        ``memory_accesses`` on the rare store-forwarded load that misses
-        both caches, where the detailed path skips the bus transaction.
+        from the memo, and every later unit stays bit-identical because
+        the state is.  This is warming under another name -- the update
+        sequence does not depend on timing (see the module docstring).
         """
-        cfg = self.config
-        hierarchy = self.hierarchy
-        T = self._tables(trace)
-        block_size = cfg.block_size
-
-        eas = T.eas
-        pcs = T.pcs
-        taken_pos = T.taken
-        next_pos = T.next_pc
-        blocks = T.blocks_for(block_size)
-
-        il1 = hierarchy.il1
-        dl1 = hierarchy.dl1
-        ul2 = hierarchy.ul2
-        i_sets = il1._sets
-        i_nsets = il1.n_sets
-        i_assoc = il1.assoc
-        d_sets = dl1._sets
-        d_nsets = dl1.n_sets
-        d_assoc = dl1.assoc
-        l_sets = ul2._sets
-        l_nsets = ul2.n_sets
-        l_assoc = ul2.assoc
-        i_hits = i_miss = d_hits = d_miss = l_hits = l_miss = 0
-        hierarchy.reset_bus()
-        mem_acc = 0
-
-        bpred = self.bpred
-        bim_tab = bpred._bimodal
-        gsh_tab = bpred._gshare
-        cho_tab = bpred._chooser
-        bp_mask = bpred._mask
-        history = bpred._history
-        h_mask = bpred._history_mask
-        bp_lookups = bp_wrong = 0
-        btb_tags = self.btb._tags
-        btb_targets = self.btb._targets
-        btb_mask = self.btb._mask
-        ras_stack = self.ras._stack
-        ras_depth = self.ras.depth
-
-        from bisect import bisect_left
-
-        ev_pos, ev_kind = T.events_for(block_size)
-        lo = bisect_left(ev_pos, start)
-        hi = bisect_left(ev_pos, end)
-        # `forced` is the next position whose instruction fetch must
-        # access IL1 regardless of block-change events: the window start
-        # (cold block tracker) and the instruction after every taken
-        # transfer or misprediction (fetch redirect).
-        forced = start
-        idx = lo
-        while idx <= hi:
-            if idx < hi:
-                i = ev_pos[idx]
-                kind = ev_kind[idx]
-            else:
-                i = end
-                kind = -1
-            if 0 <= forced <= i and forced < end:
-                if forced < i or kind != EV_INST:
-                    blk = blocks[forced]
-                    si = blk % i_nsets
-                    tag = blk // i_nsets
-                    ways = i_sets[si]
-                    if ways and ways[-1] == tag:
-                        i_hits += 1
-                    else:
-                        try:
-                            ways.remove(tag)
-                            ways.append(tag)
-                            i_hits += 1
-                        except ValueError:
-                            i_miss += 1
-                            ways.append(tag)
-                            if len(ways) > i_assoc:
-                                del ways[0]
-                            si2 = blk % l_nsets
-                            tag2 = blk // l_nsets
-                            ways2 = l_sets[si2]
-                            if ways2 and ways2[-1] == tag2:
-                                l_hits += 1
-                            else:
-                                try:
-                                    ways2.remove(tag2)
-                                    ways2.append(tag2)
-                                    l_hits += 1
-                                except ValueError:
-                                    l_miss += 1
-                                    ways2.append(tag2)
-                                    if len(ways2) > l_assoc:
-                                        del ways2[0]
-                                    mem_acc += 1
-                forced = -1
-            if idx >= hi:
-                break
-            idx += 1
-            if kind == EV_INST:
-                blk = blocks[i]
-                si = blk % i_nsets
-                tag = blk // i_nsets
-                ways = i_sets[si]
-                if ways and ways[-1] == tag:
-                    i_hits += 1
-                    continue
-                try:
-                    ways.remove(tag)
-                    ways.append(tag)
-                    i_hits += 1
-                except ValueError:
-                    i_miss += 1
-                    ways.append(tag)
-                    if len(ways) > i_assoc:
-                        del ways[0]
-                    si2 = blk % l_nsets
-                    tag2 = blk // l_nsets
-                    ways2 = l_sets[si2]
-                    if ways2 and ways2[-1] == tag2:
-                        l_hits += 1
-                    else:
-                        try:
-                            ways2.remove(tag2)
-                            ways2.append(tag2)
-                            l_hits += 1
-                        except ValueError:
-                            l_miss += 1
-                            ways2.append(tag2)
-                            if len(ways2) > l_assoc:
-                                del ways2[0]
-                            mem_acc += 1
-            elif kind == EV_DATA or kind == EV_PF:
-                blk = eas[i] // block_size
-                si = blk % d_nsets
-                tag = blk // d_nsets
-                ways = d_sets[si]
-                if ways and ways[-1] == tag:
-                    d_hits += 1
-                    continue
-                try:
-                    ways.remove(tag)
-                    ways.append(tag)
-                    d_hits += 1
-                except ValueError:
-                    d_miss += 1
-                    ways.append(tag)
-                    if len(ways) > d_assoc:
-                        del ways[0]
-                    si2 = blk % l_nsets
-                    tag2 = blk // l_nsets
-                    ways2 = l_sets[si2]
-                    if ways2 and ways2[-1] == tag2:
-                        l_hits += 1
-                    else:
-                        try:
-                            ways2.remove(tag2)
-                            ways2.append(tag2)
-                            l_hits += 1
-                        except ValueError:
-                            l_miss += 1
-                            ways2.append(tag2)
-                            if len(ways2) > l_assoc:
-                                del ways2[0]
-                            mem_acc += 1
-            elif kind == EV_BRANCH:
-                pc = pcs[i]
-                taken = taken_pos[i]
-                pcm = pc & bp_mask
-                gsh = (pc ^ history) & bp_mask
-                if cho_tab[pcm] >= 2:
-                    pred = bim_tab[pcm] >= 2
-                else:
-                    pred = gsh_tab[gsh] >= 2
-                bp_lookups += 1
-                if pred != taken:
-                    bp_wrong += 1
-                bim_p = bim_tab[pcm] >= 2
-                gsh_p = gsh_tab[gsh] >= 2
-                if bim_p != gsh_p:
-                    c = cho_tab[pcm]
-                    if bim_p == taken:
-                        cho_tab[pcm] = c + 1 if c < 3 else 3
-                    else:
-                        cho_tab[pcm] = c - 1 if c > 0 else 0
-                b = bim_tab[pcm]
-                g = gsh_tab[gsh]
-                if taken:
-                    bim_tab[pcm] = b + 1 if b < 3 else 3
-                    gsh_tab[gsh] = g + 1 if g < 3 else 3
-                    history = ((history << 1) | 1) & h_mask
-                    next_pc = next_pos[i]
-                    bi = pc & btb_mask
-                    pred_target = (
-                        btb_targets[bi] if btb_tags[bi] == pc else None
-                    )
-                    btb_tags[bi] = pc
-                    btb_targets[bi] = next_pc
-                    forced = i + 1  # taken or mispredicted: fetch redirects
-                else:
-                    bim_tab[pcm] = b - 1 if b > 0 else 0
-                    gsh_tab[gsh] = g - 1 if g > 0 else 0
-                    history = (history << 1) & h_mask
-                    if pred:
-                        forced = i + 1  # predicted taken, was not: redirect
-            elif kind == EV_JUMP:
-                forced = i + 1
-            elif kind == EV_CALL:
-                ras_stack.append(pcs[i] + 1)
-                if len(ras_stack) > ras_depth:
-                    del ras_stack[0]
-                forced = i + 1
-            elif kind == EV_RET:
-                ras_stack.pop() if ras_stack else None
-                forced = i + 1
-
-        il1.hits += i_hits
-        il1.misses += i_miss
-        dl1.hits += d_hits
-        dl1.misses += d_miss
-        ul2.hits += l_hits
-        ul2.misses += l_miss
-        hierarchy.memory_accesses += mem_acc
-        bpred._history = history
-        bpred.lookups += bp_lookups
-        bpred.mispredictions += bp_wrong
+        self._walk(tables_for(self.exe, trace), start, end, None)

@@ -16,6 +16,7 @@ simulator.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -25,7 +26,7 @@ from repro.obs import counter, span
 from repro.sim.config import MicroarchConfig
 from repro.sim.memo import TimingMemo, timing_key
 from repro.sim.ooo import OooTimingModel, TimingResult
-from repro.sim.tracepack import _md5, packed_for, static_digest
+from repro.sim.tracepack import packed_for, static_digest
 
 _UNITS_SAMPLED = counter("smarts.units.sampled")
 _UNITS_SKIPPED = counter("smarts.units.skipped")
@@ -120,11 +121,12 @@ def smarts_simulate(
         # ``pos``, ``chain`` covers the schedule header plus every trace
         # byte in [0, pos) -- everything a unit's incoming cache and
         # predictor state can depend on.
-        chain = _md5(
+        chain = hashlib.md5(
             (
                 f"{static_dig}|{tkey}|{unit_size}|{interval}|{offset}|"
                 f"{detailed_warmup}|{detailed_cooldown}"
-            ).encode()
+            ).encode(),
+            usedforsecurity=False,
         )
     model = OooTimingModel(exe, config)
     unit_cpis: List[float] = []

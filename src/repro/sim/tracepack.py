@@ -13,10 +13,10 @@ window and every microarchitecture sharing the trace:
   ``(pc, ea)`` tuples, so existing consumers (``instruction_mix``,
   ``detailed_statistics``, tests) keep working unchanged.
 * :class:`TraceTables` -- per-position class codes, latencies, register
-  tables and byte addresses, plus per-``block_size`` instruction-block
-  ids and the merged *warm event list* (positions where functional
-  warming must touch a cache, predictor or the RAS -- everything else
-  is skipped entirely).
+  tables and branch outcomes, plus per-``block_size`` instruction-block
+  ids and the merged *event list* (positions where the cache/predictor
+  kernel must touch a cache, the predictor, the BTB or the RAS --
+  everything else is skipped entirely).
 
 Tables are attached to the ``Executable`` object (``_repro_*``
 attributes), so they live and die with the binary+trace cache entry in
@@ -53,18 +53,10 @@ CLASS_CODE = {
     OpClass.NOP: NOP,
 }
 
-#: Warm-event kinds (ordered: the instruction-block event of a position
-#: must be processed before the same position's data/control event).
-#: ``EV_JUMP`` exists for :meth:`repro.sim.ooo.OooTimingModel.replay_window`
-#: only (jumps redirect fetch); the warm loop ignores it.
-EV_INST, EV_DATA, EV_PF, EV_BRANCH, EV_CALL, EV_RET, EV_JUMP = range(7)
-
-
-def _md5(data: bytes) -> "hashlib._Hash":
-    try:
-        return hashlib.md5(data, usedforsecurity=False)
-    except TypeError:  # pre-3.9-style signature
-        return hashlib.md5(data)
+#: Event kinds (ordered: the instruction-block event of a position must
+#: be processed before the same position's data/control event).  Loads,
+#: stores and prefetches are all ``EV_DATA``.
+EV_INST, EV_DATA, EV_BRANCH, EV_CALL, EV_RET, EV_JUMP = range(6)
 
 
 class PackedTrace:
@@ -134,7 +126,7 @@ class PackedTrace:
     def digest(self) -> str:
         """Content digest of the whole trace."""
         if self._digest is None:
-            h = _md5(self.pcs.tobytes())
+            h = hashlib.md5(self.pcs.tobytes(), usedforsecurity=False)
             h.update(self.eas.tobytes())
             self._digest = h.hexdigest()
         return self._digest
@@ -156,7 +148,7 @@ def static_digest(exe: Executable) -> str:
     cached = getattr(exe, "_repro_static_digest", None)
     if cached is not None:
         return cached
-    h = _md5(repr(exe.entry_pc).encode())
+    h = hashlib.md5(repr(exe.entry_pc).encode(), usedforsecurity=False)
     for instr in exe.instrs:
         h.update(
             (
@@ -199,17 +191,12 @@ class TraceTables:
             else:
                 dst_pc[i] = -1
             srcs_pc.append(tuple(r for r in instr.srcs if r != ZERO))
-        self.cls_pc = cls_pc
-        self.srcs_pc = srcs_pc
         # Per-position flattening.
         self.pcs: List[int] = trace.pcs_list
         self.eas: List[int] = trace.eas_list
         self.cls: List[int] = np.take(cls_pc, pcs).tolist() if n else []
         self.dst: List[int] = np.take(dst_pc, pcs).tolist() if n else []
         self.srcs: List[Tuple[int, ...]] = [srcs_pc[pc] for pc in self.pcs]
-        self.byte_addr: List[int] = (
-            (pcs * INSTR_BYTES + TEXT_BASE).tolist() if n else []
-        )
         # taken[i]: the control transfer at position i changed the pc
         # stream (next_pc != pc + 1); the final position counts as not
         # taken, exactly as the per-event loops treated it.
@@ -256,15 +243,14 @@ class TraceTables:
         return blocks
 
     def events_for(self, block_size: int) -> Tuple[List[int], List[int]]:
-        """Merged warm-event list for one block size.
+        """Merged event list for one block size.
 
         Returns parallel lists ``(positions, kinds)`` sorted by
         ``(position, kind)``: instruction-block-change events
         (``EV_INST``) precede the same position's data/control event,
-        mirroring the order the sequential warm loop touched state in.
-        Position 0 never carries an ``EV_INST`` entry -- window starts
-        force their own first instruction access, because warming resets
-        its block tracker per call.
+        the order a pipeline fetches, then executes.  Position 0 never
+        carries an ``EV_INST`` entry: a window starts with no current
+        fetch block, so the kernel adds its first access itself.
         """
         hit = self._events.get(block_size)
         if hit is not None:
@@ -281,7 +267,7 @@ class TraceTables:
         for code, kind in (
             (LOAD, EV_DATA),
             (STORE, EV_DATA),
-            (PF, EV_PF),
+            (PF, EV_DATA),
             (BRANCH, EV_BRANCH),
             (CALL, EV_CALL),
             (RET, EV_RET),

@@ -190,11 +190,7 @@ def check_corpus(programs: Sequence[GeneratedProgram]) -> List[CheckResult]:
 # ----------------------------------------------------------------------
 def corpus_digest(programs: Sequence[GeneratedProgram]) -> str:
     payload = "\n".join(f"{p.name}:{p.digest()}" for p in programs)
-    try:
-        h = hashlib.md5(payload.encode(), usedforsecurity=False)
-    except TypeError:
-        h = hashlib.md5(payload.encode())
-    return h.hexdigest()
+    return hashlib.md5(payload.encode(), usedforsecurity=False).hexdigest()
 
 
 def manifest_dict(

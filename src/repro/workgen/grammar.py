@@ -46,7 +46,7 @@ class GrammarError(Exception):
 
 def _stable_hash(text: str) -> int:
     """Process-independent 32-bit hash (``hash()`` is randomized)."""
-    digest = hashlib.md5(text.encode()).digest()
+    digest = hashlib.md5(text.encode(), usedforsecurity=False).digest()
     return int.from_bytes(digest[:4], "little")
 
 
@@ -122,11 +122,7 @@ class GeneratedProgram:
     source: str
 
     def digest(self) -> str:
-        try:
-            h = hashlib.md5(self.source.encode(), usedforsecurity=False)
-        except TypeError:
-            h = hashlib.md5(self.source.encode())
-        return h.hexdigest()
+        return hashlib.md5(self.source.encode(), usedforsecurity=False).hexdigest()
 
 
 def program_name(family: str, seed: int) -> str:

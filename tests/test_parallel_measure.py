@@ -368,19 +368,53 @@ class TestFingerprintFips:
         b = MeasurementEngine._workload_fingerprint("art", "train")
         assert a == b and len(a) == 10
 
-    def test_md5_hex_fallback_signature(self, monkeypatch):
-        """Simulate a pre-usedforsecurity hashlib: the fallback path
-        must still produce the same digest."""
+    def test_md5_digests_are_fips_safe(self, monkeypatch):
+        """FIPS-mode OpenSSL refuses md5 unless the caller declares a
+        non-security use.  Every md5 the package takes is a cache key or
+        checksum: each must pass ``usedforsecurity=False`` and yield the
+        same digest as before."""
         import hashlib
 
-        from repro.harness import measure as measure_mod
+        from repro.codegen import compile_module
+        from repro.minic import compile_source
+        from repro.models import LinearModel
+        from repro.serve.serialize import model_to_payload
+        from repro.sim import TimingMemo, execute, smarts_simulate, static_digest
+        from repro.sim.config import TYPICAL
+        from repro.sim.tracepack import PackedTrace
+        from repro.workgen import corpus_digest, default_grammar
+        from tests.util import SUM_LOOP
 
+        exe = compile_module(compile_source(SUM_LOOP), O2, issue_width=4)
+        trace = execute(exe, collect_trace=True).trace
+        x = np.random.default_rng(0).uniform(-1, 1, (40, full_space().dim))
+        model = LinearModel().fit(x, x.sum(axis=1))
+
+        def digests():
+            MeasurementEngine._fingerprints.pop(("art", "train"), None)
+            exe.__dict__.pop("_repro_static_digest", None)
+            program = default_grammar().generate("chase", 3)
+            memo = TimingMemo()
+            smarts_simulate(exe, TYPICAL, trace, unit_size=100, memo=memo)
+            return (
+                MeasurementEngine._workload_fingerprint("art", "train"),
+                program.source,
+                program.digest(),
+                corpus_digest([program]),
+                model_to_payload(model, space=full_space())[0],
+                static_digest(exe),
+                PackedTrace.from_pairs(trace).digest(),
+                sorted(memo._runs),
+                sorted(memo._units),
+            )
+
+        plain = digests()
         real_md5 = hashlib.md5
 
-        def strict_md5(data=b"", **kwargs):
-            if kwargs:
-                raise TypeError("md5() takes no keyword arguments")
-            return real_md5(data)
+        def fips_md5(data=b"", *, usedforsecurity=True):
+            if usedforsecurity:
+                raise ValueError("unsupported hash type md5 in FIPS mode")
+            return real_md5(data, usedforsecurity=False)
 
-        monkeypatch.setattr(measure_mod.hashlib, "md5", strict_md5)
-        assert measure_mod._md5_hex(b"abc") == real_md5(b"abc").hexdigest()
+        monkeypatch.setattr(hashlib, "md5", fips_md5)
+        assert digests() == plain

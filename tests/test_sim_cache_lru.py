@@ -1,9 +1,10 @@
 """LRU bookkeeping audit for :mod:`repro.sim.cache`.
 
-The hot-loop rewrite in :mod:`repro.sim.ooo` inlines these caches (with
-an MRU fast path), so the reference semantics pinned here are what the
-inlined code must stay bit-identical to: a *hit must refresh recency*,
-``probe`` must be pure, and the stats must be safe on the empty cache.
+The simulator's cache/predictor kernel (``OooTimingModel._walk``)
+inlines only the MRU-hit fast path and sends every other access through
+``Cache.access_block``, so the semantics pinned here are the ones every
+simulated access gets: a *hit must refresh recency*, ``probe`` must be
+pure, and the stats must be safe on the empty cache.
 """
 
 import pytest

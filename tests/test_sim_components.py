@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codegen import compile_module
+from repro.codegen.isa import OpClass
 from repro.minic import compile_source
 from repro.opt import CompilerConfig
-from repro.sim import Cache, CacheHierarchy, CombinedPredictor, MicroarchConfig
+from repro.sim import Cache, CombinedPredictor, MicroarchConfig, OooTimingModel
 from repro.sim.bpred import BranchTargetBuffer, ReturnAddressStack
 from repro.sim.func import SimulationError, execute
+from repro.sim.ooo import FRONT_DEPTH
 from tests.util import ALL_PROGRAMS
 
 
@@ -83,32 +85,62 @@ class TestCache:
             assert c.access(addr) == expect_hit
 
 
+#: One strided read loop: with prefetching on, the binary holds both a
+#: load and a prefetch instruction for the single-instruction traces
+#: below.
+PROBE = """
+int g[4096];
+int main() {
+    int i;
+    int s = 0;
+    for (i = 0; i < 4096; i = i + 1) { s = s + g[i]; }
+    return s;
+}
+"""
+
+
+def _probe(**microarch):
+    """A timing model, plus the pcs of a load and a prefetch in its binary."""
+    exe = compile_module(
+        compile_source(PROBE),
+        CompilerConfig(prefetch_loop_arrays=True),
+        issue_width=4,
+    )
+    pcs = {instr.op_class: pc for pc, instr in enumerate(exe.instrs)}
+    model = OooTimingModel(exe, MicroarchConfig(**microarch))
+    return model, pcs[OpClass.LOAD], pcs[OpClass.PREFETCH]
+
+
 class TestHierarchy:
-    def cfg(self, **kw):
-        return MicroarchConfig(**kw)
+    """Latency composition, seen through the timing model: one load whose
+    code is already in IL1 issues ``FRONT_DEPTH`` cycles into a window
+    and commits when its data arrives."""
 
     def test_latency_composition(self):
-        h = CacheHierarchy(self.cfg())
-        cold = h.data_latency(0)
-        assert cold == (
-            h.config.dcache_latency
-            + h.config.l2_latency
-            + h.config.memory_latency
-        )
-        assert h.data_latency(0) == h.config.dcache_latency
+        model, load, _ = _probe()
+        cfg = model.config
+        model.warm([(load, 0)], 0, 1)
+        hit = FRONT_DEPTH + cfg.dcache_latency
+        cold = model.simulate_trace([(load, 1 << 20)]).cycles
+        assert cold == hit + cfg.l2_latency + cfg.memory_latency
+        assert model.simulate_trace([(load, 1 << 20)]).cycles == hit
 
     def test_l2_hit_path(self):
-        h = CacheHierarchy(self.cfg(dcache_size=8 * 1024, dcache_assoc=1))
-        h.data_latency(0)
-        # Evict from dl1 but not from l2: pick a conflicting dl1 address.
-        h.data_latency(8 * 1024)
-        lat = h.data_latency(0)
-        assert lat == h.config.dcache_latency + h.config.l2_latency
+        model, load, _ = _probe(dcache_size=8 * 1024, dcache_assoc=1)
+        cfg = model.config
+        model.warm([(load, 0)], 0, 1)
+        # Evict from dl1 but not from l2: a conflicting dl1 address.
+        model.warm([(load, 8 * 1024)], 0, 1)
+        lat = model.simulate_trace([(load, 0)]).cycles
+        assert lat == FRONT_DEPTH + cfg.dcache_latency + cfg.l2_latency
 
     def test_prefetch_fills_quietly(self):
-        h = CacheHierarchy(self.cfg())
-        h.prefetch(64)
-        assert h.data_latency(64) == h.config.dcache_latency
+        model, load, prefetch = _probe()
+        model.warm([(prefetch, 0), (load, 0)], 0, 2)
+        # The prefetch goes to memory; the load right behind it hits.
+        result = model.simulate_trace([(prefetch, 64), (load, 64)])
+        assert result.cycles == FRONT_DEPTH + model.config.dcache_latency
+        assert model.hierarchy.memory_accesses == 1
 
 
 class TestPredictor:

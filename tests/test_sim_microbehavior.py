@@ -8,8 +8,8 @@ from repro.codegen import compile_module
 from repro.minic import compile_source
 from repro.opt import CompilerConfig, O2
 from repro.sim import MicroarchConfig, OooTimingModel
-from repro.sim.cache import CacheHierarchy
 from repro.sim.func import execute
+from repro.sim.stats import detailed_statistics
 
 
 def cycles_for(src, config=None, **microarch_kw):
@@ -21,37 +21,102 @@ def cycles_for(src, config=None, **microarch_kw):
     return OooTimingModel(exe, mc).simulate_trace(fr.trace).cycles
 
 
+def stats_for(src, **microarch_kw):
+    exe = compile_module(compile_source(src), O2, issue_width=4)
+    fr = execute(exe)
+    return detailed_statistics(exe, MicroarchConfig(**microarch_kw), fr.trace)
+
+
 class TestMemoryBus:
+    #: 2048 loads, each to a new block: every one goes to memory.
+    INDEPENDENT_MISSES = """
+    int data[65536];
+    int main() {
+        int i;
+        int s = 0;
+        for (i = 0; i < 2048; i = i + 1) { s = s + data[i * 16]; }
+        return s;
+    }
+    """
+    #: The same misses, each load's address waiting on the one before.
+    DEPENDENT_MISSES = """
+    int data[65536];
+    int main() {
+        int i;
+        int s = 0;
+        for (i = 0; i < 2048; i = i + 1) { s = data[(s & 1) + i * 16]; }
+        return s;
+    }
+    """
+
     def test_bus_serializes_misses(self):
-        h = CacheHierarchy(MicroarchConfig())
-        # Two back-to-back memory misses at the same request time: the
-        # second is delayed by the bus transfer of the first.
-        lat1 = h.data_latency(0, now=0)
-        lat2 = h.data_latency(1 << 20, now=0)
-        assert lat2 > lat1
+        # Independent misses overlap in the window, so back-to-back
+        # requests queue for the bus: at 40 cycles per transfer the
+        # loop is bus-bound.
+        fast = stats_for(self.INDEPENDENT_MISSES, bus_transfer_cycles=1)
+        slow = stats_for(self.INDEPENDENT_MISSES, bus_transfer_cycles=40)
+        assert slow.memory_bus_accesses == fast.memory_bus_accesses > 2048
+        assert slow.timing.cycles >= 40 * slow.memory_bus_accesses
+        assert fast.timing.cycles < 0.8 * slow.timing.cycles
 
     def test_bus_frees_over_time(self):
-        h = CacheHierarchy(MicroarchConfig())
-        h.data_latency(0, now=0)
-        much_later = h.data_latency(1 << 20, now=10_000)
-        base = (
-            h.config.dcache_latency
-            + h.config.l2_latency
-            + h.config.memory_latency
-        )
-        assert much_later == base
-
-    def test_reset_bus(self):
-        h = CacheHierarchy(MicroarchConfig())
-        h.data_latency(0, now=0)
-        h.reset_bus()
-        assert h.bus_free == 0
+        # A dependent miss is requested only after the previous one's
+        # data arrived, long after its transfer freed the bus.
+        fast = cycles_for(self.DEPENDENT_MISSES, bus_transfer_cycles=1)
+        slow = cycles_for(self.DEPENDENT_MISSES, bus_transfer_cycles=40)
+        assert slow == fast
 
     def test_memory_access_counter(self):
-        h = CacheHierarchy(MicroarchConfig())
-        h.data_latency(0)
-        h.data_latency(0)  # hit
-        assert h.memory_accesses == 1
+        # 8 passes over 512 eight-byte ints: only the first pass's 128
+        # blocks (plus the code) come from memory; the rest hit.
+        src = """
+        int data[512];
+        int main() {
+            int i;
+            int j;
+            int s = 0;
+            for (j = 0; j < 8; j = j + 1) {
+                for (i = 0; i < 512; i = i + 1) { s = s + data[i]; }
+            }
+            return s;
+        }
+        """
+        exe = compile_module(compile_source(src), O2, issue_width=4)
+        model = OooTimingModel(exe, MicroarchConfig())
+        model.simulate_trace(execute(exe).trace)
+        h = model.hierarchy
+        assert h.memory_accesses == h.ul2.misses
+        assert 128 <= h.memory_accesses < 128 + 16
+
+    def test_forwarded_load_skips_the_bus(self):
+        # a, b and c conflict in both caches: by the time a[i * 16] is
+        # read back it has been evicted from DL1 and the 2-way L2 -- but
+        # its store is still in the store buffer, which serves the load
+        # without a trip to memory.
+        src = """
+        int a[4096];
+        int b[4096];
+        int c[4096];
+        int main() {
+            int i;
+            int s = 0;
+            for (i = 0; i < 64; i = i + 1) {
+                a[i * 16] = i;
+                b[i * 16] = i;
+                c[i * 16] = i;
+                s = s + a[i * 16];
+            }
+            return s;
+        }
+        """
+        exe = compile_module(compile_source(src), O2, issue_width=4)
+        config = MicroarchConfig(
+            dcache_size=4096, dcache_assoc=1, l2_size=16384, l2_assoc=2
+        )
+        model = OooTimingModel(exe, config)
+        model.simulate_trace(execute(exe).trace)
+        h = model.hierarchy
+        assert h.memory_accesses < h.ul2.misses
 
 
 class TestStoreBufferEffects:
