@@ -39,7 +39,7 @@ import numpy as np
 from repro.codegen.linker import Executable
 from repro.obs import counter
 from repro.sim.func import FunctionalResult
-from repro.sim.tracepack import PackedTrace, as_packed, static_digest
+from repro.sim.tracepack import PackedTrace, static_digest
 
 BINARY_HITS = counter("measure.artifacts.binary_hits")
 BINARY_MISSES = counter("measure.artifacts.binary_misses")
@@ -140,9 +140,9 @@ class ArtifactStore:
         return result
 
     def store_trace(self, exe: Executable, functional: FunctionalResult) -> None:
-        if functional.trace is None:
+        packed = functional.trace
+        if packed is None:
             return
-        packed = as_packed(functional.trace)
         self._write_atomic(
             self._trace_dir / f"{static_digest(exe)}.pkl",
             {

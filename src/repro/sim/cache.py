@@ -7,7 +7,7 @@ same non-linear cache responses the paper's SimpleScalar produced.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 from repro.sim.config import MicroarchConfig
 
@@ -26,8 +26,12 @@ class Cache:
         self.block_size = block_size
         self.name = name
         self.n_sets = size // (assoc * block_size)
-        # Per-set MRU-last list of tags.
-        self._sets: List[List[int]] = [[] for _ in range(self.n_sets)]
+        # Per-set MRU-last list of tags.  A set stays the shared empty
+        # tuple until its first fill: an 8 MB direct-mapped L2 has 262,144
+        # sets, and a list each would be as many garbage-collected
+        # containers.  The kernel's MRU test needs no change, since an
+        # empty tuple is falsy like an empty list.
+        self._sets: List[Sequence[int]] = [()] * self.n_sets
         self.hits = 0
         self.misses = 0
 
@@ -37,7 +41,8 @@ class Cache:
 
     def access_block(self, block: int) -> bool:
         """Access block number ``block`` (``addr // block_size``)."""
-        ways = self._sets[block % self.n_sets]
+        index = block % self.n_sets
+        ways = self._sets[index]
         tag = block // self.n_sets
         if tag in ways:
             if ways[-1] != tag:
@@ -46,6 +51,9 @@ class Cache:
             self.hits += 1
             return True
         self.misses += 1
+        if not ways:
+            self._sets[index] = [tag]
+            return False
         ways.append(tag)
         if len(ways) > self.assoc:
             del ways[0]

@@ -162,8 +162,8 @@ class OooTimingModel:
         # instruction accesses IL1 -- through its own block-change event
         # if it has one.
         if not positions or positions[0] != start or kinds[0] != EV_INST:
-            positions.insert(0, start)
-            kinds.insert(0, EV_INST)
+            positions = (start,) + positions
+            kinds = (EV_INST,) + kinds
         eas = tables.eas
         pcs = tables.pcs
         taken_pos = tables.taken

@@ -4,12 +4,13 @@ The per-event simulator loops (:mod:`repro.sim.ooo`) used to chase
 attributes per instruction: ``trace[i]`` tuple unpacking, ``cls_tab[pc]``
 table lookups, ``TEXT_BASE + pc * INSTR_BYTES`` arithmetic, block-index
 divisions.  This module hoists all of that into numpy-precomputed flat
-arrays built once per (executable, trace) and reused across every SMARTS
+tables built once per (executable, trace) and reused across every SMARTS
 window and every microarchitecture sharing the trace:
 
 * :class:`PackedTrace` -- the dynamic trace as two parallel numpy arrays
   (``pcs``, ``eas``) with a content digest and cheap segment hashing for
-  the timing memo (:mod:`repro.sim.memo`).  It behaves as a sequence of
+  the timing memo (:mod:`repro.sim.memo`).  :func:`repro.sim.func.execute`
+  returns its trace in this form.  It behaves as a sequence of
   ``(pc, ea)`` tuples, so existing consumers (``instruction_mix``,
   ``detailed_statistics``, tests) keep working unchanged.
 * :class:`TraceTables` -- per-position class codes, latencies, register
@@ -63,25 +64,17 @@ class PackedTrace:
     """A dynamic trace as two parallel flat arrays.
 
     Duck-types as a ``Sequence[Tuple[int, int]]`` so it can replace the
-    list-of-tuples trace everywhere, while exposing the numpy arrays and
-    plain-list views the hot loops index directly.
+    list-of-tuples trace everywhere, while exposing the numpy arrays
+    :class:`TraceTables` is built from.
     """
 
-    __slots__ = (
-        "pcs",
-        "eas",
-        "_pcs_list",
-        "_eas_list",
-        "_digest",
-    )
+    __slots__ = ("pcs", "eas", "_digest")
 
     def __init__(self, pcs: np.ndarray, eas: np.ndarray):
         self.pcs = np.ascontiguousarray(pcs, dtype=np.int64)
         self.eas = np.ascontiguousarray(eas, dtype=np.int64)
         if self.pcs.shape != self.eas.shape:
             raise ValueError("pcs and eas must have the same length")
-        self._pcs_list: Optional[List[int]] = None
-        self._eas_list: Optional[List[int]] = None
         self._digest: Optional[str] = None
 
     # -- construction ---------------------------------------------------
@@ -104,23 +97,10 @@ class PackedTrace:
     def __getitem__(self, i):
         if isinstance(i, slice):
             return list(zip(self.pcs[i].tolist(), self.eas[i].tolist()))
-        return (int(self.pcs[i]), int(self.eas[i]))
+        return (self.pcs.item(i), self.eas.item(i))
 
     def __iter__(self) -> Iterator[Tuple[int, int]]:
         return iter(zip(self.pcs.tolist(), self.eas.tolist()))
-
-    # -- flat views for the hot loops -----------------------------------
-    @property
-    def pcs_list(self) -> List[int]:
-        if self._pcs_list is None:
-            self._pcs_list = self.pcs.tolist()
-        return self._pcs_list
-
-    @property
-    def eas_list(self) -> List[int]:
-        if self._eas_list is None:
-            self._eas_list = self.eas.tolist()
-        return self._eas_list
 
     # -- content addressing ---------------------------------------------
     def digest(self) -> str:
@@ -161,14 +141,35 @@ def static_digest(exe: Executable) -> str:
     return digest
 
 
+def _objects(table: Sequence) -> np.ndarray:
+    """``table`` as a numpy object array (each item kept as one object)."""
+    objects = np.empty(len(table), dtype=object)
+    for i, value in enumerate(table):
+        objects[i] = value
+    return objects
+
+
+def _gather(objects: np.ndarray, index: np.ndarray) -> Tuple:
+    """``tuple(objects[i] for i in index)``, gathered in C.
+
+    Equal positions hold the same object, so a position costs one
+    pointer, and a tuple of ints (or of tuples of ints) drops out of the
+    cyclic garbage collector's tracking after the first collection that
+    sees it -- a list is walked by every full collection.
+    """
+    return tuple(objects[index].tolist())
+
+
 class TraceTables:
     """Per-(executable, trace) flattened lookup tables.
 
-    Everything here is a plain python list (fast scalar indexing) built
-    from one vectorized numpy pass.  Per-``block_size`` artifacts (block
-    ids, warm event lists) and per-``issue_width`` latencies are cached
-    in dicts, since those are the only microarchitectural parameters the
-    tables depend on.
+    Every per-position table is a tuple (fast scalar indexing) built by
+    one vectorized numpy pass.  Those that hold pcs or pc-derived values
+    (``pcs``, ``next_pc``, block ids, ``srcs``) take their items from a
+    pc-indexed object table, so equal values share one object.
+    Per-``block_size`` artifacts (block ids, event lists) and
+    per-``issue_width`` latencies are cached in dicts, since those are
+    the only microarchitectural parameters the tables depend on.
     """
 
     def __init__(self, exe: Executable, trace: PackedTrace):
@@ -191,12 +192,15 @@ class TraceTables:
             else:
                 dst_pc[i] = -1
             srcs_pc.append(tuple(r for r in instr.srcs if r != ZERO))
+        self._cls_pc = cls_pc
+        # One int object per pc, and one for the pc past the text.
+        pc_objects = _objects(range(len(exe.instrs) + 1))
         # Per-position flattening.
-        self.pcs: List[int] = trace.pcs_list
-        self.eas: List[int] = trace.eas_list
-        self.cls: List[int] = np.take(cls_pc, pcs).tolist() if n else []
-        self.dst: List[int] = np.take(dst_pc, pcs).tolist() if n else []
-        self.srcs: List[Tuple[int, ...]] = [srcs_pc[pc] for pc in self.pcs]
+        self.pcs: Tuple[int, ...] = _gather(pc_objects, pcs)
+        self.eas: Tuple[int, ...] = tuple(trace.eas.tolist())
+        self.cls: Tuple[int, ...] = tuple(np.take(cls_pc, pcs).tolist())
+        self.dst: Tuple[int, ...] = tuple(np.take(dst_pc, pcs).tolist())
+        self.srcs: Tuple[Tuple[int, ...], ...] = _gather(_objects(srcs_pc), pcs)
         # taken[i]: the control transfer at position i changed the pc
         # stream (next_pc != pc + 1); the final position counts as not
         # taken, exactly as the per-event loops treated it.
@@ -204,17 +208,17 @@ class TraceTables:
             nxt = np.empty(n, dtype=np.int64)
             nxt[:-1] = pcs[1:]
             nxt[-1] = pcs[-1] + 1
-            self.taken: List[bool] = (nxt != pcs + 1).tolist()
-            self.next_pc: List[int] = nxt.tolist()
+            self.taken: Tuple[bool, ...] = tuple((nxt != pcs + 1).tolist())
+            self.next_pc: Tuple[int, ...] = _gather(pc_objects, nxt)
         else:
-            self.taken = []
-            self.next_pc = []
-        self._lat: Dict[int, List[int]] = {}
-        self._blocks: Dict[int, List[int]] = {}
-        self._events: Dict[int, Tuple[List[int], List[int]]] = {}
+            self.taken = ()
+            self.next_pc = ()
+        self._lat: Dict[int, Tuple[int, ...]] = {}
+        self._blocks: Dict[int, Tuple[int, ...]] = {}
+        self._events: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
 
     # -- per-issue-width latency table ----------------------------------
-    def lat_for(self, mdesc) -> List[int]:
+    def lat_for(self, mdesc) -> Tuple[int, ...]:
         """Per-position latencies for one machine description."""
         width = mdesc.issue_width
         hit = self._lat.get(width)
@@ -224,28 +228,31 @@ class TraceTables:
             [mdesc.latency(instr.op_class) for instr in self.exe.instrs],
             dtype=np.int64,
         )
-        lat = np.take(lat_pc, self.trace.pcs).tolist() if self.n else []
+        lat = tuple(np.take(lat_pc, self.trace.pcs).tolist())
         self._lat[width] = lat
         return lat
 
     # -- per-block-size artifacts ---------------------------------------
-    def blocks_for(self, block_size: int) -> List[int]:
+    def _block_pc(self, block_size: int) -> np.ndarray:
+        """Instruction-block id per pc."""
+        pcs = np.arange(len(self.exe.instrs), dtype=np.int64)
+        return (pcs * INSTR_BYTES + TEXT_BASE) // block_size
+
+    def blocks_for(self, block_size: int) -> Tuple[int, ...]:
         """Instruction-block id per position."""
         hit = self._blocks.get(block_size)
         if hit is not None:
             return hit
-        blocks = (
-            ((self.trace.pcs * INSTR_BYTES + TEXT_BASE) // block_size).tolist()
-            if self.n
-            else []
+        blocks = _gather(
+            _objects(self._block_pc(block_size).tolist()), self.trace.pcs
         )
         self._blocks[block_size] = blocks
         return blocks
 
-    def events_for(self, block_size: int) -> Tuple[List[int], List[int]]:
+    def events_for(self, block_size: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """Merged event list for one block size.
 
-        Returns parallel lists ``(positions, kinds)`` sorted by
+        Returns parallel tuples ``(positions, kinds)`` sorted by
         ``(position, kind)``: instruction-block-change events
         (``EV_INST``) precede the same position's data/control event,
         the order a pipeline fetches, then executes.  Position 0 never
@@ -255,12 +262,9 @@ class TraceTables:
         hit = self._events.get(block_size)
         if hit is not None:
             return hit
-        n = self.n
-        if n == 0:
-            self._events[block_size] = ([], [])
-            return self._events[block_size]
-        blocks = np.asarray(self.blocks_for(block_size), dtype=np.int64)
-        cls = np.asarray(self.cls, dtype=np.int64)
+        pcs = self.trace.pcs
+        blocks = np.take(self._block_pc(block_size), pcs)
+        cls = np.take(self._cls_pc, pcs)
         change = np.flatnonzero(blocks[1:] != blocks[:-1]) + 1
         pos_parts = [change]
         kind_parts = [np.full(change.shape, EV_INST, dtype=np.int64)]
@@ -279,16 +283,9 @@ class TraceTables:
         pos = np.concatenate(pos_parts)
         kind = np.concatenate(kind_parts)
         order = np.lexsort((kind, pos))
-        result = (pos[order].tolist(), kind[order].tolist())
+        result = (tuple(pos[order].tolist()), tuple(kind[order].tolist()))
         self._events[block_size] = result
         return result
-
-
-def as_packed(trace: Sequence[Tuple[int, int]]) -> PackedTrace:
-    """Coerce any trace representation to a :class:`PackedTrace`."""
-    if isinstance(trace, PackedTrace):
-        return trace
-    return PackedTrace.from_pairs(trace)
 
 
 def packed_for(exe: Executable, trace: Sequence[Tuple[int, int]]) -> PackedTrace:
