@@ -33,7 +33,11 @@ mispredict.  Functional warming (:meth:`~OooTimingModel.warm`) and memo
 replay (:meth:`~OooTimingModel.replay_window`) are that kernel alone.
 :meth:`~OooTimingModel.simulate_window` runs the kernel over its window
 first, then a timing loop (fetch, RUU, FU pools, store buffer, memory
-bus, commit) that reads only the codes.
+bus, commit) that reads only the codes and one op record per
+instruction (:meth:`repro.sim.tracepack.TraceTables.ops_for`).  The loop
+times the window's warm-up and measured segments and stops at
+``measure_to``: an instruction's commit cycle depends only on earlier
+instructions, so the cool-down is walked by the kernel but never timed.
 
 The split is exact because no cache or predictor update depends on the
 clock:
@@ -82,8 +86,8 @@ from repro.sim.tracepack import (
     EV_RET,
     JUMP as _JUMP,
     LOAD as _LOAD,
+    N_REG_SLOTS,
     NOP as _NOP,
-    PF as _PF,
     RET as _RET,
     STORE as _STORE,
     TraceTables,
@@ -295,10 +299,23 @@ class OooTimingModel:
         ``measure_to`` are given, only the commit-time interval between
         those trace positions is reported: instructions before
         ``measure_from`` are *detailed warming* (removing cold-pipeline
-        bias) and instructions after ``measure_to`` are *cooldown*
-        (keeping the pipe full at the window's end so its drain is not
-        billed to the window) -- SMARTS-style window bracketing.
+        bias).  Instructions from ``measure_to`` on are *cool-down*: the
+        kernel applies them to the caches and predictor, but they are
+        not timed, since no commit cycle depends on a later instruction.
+        The four ``sim.ooo.*`` counters and ``memory_accesses`` cover
+        the timed instructions, ``start`` to ``measure_to``.
+
+        Raises ``ValueError`` unless ``0 <= start <= measure_from <=
+        measure_to <= end <= len(trace)``.
         """
+        measure_from = start if measure_from is None else measure_from
+        measure_to = end if measure_to is None else measure_to
+        if not 0 <= start <= measure_from <= measure_to <= end <= len(trace):
+            raise ValueError(
+                "window bounds must satisfy 0 <= start <= measure_from <= "
+                f"measure_to <= end <= len(trace), got {start}, "
+                f"{measure_from}, {measure_to}, {end}, {len(trace)}"
+            )
         T = tables_for(self.exe, trace)
         codes = [0] * (end - start)
         self._walk(T, start, end, codes)
@@ -307,7 +324,6 @@ class OooTimingModel:
         mdesc = self.mdesc
         block_size = cfg.block_size
         width = cfg.issue_width
-        ruu_size = cfg.ruu_size
         sbuf_size = cfg.store_buffer_size
         penalty = cfg.mispredict_penalty
         icache_lat = cfg.icache_latency
@@ -316,11 +332,8 @@ class OooTimingModel:
         mem_lat = cfg.memory_latency
         btc = cfg.bus_transfer_cycles
 
+        ops = T.ops_for(mdesc)
         eas = T.eas
-        cls_pos = T.cls
-        lat_pos = T.lat_for(mdesc)
-        dst_pos = T.dst
-        srcs_pos = T.srcs
 
         bus_free = 0
         mem_acc = 0
@@ -348,147 +361,148 @@ class OooTimingModel:
             n_units = mdesc.units(op_class)
             if n_units:
                 fu_pools[code] = [0] * n_units
-        regs_ready = [0] * 64
-        ruu: deque = deque()
+        regs_ready = [0] * N_REG_SLOTS
+        # Commit cycles of the last ruu_size instructions.  The zeros it
+        # starts with never stall dispatch, which is at least FRONT_DEPTH.
+        ruu = deque([0] * cfg.ruu_size, maxlen=cfg.ruu_size)
         ruu_append = ruu.append
-        ruu_popleft = ruu.popleft
-        store_buffer: List[Tuple[int, int]] = []  # (drain_time, block)
+        # The store buffer: drain cycle and block of each entry.
+        sb_drain: List[int] = []
+        sb_block: List[int] = []
 
         fetch_cycle = 0
         slots = 0
-        redirect_at = 0
         last_commit = 0
-        last_commit_cycle = -1
-        commits_this_cycle = 0
+        commits = 0
 
         n_mispredicts = 0
         n_icache_stall_cycles = 0
         n_ruu_stalls = 0
-        measure_from = start if measure_from is None else measure_from
-        measure_to = end if measure_to is None else measure_to
-        warm_boundary_commit = 0
-        end_boundary_commit: Optional[int] = None
-        for i, oc in zip(range(start, end), codes):
-            if i == measure_from:
-                warm_boundary_commit = last_commit
-            if i == measure_to:
-                end_boundary_commit = last_commit
-            code = cls_pos[i]
-
-            # ---------------- fetch ----------------
-            if redirect_at > fetch_cycle:
-                fetch_cycle = redirect_at
-                slots = 0
-            if oc & _IL1_MISS:
-                stall = l2_lat
-                if oc & IL1_MEM:
-                    stall += memory_fetch(fetch_cycle + icache_lat + l2_lat)
-                if stall:
-                    fetch_cycle += stall
-                    n_icache_stall_cycles += stall
+        # Time the warm-up, then the measured segment, whose cycles are
+        # reported.  The cool-down is not timed: every structure below is
+        # updated in program order, so no commit cycle depends on a later
+        # instruction.
+        for lo, hi in ((start, measure_from), (measure_from, measure_to)):
+            boundary = last_commit
+            for (code, s0, s1, dst, lat), oc, ea in zip(
+                ops[lo:hi], codes[lo - start : hi - start], eas[lo:hi]
+            ):
+                # ---------------- fetch ----------------
+                if oc & _IL1_MISS:
+                    stall = l2_lat
+                    if oc & IL1_MEM:
+                        stall += memory_fetch(fetch_cycle + icache_lat + l2_lat)
+                    if stall:
+                        fetch_cycle += stall
+                        n_icache_stall_cycles += stall
+                        slots = 0
+                if slots >= width:
+                    fetch_cycle += 1
                     slots = 0
-            if slots >= width:
-                fetch_cycle += 1
-                slots = 0
-            fetch_time = fetch_cycle
-            slots += 1
+                slots += 1
 
-            # ---------------- dispatch (RUU) ----------------
-            disp = fetch_time + FRONT_DEPTH
-            if len(ruu) >= ruu_size:
-                oldest = ruu_popleft()
+                # ---------------- dispatch (RUU) ----------------
+                disp = fetch_cycle + FRONT_DEPTH
+                oldest = ruu[0]
                 if oldest > disp:
                     disp = oldest
                     n_ruu_stalls += 1
 
-            # ---------------- issue ----------------
-            ready = disp
-            for r in srcs_pos[i]:
-                t = regs_ready[r]
-                if t > ready:
-                    ready = t
-            issue = ready
-            pool = fu_pools[code]
-            if pool is not None:
-                # A heap of unit free times: the first to free up takes
-                # the instruction (units are interchangeable).
-                free = pool[0]
-                if free > issue:
-                    issue = free
-                heapreplace(pool, issue + 1)
+                # ---------------- issue ----------------
+                issue = disp
+                t = regs_ready[s0]
+                if t > issue:
+                    issue = t
+                t = regs_ready[s1]
+                if t > issue:
+                    issue = t
+                pool = fu_pools[code]
+                if pool is not None:
+                    # A heap of unit free times: the first to free up
+                    # takes the instruction (units are interchangeable).
+                    free = pool[0]
+                    if free > issue:
+                        issue = free
+                    heapreplace(pool, issue + 1)
 
-            # ---------------- execute / complete ----------------
-            if code == _LOAD:
-                eb = eas[i] // block_size
-                for drain, sblock in store_buffer:
-                    if sblock == eb and drain > issue:
-                        # Forwarded from the store buffer: no bus trip.
+                # ---------------- execute / complete ----------------
+                if code < _LOAD:  # not a memory operation
+                    complete = issue + lat
+                elif code == _LOAD:
+                    eb = ea // block_size
+                    forwarded = False
+                    if eb in sb_block:
+                        # Forwarded while a store to the block has not
+                        # drained: no cache or bus trip.
+                        for drain, sblock in zip(sb_drain, sb_block):
+                            if drain > issue and sblock == eb:
+                                forwarded = True
+                                break
+                    if forwarded:
                         complete = issue + 1
-                        break
-                else:
+                    else:
+                        dlat = dcache_lat
+                        if oc & _DL1_MISS:
+                            dlat += l2_lat
+                            if oc & DL1_MEM:
+                                dlat += memory_fetch(issue + dlat)
+                        complete = issue + dlat
+                elif code == _STORE:
+                    if sb_drain:
+                        if min(sb_drain) <= issue:
+                            sb_block = [
+                                b for d, b in zip(sb_drain, sb_block) if d > issue
+                            ]
+                            sb_drain = [d for d in sb_drain if d > issue]
+                        if len(sb_drain) >= sbuf_size:
+                            # Full: wait for the first entry to drain.
+                            issue = min(sb_drain)
+                            sb_block = [
+                                b for d, b in zip(sb_drain, sb_block) if d > issue
+                            ]
+                            sb_drain = [d for d in sb_drain if d > issue]
                     dlat = dcache_lat
                     if oc & _DL1_MISS:
                         dlat += l2_lat
                         if oc & DL1_MEM:
                             dlat += memory_fetch(issue + dlat)
-                    complete = issue + dlat
-            elif code == _STORE:
-                if store_buffer:
-                    store_buffer = [sb for sb in store_buffer if sb[0] > issue]
-                    if len(store_buffer) >= sbuf_size:
-                        earliest = min(sb[0] for sb in store_buffer)
-                        if earliest > issue:
-                            issue = earliest
-                        store_buffer = [
-                            sb for sb in store_buffer if sb[0] > issue
-                        ]
-                dlat = dcache_lat
-                if oc & _DL1_MISS:
-                    dlat += l2_lat
+                    sb_drain.append(issue + dlat)
+                    sb_block.append(ea // block_size)
+                    complete = issue + 1
+                else:  # prefetch
                     if oc & DL1_MEM:
-                        dlat += memory_fetch(issue + dlat)
-                store_buffer.append((issue + dlat, eas[i] // block_size))
-                complete = issue + 1
-            elif code == _PF:
-                if oc & DL1_MEM:
-                    memory_fetch(issue + l2_lat)
-                complete = issue + 1
-            else:
-                complete = issue + lat_pos[i]
+                        memory_fetch(issue + l2_lat)
+                    complete = issue + 1
+                regs_ready[dst] = complete
 
-            d = dst_pos[i]
-            if d >= 0:
-                regs_ready[d] = complete
+                # ---------------- control flow ----------------
+                if oc >= REDIRECT:
+                    if oc & MISPREDICT:
+                        # Fetch resumes once the transfer resolves; it
+                        # never moves backwards.
+                        t = complete + penalty
+                        if t > fetch_cycle:
+                            fetch_cycle = t
+                            slots = 0
+                        n_mispredicts += 1
+                    else:
+                        fetch_cycle += 1
+                        slots = 0
 
-            # ---------------- control flow ----------------
-            if oc >= REDIRECT:
-                if oc & MISPREDICT:
-                    t = complete + penalty
-                    if t > redirect_at:
-                        redirect_at = t
-                    n_mispredicts += 1
+                # ---------------- commit ----------------
+                # In order, ``width`` per cycle.
+                if complete > last_commit:
+                    last_commit = complete
+                    commits = 1
+                elif commits < width:
+                    commits += 1
                 else:
-                    fetch_cycle = fetch_time + 1
-                    slots = 0
-
-            # ---------------- commit ----------------
-            commit = complete if complete > last_commit else last_commit
-            if commit == last_commit_cycle:
-                if commits_this_cycle >= width:
-                    commit += 1
-                    commits_this_cycle = 1
-                else:
-                    commits_this_cycle += 1
-            else:
-                commits_this_cycle = 1
-            last_commit_cycle = commit
-            last_commit = commit
-            ruu_append(commit)
+                    last_commit += 1
+                    commits = 1
+                ruu_append(last_commit)
 
         self.hierarchy.memory_accesses += mem_acc
-        if end_boundary_commit is None:
-            end_boundary_commit = last_commit
-        _INSTRUCTIONS.inc(end - start)
+        _INSTRUCTIONS.inc(measure_to - start)
         if n_mispredicts:
             _MISPREDICTS.inc(n_mispredicts)
         if n_icache_stall_cycles:
@@ -496,7 +510,7 @@ class OooTimingModel:
         if n_ruu_stalls:
             _RUU_STALLS.inc(n_ruu_stalls)
         return TimingResult(
-            cycles=end_boundary_commit - warm_boundary_commit,
+            cycles=last_commit - boundary,
             instructions=measure_to - measure_from,
         )
 

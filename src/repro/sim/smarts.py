@@ -83,8 +83,11 @@ def smarts_simulate(
         Instructions of detailed pipeline warming before each measured
         unit (their cycles are discarded), removing cold-start bias.
     detailed_cooldown:
-        Instructions simulated past each unit's end so the measured
-        interval ends with a full pipeline (removing drain bias).
+        Instructions past each unit's end that its detailed window
+        walks through the caches and predictor without timing them.
+        No commit cycle depends on a later instruction, so the
+        cool-down never changes the unit's own cycles; the next unit
+        walks the same positions again.
     memo:
         Optional :class:`repro.sim.memo.TimingMemo`.  Run-level hits
         skip the simulation entirely; unit-level hits replace a sampled
@@ -169,9 +172,10 @@ def smarts_simulate(
                 _UNITS_SAMPLED.inc()
                 if memo is not None:
                     memo.put_unit(unit_key, result.cycles, result.instructions)
-                # Keep cache/predictor state consistent: the cooldown
-                # instructions were simulated in detail, which already warmed
-                # them; skip re-warming only for the unit itself.
+                # The window walked [warm_start, cool_end) through the
+                # caches and predictor.  The warm-up positions were
+                # already walked by the previous unit, and the next unit
+                # walks the cool-down positions again.
                 if result.instructions > 0:
                     unit_cpis.append(result.cycles / result.instructions)
         else:

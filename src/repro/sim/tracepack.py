@@ -13,11 +13,12 @@ window and every microarchitecture sharing the trace:
   returns its trace in this form.  It behaves as a sequence of
   ``(pc, ea)`` tuples, so existing consumers (``instruction_mix``,
   ``detailed_statistics``, tests) keep working unchanged.
-* :class:`TraceTables` -- per-position class codes, latencies, register
-  tables and branch outcomes, plus per-``block_size`` instruction-block
-  ids and the merged *event list* (positions where the cache/predictor
-  kernel must touch a cache, the predictor, the BTB or the RAS --
-  everything else is skipped entirely).
+* :class:`TraceTables` -- per-position pcs, addresses and branch
+  outcomes, per-``issue_width`` op records (the timing loop's view of
+  each instruction), plus per-``block_size`` instruction-block ids and
+  the merged *event list* (positions where the cache/predictor kernel
+  must touch a cache, the predictor, the BTB or the RAS -- everything
+  else is skipped entirely).
 
 Tables are attached to the ``Executable`` object (``_repro_*``
 attributes), so they live and die with the binary+trace cache entry in
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +38,9 @@ from repro.codegen.isa import OpClass, RA, ZERO
 from repro.codegen.linker import Executable, INSTR_BYTES, TEXT_BASE
 
 # Class codes shared with repro.sim.ooo (indexable, faster than Enum).
-IALU, IMULT, FPALU, FPMULT, LOAD, STORE, BRANCH, JUMP, CALL, RET, PF, NOP = range(12)
+# The memory classes come last, so one compare sends every other class
+# to its plain latency in the timing loop.
+IALU, IMULT, FPALU, FPMULT, BRANCH, JUMP, CALL, RET, NOP, LOAD, STORE, PF = range(12)
 
 CLASS_CODE = {
     OpClass.IALU: IALU,
@@ -54,10 +57,46 @@ CLASS_CODE = {
     OpClass.NOP: NOP,
 }
 
+#: Register slots of the timing loop's readiness table.  Registers are
+#: 0-63; an absent source reads ``NO_SRC``, which nothing writes, so it
+#: is ready at cycle 0, and an absent destination writes ``NO_DST``,
+#: which nothing reads.
+NO_SRC, NO_DST = 64, 65
+N_REG_SLOTS = 66
+
+#: ``(class code, source, source, destination, latency)``.
+OpRecord = Tuple[int, int, int, int, int]
+
 #: Event kinds (ordered: the instruction-block event of a position must
 #: be processed before the same position's data/control event).  Loads,
 #: stores and prefetches are all ``EV_DATA``.
 EV_INST, EV_DATA, EV_BRANCH, EV_CALL, EV_RET, EV_JUMP = range(6)
+
+
+def op_record(instr, mdesc) -> OpRecord:
+    """The timing loop's view of one instruction on one machine.
+
+    Sources exclude ``r0`` (hardwired zero, never waited on); a call
+    writes the return-address register.  Raises ``ValueError`` for a
+    register id outside 0-63 or for more than two sources, which the
+    loop's two source slots and spare register slots cannot represent.
+    """
+    code = CLASS_CODE[instr.op_class]
+    srcs = [r for r in instr.srcs if r != ZERO]
+    dst = RA if code == CALL else instr.dst
+    if len(srcs) > 2:
+        raise ValueError(f"{instr.op} reads more than two registers: {srcs}")
+    regs = srcs if dst is None else srcs + [dst]
+    if not all(0 <= r < NO_SRC for r in regs):
+        raise ValueError(f"{instr.op}: a register id in {regs} is not in 0-63")
+    s0, s1 = srcs + [NO_SRC] * (2 - len(srcs))
+    return (
+        code,
+        s0,
+        s1,
+        NO_DST if dst is None else dst,
+        mdesc.latency(instr.op_class),
+    )
 
 
 class PackedTrace:
@@ -165,10 +204,10 @@ class TraceTables:
 
     Every per-position table is a tuple (fast scalar indexing) built by
     one vectorized numpy pass.  Those that hold pcs or pc-derived values
-    (``pcs``, ``next_pc``, block ids, ``srcs``) take their items from a
-    pc-indexed object table, so equal values share one object.
+    (``pcs``, ``next_pc``, block ids, op records) take their items from
+    a pc-indexed object table, so equal values share one object.
     Per-``block_size`` artifacts (block ids, event lists) and
-    per-``issue_width`` latencies are cached in dicts, since those are
+    per-``issue_width`` op records are cached in dicts, since those are
     the only microarchitectural parameters the tables depend on.
     """
 
@@ -178,29 +217,14 @@ class TraceTables:
         n = len(trace)
         self.n = n
         pcs = trace.pcs
-        # Static per-pc tables.
-        cls_pc = np.empty(len(exe.instrs), dtype=np.int64)
-        dst_pc = np.empty(len(exe.instrs), dtype=np.int64)
-        srcs_pc: List[Tuple[int, ...]] = []
-        for i, instr in enumerate(exe.instrs):
-            code = CLASS_CODE[instr.op_class]
-            cls_pc[i] = code
-            if code == CALL:
-                dst_pc[i] = RA
-            elif instr.dst is not None:
-                dst_pc[i] = instr.dst
-            else:
-                dst_pc[i] = -1
-            srcs_pc.append(tuple(r for r in instr.srcs if r != ZERO))
-        self._cls_pc = cls_pc
+        self._cls_pc = np.array(
+            [CLASS_CODE[instr.op_class] for instr in exe.instrs], dtype=np.int64
+        )
         # One int object per pc, and one for the pc past the text.
         pc_objects = _objects(range(len(exe.instrs) + 1))
         # Per-position flattening.
         self.pcs: Tuple[int, ...] = _gather(pc_objects, pcs)
         self.eas: Tuple[int, ...] = tuple(trace.eas.tolist())
-        self.cls: Tuple[int, ...] = tuple(np.take(cls_pc, pcs).tolist())
-        self.dst: Tuple[int, ...] = tuple(np.take(dst_pc, pcs).tolist())
-        self.srcs: Tuple[Tuple[int, ...], ...] = _gather(_objects(srcs_pc), pcs)
         # taken[i]: the control transfer at position i changed the pc
         # stream (next_pc != pc + 1); the final position counts as not
         # taken, exactly as the per-event loops treated it.
@@ -213,24 +237,25 @@ class TraceTables:
         else:
             self.taken = ()
             self.next_pc = ()
-        self._lat: Dict[int, Tuple[int, ...]] = {}
+        self._ops: Dict[int, Tuple[OpRecord, ...]] = {}
         self._blocks: Dict[int, Tuple[int, ...]] = {}
         self._events: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
 
-    # -- per-issue-width latency table ----------------------------------
-    def lat_for(self, mdesc) -> Tuple[int, ...]:
-        """Per-position latencies for one machine description."""
+    # -- per-issue-width op records -------------------------------------
+    def ops_for(self, mdesc) -> Tuple[OpRecord, ...]:
+        """Per-position op records for one machine description.
+
+        Position ``i`` holds the record of the instruction at pc
+        ``pcs[i]`` (see :func:`op_record`); equal pcs share one record.
+        """
         width = mdesc.issue_width
-        hit = self._lat.get(width)
+        hit = self._ops.get(width)
         if hit is not None:
             return hit
-        lat_pc = np.array(
-            [mdesc.latency(instr.op_class) for instr in self.exe.instrs],
-            dtype=np.int64,
-        )
-        lat = tuple(np.take(lat_pc, self.trace.pcs).tolist())
-        self._lat[width] = lat
-        return lat
+        records = _objects([op_record(instr, mdesc) for instr in self.exe.instrs])
+        ops = _gather(records, self.trace.pcs)
+        self._ops[width] = ops
+        return ops
 
     # -- per-block-size artifacts ---------------------------------------
     def _block_pc(self, block_size: int) -> np.ndarray:

@@ -8,8 +8,8 @@ per cache set:
 
 * ``execute`` keeps no per-instruction container: what it allocates
   grows with the static code, not with the run;
-* the per-position tables of ``TraceTables`` are tuples, and equal pcs
-  are one shared int object;
+* the per-position tables of ``TraceTables`` are tuples, equal pcs
+  are one shared int object, and equal pcs share one op record;
 * a cache set stays the shared empty tuple until its first fill, so a
   timing model over an 8 MB direct-mapped L2 (262,144 sets) is a
   handful of objects.
@@ -79,15 +79,13 @@ def test_execute_allocates_with_static_not_dynamic_size(collect_trace):
 def test_trace_tables_are_tuples_of_shared_ints():
     exe = _binary("mcf")
     tables = tables_for(exe, execute(exe).trace)
+    ops = tables.ops_for(OooTimingModel(exe, MicroarchConfig()).mdesc)
     per_position = {
         "pcs": tables.pcs,
         "eas": tables.eas,
-        "cls": tables.cls,
-        "dst": tables.dst,
-        "srcs": tables.srcs,
+        "ops": ops,
         "taken": tables.taken,
         "next_pc": tables.next_pc,
-        "lat": tables.lat_for(OooTimingModel(exe, MicroarchConfig()).mdesc),
         "blocks": tables.blocks_for(32),
         "event positions": tables.events_for(32)[0],
         "event kinds": tables.events_for(32)[1],
@@ -103,6 +101,10 @@ def test_trace_tables_are_tuples_of_shared_ints():
     assert max(tables.pcs) > 256
     seen = {pc: pc for pc in tables.pcs}
     assert all(seen[pc] is pc for pc in tables.next_pc[:-1])
+    # Equal pcs share one op record.
+    record = {}
+    for pc, op in zip(tables.pcs, ops):
+        assert record.setdefault(pc, op) is op
 
 
 class TestNeverTouchedSets:
