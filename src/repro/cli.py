@@ -424,13 +424,11 @@ def _measure_engine(args):
     static-mode engine sharing the same on-disk cache (estimates carry
     mode-tagged keys, so the two never collide)."""
     from repro.harness.measure import MeasurementEngine, default_engine
+    from repro.store import cache_dir
 
     if getattr(args, "oracle", "accurate") != "static":
         return default_engine()
-    cache_dir = os.environ.get("REPRO_CACHE_DIR", ".repro_cache")
-    if cache_dir.lower() in ("0", "off", "none", ""):
-        cache_dir = None
-    return MeasurementEngine(mode="static", cache_dir=cache_dir)
+    return MeasurementEngine(mode="static", cache_dir=cache_dir())
 
 
 def _measure_single(args) -> int:
@@ -1017,10 +1015,10 @@ def cmd_analyze(args) -> int:
 
 def _metrics_path() -> Optional[Path]:
     """Where cross-run metrics accumulate; None when persistence is off."""
-    cache_dir = os.environ.get("REPRO_CACHE_DIR", ".repro_cache")
-    if cache_dir.lower() in ("0", "off", "none", ""):
-        return None
-    return Path(cache_dir) / "metrics.json"
+    from repro.store import cache_dir
+
+    directory = cache_dir()
+    return directory / "metrics.json" if directory is not None else None
 
 
 def _trace_out_dir() -> Path:

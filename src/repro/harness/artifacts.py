@@ -20,7 +20,7 @@ Layout (under ``<cache_dir>/artifacts/``):
   code -- the dominant case in one-factor screens -- share one stored
   trace, because the trace is a pure function of the executable.
 
-Writes are atomic (``tempfile`` + ``os.replace``) and need no lock:
+Writes are atomic (:func:`repro.store.write_atomic`) and need no lock:
 files are content-addressed, so concurrent writers of the same key
 write identical bytes and either replacement is correct.  Reads are
 tolerant -- any unpicklable/corrupt file reads as a miss.
@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import os
 import pickle
-import tempfile
 from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
 
+from repro import store
 from repro.codegen.linker import Executable
 from repro.obs import counter
 from repro.sim.func import FunctionalResult
@@ -50,6 +50,14 @@ TRACE_MISSES = counter("measure.artifacts.trace_misses")
 ARTIFACT_VERSION = 1
 
 
+def _write_pickle(path: Path, payload: object) -> None:
+    store.write_atomic(
+        path,
+        lambda f: pickle.dump(payload, f, protocol=pickle.HIGHEST_PROTOCOL),
+        binary=True,
+    )
+
+
 class ArtifactStore:
     """Binary + trace artifact cache rooted at one directory."""
 
@@ -59,20 +67,6 @@ class ArtifactStore:
         self._trace_dir = self.root / "trace"
 
     # ------------------------------------------------------------------
-    def _write_atomic(self, path: Path, payload: object) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(path.parent), prefix=path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as f:
-                pickle.dump(payload, f, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
     def _read(self, path: Path) -> Optional[dict]:
         try:
             with open(path, "rb") as f:
@@ -104,7 +98,7 @@ class ArtifactStore:
         # session-local (keyed by object identity) and can be huge.
         tables = exe.__dict__.pop("_repro_trace_tables", None)
         try:
-            self._write_atomic(
+            _write_pickle(
                 self._bin_dir / f"{key}.pkl",
                 {"version": ARTIFACT_VERSION, "exe": exe},
             )
@@ -143,7 +137,7 @@ class ArtifactStore:
         packed = functional.trace
         if packed is None:
             return
-        self._write_atomic(
+        _write_pickle(
             self._trace_dir / f"{static_digest(exe)}.pkl",
             {
                 "version": ARTIFACT_VERSION,

@@ -34,19 +34,18 @@ count.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import json
+import json  # noqa: F401 - tests patch json.dump through this module
 import multiprocessing
 import os
-import tempfile
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro import store
 from repro.codegen import COMPILER_VERSION, compile_module
 from repro.harness.artifacts import ArtifactStore
 from repro.harness.configs import split_point
@@ -188,52 +187,32 @@ class MeasurementEngine:
     # ------------------------------------------------------------------
     # Persistent cache
     # ------------------------------------------------------------------
-    def _read_disk_raw(self) -> Dict[str, dict]:
-        """Raw key->payload dict currently on disk ({} on any failure)."""
-        if self._cache_path is None or not self._cache_path.exists():
-            return {}
-        try:
-            raw = json.loads(self._cache_path.read_text())
-        except (json.JSONDecodeError, OSError):
-            return {}
-        return raw if isinstance(raw, dict) else {}
-
     def _load_disk_cache(self) -> None:
-        for key, value in self._read_disk_raw().items():
-            value.setdefault("code_size", 0)
-            self._result_cache[key] = Measurement(**value)
+        self._absorb(store.read_json(self._cache_path) or {})
 
-    @contextlib.contextmanager
-    def _save_lock(self) -> Iterator[None]:
-        """Serialize read-merge-replace against other savers (POSIX only;
-        elsewhere the merge still makes concurrent saves lose at most a
-        simultaneous writer's delta, never the whole file)."""
-        try:
-            import fcntl
-        except ImportError:
-            yield
-            return
-        lock_path = self._cache_path.with_suffix(".lock")
-        with open(lock_path, "w") as lk:
-            fcntl.flock(lk, fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                fcntl.flock(lk, fcntl.LOCK_UN)
+    def _absorb(self, raw: Dict[str, dict]) -> None:
+        """Take in stored entries this engine does not hold."""
+        for key, value in raw.items():
+            if key not in self._result_cache:
+                value.setdefault("code_size", 0)
+                self._result_cache[key] = Measurement(**value)
+
+    def _merge_into(self, payload: Dict[str, dict]) -> Dict[str, dict]:
+        self._absorb(payload)
+        for key, m in self._result_cache.items():
+            payload[key] = vars(m)
+        return payload
 
     def save(self) -> None:
         """Flush the measurement cache to disk (no-op without cache_dir).
 
-        Safe for concurrent writers: the current ``measurements.json`` is
-        re-read and merged (disk ∪ memory, memory wins) under a lock
-        file, so two engines saving interleaved measurements to the same
-        cache directory both survive instead of last-writer-wins.  The
-        write itself is atomic: the payload goes to a temporary file in
-        the same directory and is ``os.replace``-d over
-        ``measurements.json``, so a crash mid-flush leaves either the old
-        cache or the new one, never a truncated file for
-        ``_load_disk_cache`` to discard.  Entries found on disk but not
-        in memory are absorbed into the in-memory cache as well.
+        Safe for concurrent writers: under the store lock the current
+        ``measurements.json`` is re-read and merged (disk ∪ memory,
+        memory wins), so two engines saving interleaved measurements to
+        the same cache directory both survive instead of
+        last-writer-wins, and the file is replaced atomically
+        (:func:`repro.store.update_json`).  Entries found on disk but
+        not in memory are absorbed into the in-memory cache as well.
 
         The timing memo (when configured) is flushed with the same
         discipline by :meth:`repro.sim.memo.TimingMemo.save`.
@@ -242,34 +221,7 @@ class MeasurementEngine:
             self.memo.save()
         if self._cache_path is None or not self._dirty:
             return
-        self._cache_path.parent.mkdir(parents=True, exist_ok=True)
-        with self._save_lock():
-            payload = self._read_disk_raw()
-            for key, value in payload.items():
-                if key not in self._result_cache:
-                    value.setdefault("code_size", 0)
-                    self._result_cache[key] = Measurement(**value)
-            for key, m in self._result_cache.items():
-                payload[key] = {
-                    "cycles": m.cycles,
-                    "checksum": m.checksum,
-                    "instructions": m.instructions,
-                    "sampling_error": m.sampling_error,
-                    "code_size": m.code_size,
-                }
-            fd, tmp = tempfile.mkstemp(
-                dir=str(self._cache_path.parent),
-                prefix=self._cache_path.name,
-                suffix=".tmp",
-            )
-            try:
-                with os.fdopen(fd, "w") as f:
-                    json.dump(payload, f)
-                os.replace(tmp, self._cache_path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
+        store.update_json(self._cache_path, self._merge_into)
         self._dirty = False
 
     # ------------------------------------------------------------------
@@ -841,8 +793,5 @@ def default_engine() -> MeasurementEngine:
     """
     global _DEFAULT
     if _DEFAULT is None:
-        cache_dir = os.environ.get("REPRO_CACHE_DIR", ".repro_cache")
-        if cache_dir.lower() in ("0", "off", "none", ""):
-            cache_dir = None
-        _DEFAULT = MeasurementEngine(cache_dir=cache_dir)
+        _DEFAULT = MeasurementEngine(cache_dir=store.cache_dir())
     return _DEFAULT

@@ -30,7 +30,6 @@ O(n^2), a lost cache), not 5% noise.
 from __future__ import annotations
 
 import importlib.util
-import json
 import os
 import platform
 import sys
@@ -38,6 +37,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+
+from repro import store
 
 PathLike = Union[str, Path]
 
@@ -139,25 +140,14 @@ def write_bench_json(
         "threshold_pct": scenario.threshold_pct,
     }
     path = bench_json_path(out_dir, scenario.name)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    store.write_json(path, payload, newline=True, indent=2, sort_keys=True)
     return path
 
 
 def load_bench_json(path: PathLike) -> Optional[Dict[str, object]]:
     """Load a result file; None when absent/corrupt/incompatible."""
-    path = Path(path)
-    if not path.exists():
-        return None
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not isinstance(payload, dict):
-        return None
-    if payload.get("schema_version") != SCHEMA_VERSION:
+    payload = store.read_json(path)
+    if payload is None or payload.get("schema_version") != SCHEMA_VERSION:
         return None
     return payload
 

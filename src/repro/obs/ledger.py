@@ -13,14 +13,14 @@ model: which fit produced it, which measurement batches fed that fit
 (down to the simulator result keys and compiler/microarch config
 digests), and which serve sessions have since exposed it.
 
-Writes reuse the measurement cache's concurrency discipline: an ``flock``
-on a sibling ``.lock`` file serializes appenders, and each event is a
-single ``O_APPEND`` write of one line, so concurrent processes (pool
-workers, a serving tier, CI legs sharing a cache directory) interleave
-whole events and never corrupt each other.  The file is append-only;
-the only rewrite is an explicit :meth:`Ledger.compact`, which applies
-the same retention policy as ``repro trace --gc`` and records itself as
-a ``compact`` event.
+Writes hold the store lock (:func:`repro.store.locked`, an ``flock``
+on a sibling ``.lock`` file), which serializes appenders, and each
+event is a single ``O_APPEND`` write of one line, so concurrent
+processes (pool workers, a serving tier, CI legs sharing a cache
+directory) interleave whole events and never corrupt each other.  The
+file is append-only; the only rewrite is an explicit
+:meth:`Ledger.compact`, which applies the same retention policy as
+``repro trace --gc`` and records itself as a ``compact`` event.
 
 Enable/disable and placement follow the metrics persistence rules:
 events land in ``$REPRO_LEDGER_PATH`` when set, otherwise in
@@ -31,16 +31,16 @@ cache directory (``REPRO_CACHE_DIR=off``) without an explicit path.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
-import tempfile
 import threading
 import time
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
+
+from repro import store
 
 #: Bump on any incompatible change to the event layout.
 LEDGER_SCHEMA_VERSION = 1
@@ -271,24 +271,6 @@ class Ledger:
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
-    @contextlib.contextmanager
-    def _file_lock(self) -> Iterator[None]:
-        """Cross-process append serialization (same pattern as the
-        measurement cache: POSIX flock on a sibling lock file; elsewhere
-        O_APPEND alone keeps whole-line writes from interleaving)."""
-        try:
-            import fcntl
-        except ImportError:
-            yield
-            return
-        lock_path = self.path.with_suffix(".lock")
-        with open(lock_path, "w") as lk:
-            fcntl.flock(lk, fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                fcntl.flock(lk, fcntl.LOCK_UN)
-
     def append(
         self,
         kind: str,
@@ -306,16 +288,12 @@ class Ledger:
             refs=dict(refs or {}),
         )
         line = (event.to_json() + "\n").encode()
-        with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self._file_lock():
-                fd = os.open(
-                    self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-                )
-                try:
-                    os.write(fd, line)
-                finally:
-                    os.close(fd)
+        with self._lock, store.locked(self.path):
+            fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+            try:
+                os.write(fd, line)
+            finally:
+                os.close(fd)
         return event
 
     # ------------------------------------------------------------------
@@ -414,7 +392,7 @@ class Ledger:
         operator audits after the fact).  Appends a ``compact`` event
         describing what was dropped; returns ``{"kept": n, "dropped": m}``.
         """
-        with self._lock, self._file_lock():
+        with self._lock, store.locked(self.path):
             events = [e for _, e, _ in self._scan() if e is not None]
             cutoff = time.time() - max_age_s if max_age_s is not None else None
             keep: List[LedgerEvent] = []
@@ -431,19 +409,9 @@ class Ledger:
                     to_drop = set(droppable[:excess])
                     dropped += len(to_drop)
                     keep = [e for i, e in enumerate(keep) if i not in to_drop]
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=str(self.path.parent), prefix=self.path.name, suffix=".tmp"
+            store.write_atomic(
+                self.path, lambda f: f.writelines(e.to_json() + "\n" for e in keep)
             )
-            try:
-                with os.fdopen(fd, "w") as f:
-                    for e in keep:
-                        f.write(e.to_json() + "\n")
-                os.replace(tmp, self.path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
         if dropped:
             self.append(
                 "compact", attrs={"dropped": dropped, "kept": len(keep)}
@@ -552,10 +520,8 @@ def default_ledger_path() -> Optional[Path]:
     explicit = os.environ.get("REPRO_LEDGER_PATH", "").strip()
     if explicit:
         return Path(explicit)
-    cache_dir = os.environ.get("REPRO_CACHE_DIR", ".repro_cache")
-    if cache_dir.lower() in ("0", "off", "none", ""):
-        return None
-    return Path(cache_dir) / "ledger.jsonl"
+    cache_dir = store.cache_dir()
+    return cache_dir / "ledger.jsonl" if cache_dir is not None else None
 
 
 def default_ledger() -> Optional[Ledger]:

@@ -14,15 +14,14 @@ counts accumulate across processes alongside the measurement cache.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import random
-import tempfile
 import threading
 import zlib
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
+
+from repro import store
 
 
 class Counter:
@@ -289,7 +288,7 @@ class MetricsRegistry:
     # -- persistence ---------------------------------------------------
     def persist(self, path: Union[str, Path]) -> None:
         """Merge counter *and histogram* deltas into the JSON file at
-        ``path``, atomically.
+        ``path``, under its store lock (:func:`repro.store.update_json`).
 
         Counters accumulate exactly (only the delta since the last
         ``persist`` is added).  Histograms accumulate their exact
@@ -326,46 +325,25 @@ class MetricsRegistry:
                                   state["sum"] + done_sum)
         if not deltas and not hist_deltas:
             return
-        path = Path(path)
-        stored: Dict[str, Any] = {"counters": {}, "histograms": {}}
-        if path.exists():
-            try:
-                raw = json.loads(path.read_text())
-                if isinstance(raw, dict):
-                    stored["counters"] = dict(raw.get("counters", {}))
-                    stored["histograms"] = dict(raw.get("histograms", {}))
-            except (json.JSONDecodeError, OSError):
-                pass
-        for name, delta in deltas.items():
-            stored["counters"][name] = stored["counters"].get(name, 0) + delta
-        for name, state in hist_deltas.items():
-            stored["histograms"][name] = _merge_stored_histogram(
-                stored["histograms"].get(name), state
-            )
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                json.dump(stored, f, indent=1)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+
+        def merge(raw: Dict[str, Any]) -> Dict[str, Any]:
+            counters = dict(raw.get("counters", {}))
+            histograms = dict(raw.get("histograms", {}))
+            for name, delta in deltas.items():
+                counters[name] = counters.get(name, 0) + delta
+            for name, state in hist_deltas.items():
+                histograms[name] = _merge_stored_histogram(histograms.get(name), state)
+            return {"counters": counters, "histograms": histograms}
+
+        store.update_json(path, merge, indent=1)
         self._persisted.update(snap_counters)
         self._persisted_hist.update(hist_marks)
 
     @staticmethod
     def load_persisted(path: Union[str, Path]) -> Optional[Dict[str, Any]]:
         """Read a persisted metrics file; None if missing/corrupt."""
-        path = Path(path)
-        if not path.exists():
-            return None
-        try:
-            raw = json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError):
-            return None
-        if not isinstance(raw, dict):
+        raw = store.read_json(path)
+        if raw is None:
             return None
         return {
             "counters": dict(raw.get("counters", {})),

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,6 +28,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
+from repro import store
 from repro.models.base import RegressionModel
 from repro.obs import counter
 from repro.obs.ledger import record_event
@@ -120,13 +122,14 @@ class ModelRegistry:
         )
         digest = manifest["id"]
         final = self._objects_dir() / digest
-        if final.exists():
-            # Content-addressed dedupe: the bytes are already stored.
-            for p in scratch.iterdir():
-                p.unlink()
-            scratch.rmdir()
-        else:
+        try:
             os.replace(scratch, final)
+        except OSError:
+            # Content-addressed dedupe: the bytes are already stored,
+            # perhaps by a concurrent save of the same model.
+            if not final.is_dir():
+                raise
+            shutil.rmtree(scratch)
         self._append_version(name, digest)
         _SAVES.inc()
         record_event(
@@ -151,20 +154,12 @@ class ModelRegistry:
         )
 
     def _append_version(self, name: str, digest: str) -> None:
-        path = self._name_path(name)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        record = {"latest": digest, "history": []}
-        if path.exists():
-            try:
-                prior = json.loads(path.read_text())
-                if isinstance(prior, dict):
-                    record["history"] = list(prior.get("history", []))
-            except (json.JSONDecodeError, OSError):
-                pass
-        record["history"].append({"id": digest, "saved_unix": time.time()})
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(record, indent=1) + "\n")
-        os.replace(tmp, path)
+        def merge(prior: Dict[str, Any]) -> Dict[str, Any]:
+            history = list(prior.get("history", []))
+            history.append({"id": digest, "saved_unix": time.time()})
+            return {"latest": digest, "history": history}
+
+        store.update_json(self._name_path(name), merge, newline=True, indent=1)
 
     # ------------------------------------------------------------------
     def resolve(self, ref: str) -> str:

@@ -32,7 +32,7 @@ from repro.sim.config import MicroarchConfig
 from repro.sim.func import FunctionalResult, execute, SimulationError
 from repro.sim.cache import Cache, CacheHierarchy
 from repro.sim.bpred import CombinedPredictor
-from repro.sim.memo import TimingMemo, default_memo, timing_key
+from repro.sim.memo import TimingMemo, timing_key
 from repro.sim.ooo import OooTimingModel, TimingResult
 from repro.sim.smarts import SmartsResult, smarts_simulate
 from repro.sim.tracepack import PackedTrace, TraceTables, static_digest, tables_for
@@ -53,7 +53,6 @@ __all__ = [
     "simulate",
     "SimulationOutcome",
     "TimingMemo",
-    "default_memo",
     "timing_key",
     "PackedTrace",
     "TraceTables",

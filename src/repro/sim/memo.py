@@ -24,23 +24,21 @@ memo schema version, so collisions across microarchitectures are
 impossible by construction (test-enforced).
 
 Persistence follows the measurement cache's discipline: one JSON file,
-read-merge-replace under an ``fcntl`` lock file, atomic ``os.replace``
-publication.  Workers load at pool init and save after each chunk, so
-N workers simulate each distinct (binary, microarch) unit once instead
-of N times.
+locked read-merge-replace through :func:`repro.store.update_json`.
+Workers load at pool init and save after each chunk, so N workers
+simulate each distinct (binary, microarch) unit once instead of N
+times.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import json
 import os
-import tempfile
 from dataclasses import fields
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
+from repro import store
 from repro.obs import counter
 from repro.sim.config import MicroarchConfig
 
@@ -144,88 +142,33 @@ class TimingMemo:
         self._dirty = False
 
     # -- persistence ----------------------------------------------------
-    @contextlib.contextmanager
-    def _save_lock(self) -> Iterator[None]:
-        try:
-            import fcntl
-        except ImportError:  # non-POSIX: merge still bounds the loss
-            yield
+    def _absorb(self, raw: dict) -> None:
+        """Take in stored entries this memo does not hold."""
+        if raw.get("version") != SIM_MEMO_VERSION:
             return
-        lock_path = self._path.with_suffix(".lock")
-        with open(lock_path, "w") as lk:
-            fcntl.flock(lk, fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                fcntl.flock(lk, fcntl.LOCK_UN)
-
-    def _read_disk_raw(self) -> dict:
-        if self._path is None or not self._path.exists():
-            return {}
-        try:
-            raw = json.loads(self._path.read_text())
-        except (json.JSONDecodeError, OSError):
-            return {}
-        if not isinstance(raw, dict) or raw.get("version") != SIM_MEMO_VERSION:
-            return {}
-        return raw
-
-    def load(self) -> None:
-        raw = self._read_disk_raw()
         for key, value in raw.get("runs", {}).items():
             self._runs.setdefault(key, value)
         for key, value in raw.get("units", {}).items():
             self._units.setdefault(key, (int(value[0]), int(value[1])))
 
+    def _merge_into(self, raw: dict) -> dict:
+        self._absorb(raw)
+        if len(self._units) > MAX_UNIT_ENTRIES:
+            keep = list(self._units.items())[len(self._units) // 2 :]
+            self._units = dict(keep)
+        return {
+            "version": SIM_MEMO_VERSION,
+            "runs": self._runs,
+            "units": {k: list(v) for k, v in self._units.items()},
+        }
+
+    def load(self) -> None:
+        if self._path is not None:
+            self._absorb(store.read_json(self._path) or {})
+
     def save(self) -> None:
         """Merge-and-flush to disk (no-op without a path or when clean)."""
         if self._path is None or not self._dirty:
             return
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        with self._save_lock():
-            raw = self._read_disk_raw()
-            runs = raw.get("runs", {})
-            units = raw.get("units", {})
-            # Absorb concurrent writers' entries, then overlay ours.
-            for key, value in runs.items():
-                self._runs.setdefault(key, value)
-            for key, value in units.items():
-                self._units.setdefault(key, (int(value[0]), int(value[1])))
-            if len(self._units) > MAX_UNIT_ENTRIES:
-                keep = list(self._units.items())[len(self._units) // 2 :]
-                self._units = dict(keep)
-            payload = {
-                "version": SIM_MEMO_VERSION,
-                "runs": self._runs,
-                "units": {k: list(v) for k, v in self._units.items()},
-            }
-            fd, tmp = tempfile.mkstemp(
-                dir=str(self._path.parent),
-                prefix=self._path.name,
-                suffix=".tmp",
-            )
-            try:
-                with os.fdopen(fd, "w") as f:
-                    json.dump(payload, f)
-                os.replace(tmp, self._path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
+        store.update_json(self._path, self._merge_into)
         self._dirty = False
-
-
-_DEFAULT: Optional[TimingMemo] = None
-
-
-def default_memo() -> TimingMemo:
-    """Process-wide memo, persisted under ``REPRO_CACHE_DIR`` (same
-    opt-out values as the measurement cache)."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        cache_dir = os.environ.get("REPRO_CACHE_DIR", ".repro_cache")
-        if cache_dir.lower() in ("0", "off", "none", ""):
-            _DEFAULT = TimingMemo(path=None)
-        else:
-            _DEFAULT = TimingMemo(path=Path(cache_dir) / "sim_memo.json")
-    return _DEFAULT
