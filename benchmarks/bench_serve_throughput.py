@@ -12,7 +12,9 @@ joint space:
 * per-batch latency quantiles (p50/p99) for GA-sized batches;
 * end-to-end wire latency through a live :class:`PredictionServer`.
 
-Results land in ``results/serve_throughput.txt``.
+The pytest entry point prints the report and asserts the floor; the
+``repro bench`` scenario at the end records the gated throughput and the
+in-process latency in the committed ``BENCH_serve_throughput.json``.
 """
 
 import time

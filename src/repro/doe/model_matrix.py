@@ -69,6 +69,14 @@ class ModelMatrixBuilder:
         self.interactions = interactions
         self.quadratic = quadratic
         self._terms = self._build_terms()
+        # Each term as two column indices into the design padded with a
+        # column of ones (index ``n_variables``), which stands in for a
+        # missing factor: ``1.0 * a`` is exact, so the product of the
+        # two gathered copies equals ``TermSpec.evaluate`` bit for bit.
+        pad = (n_variables, n_variables)
+        self._left, self._right = np.array(
+            [(t.indices + pad)[:2] for t in self._terms], dtype=np.intp
+        ).T
 
     def _build_terms(self) -> List[TermSpec]:
         terms = [TermSpec(())]
@@ -102,7 +110,10 @@ class ModelMatrixBuilder:
                 f"design has {coded.shape[1]} variables, "
                 f"builder expects {self.n_variables}"
             )
-        return np.column_stack([t.evaluate(coded) for t in self._terms])
+        padded = np.column_stack([coded, np.ones(coded.shape[0])])
+        # ``take`` returns C order, the layout ``column_stack`` gave.
+        left = np.take(padded, self._left, axis=1)
+        return left * np.take(padded, self._right, axis=1)
 
 
 def builder_for_sample_size(

@@ -16,9 +16,11 @@ Layout (under ``<cache_dir>/artifacts/``):
   resurrect a stale binary.
 * ``trace/<static_digest>.pkl`` -- the functional outcome (checksum,
   instruction count, packed trace arrays), keyed on the *binary's*
-  content digest.  Distinct flag settings that emit identical machine
-  code -- the dominant case in one-factor screens -- share one stored
-  trace, because the trace is a pure function of the executable.
+  content digest, which covers its code and its initialised data.
+  Distinct flag settings that emit an identical image -- the dominant
+  case in one-factor screens -- share one stored trace, because the
+  trace is a pure function of the executable; two inputs whose
+  binaries differ only in initialised data do not.
 
 Writes are atomic (:func:`repro.store.write_atomic`) and need no lock:
 files are content-addressed, so concurrent writers of the same key

@@ -139,24 +139,39 @@ class RbfModel(RegressionModel):
         resid = y - phi @ w
         return w, float(resid @ resid)
 
-    def _tree_centers(
-        self, x: np.ndarray, y: np.ndarray, n_leaves: int, scale: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def _tree_neurons(
+        self, x: np.ndarray, y: np.ndarray, sizes: Sequence[int]
+    ) -> Dict[int, Tuple[np.ndarray, List[float]]]:
+        """Centers and region half-diagonals for every candidate size.
+
+        One best-first tree grows to the largest size; since growth is
+        nested, each size takes the leaf regions the growth has when it
+        first reaches that many leaves, or the final regions if growth
+        stops before.
+        """
         tree = RegressionTree(
-            max_leaves=n_leaves, min_samples_leaf=self.min_samples_leaf
+            max_leaves=max(sizes), min_samples_leaf=self.min_samples_leaf
         )
-        tree.fit(x, y)
-        centers, radii = [], []
-        for indices, lo, hi in tree.leaf_regions():
-            members = x[indices]
-            centroid = members.mean(axis=0)
-            nearest = members[
-                int(np.argmin(np.sum((members - centroid) ** 2, axis=1)))
-            ]
-            centers.append(nearest)
-            half_diag = 0.5 * float(np.linalg.norm(hi - lo))
-            radii.append(max(scale * half_diag, 1e-3))
-        return np.array(centers), np.array(radii)
+        pending = sorted(set(sizes))
+        regions = {}
+        for n_leaves in tree.grow(x, y):
+            while pending and pending[0] <= n_leaves:
+                regions[pending.pop(0)] = tree.leaf_regions()
+        # Growth stopped short of these sizes: no legal split was left.
+        regions.update(dict.fromkeys(pending, tree.leaf_regions()))
+        neurons = {}
+        for size, leaves in regions.items():
+            centers, half_diags = [], []
+            for indices, lo, hi in leaves:
+                members = x[indices]
+                centroid = members.mean(axis=0)
+                nearest = members[
+                    int(np.argmin(np.sum((members - centroid) ** 2, axis=1)))
+                ]
+                centers.append(nearest)
+                half_diags.append(0.5 * float(np.linalg.norm(hi - lo)))
+            neurons[size] = (np.array(centers), half_diags)
+        return neurons
 
     def _default_sizes(self, n: int) -> List[int]:
         cap = max(2, n // 2)
@@ -191,13 +206,19 @@ class RbfModel(RegressionModel):
             self.bic_score = bic(sse_val, n, phi.shape[1])
             return
 
-        sizes = self.candidate_sizes or self._default_sizes(n)
+        sizes = [
+            size
+            for size in self.candidate_sizes or self._default_sizes(n)
+            if size + 1 < n
+        ]
+        if sizes and min(sizes) < 1:
+            raise ValueError("candidate network sizes must be >= 1")
+        neurons = self._tree_neurons(x, y, sizes) if sizes else {}
         best = None  # (bic, net, size, scale)
         for size in sizes:
-            if size + 1 >= n:
-                continue
+            centers, half_diags = neurons[size]
             for scale in self.radius_scales:
-                centers, radii = self._tree_centers(x, y, size, scale)
+                radii = np.array([max(scale * h, 1e-3) for h in half_diags])
                 phi = self._design_matrix(x, centers, radii)
                 w, sse_val = self._solve_weights(phi, y)
                 score = bic(sse_val, n, phi.shape[1])

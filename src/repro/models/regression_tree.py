@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -60,47 +60,53 @@ def _best_split(
 ) -> Optional[Tuple[int, float, float]]:
     """Best (feature, threshold, sse_reduction) for a node, or None.
 
-    For each feature, candidate thresholds are midpoints between
-    consecutive distinct sorted values; the split SSE is computed with
-    prefix sums in O(n) per feature.
+    Candidate thresholds are midpoints between consecutive distinct
+    sorted values of a feature; the split SSE comes from prefix sums.
+    Every feature is scored at once, column by column along axis 0, so
+    a node costs a fixed number of array operations.  Each column sees
+    exactly the operations a one-feature search would make, and ties go
+    to the first position, then the first feature.
     """
     ys = y[indices]
     n = ys.shape[0]
-    if n < 2 * min_leaf:
+    if n < 2 * min_leaf or n < 2:
         return None
     _, total_sse = _node_stats(ys)
-    best: Optional[Tuple[int, float, float]] = None
-    for feat in range(x.shape[1]):
-        xs = x[indices, feat]
-        order = np.argsort(xs, kind="stable")
-        xs_sorted = xs[order]
-        ys_sorted = ys[order]
-        csum = np.cumsum(ys_sorted)
-        csum2 = np.cumsum(ys_sorted**2)
-        total, total2 = csum[-1], csum2[-1]
-        # Split after position i (1-indexed count in left child).
-        counts = np.arange(1, n)
-        left_sse = csum2[:-1] - csum[:-1] ** 2 / counts
-        right_counts = n - counts
-        right_sum = total - csum[:-1]
-        right_sse = (total2 - csum2[:-1]) - right_sum**2 / right_counts
-        reduction = total_sse - (left_sse + right_sse)
-        # Legal split positions: value changes and both children big enough.
-        legal = (
-            (xs_sorted[1:] > xs_sorted[:-1] + 1e-12)
-            & (counts >= min_leaf)
-            & (right_counts >= min_leaf)
-        )
-        if not np.any(legal):
+    xs = x[indices]
+    order = np.argsort(xs, axis=0, kind="stable")
+    xs_sorted = np.take_along_axis(xs, order, axis=0)
+    ys_sorted = ys[order]
+    csum = np.cumsum(ys_sorted, axis=0)
+    csum2 = np.cumsum(ys_sorted**2, axis=0)
+    total, total2 = csum[-1], csum2[-1]
+    # Split after row i (1-indexed count in the left child).
+    counts = np.arange(1, n)[:, None]
+    left_sse = csum2[:-1] - csum[:-1] ** 2 / counts
+    right_counts = n - counts
+    right_sum = total - csum[:-1]
+    right_sse = (total2 - csum2[:-1]) - right_sum**2 / right_counts
+    reduction = total_sse - (left_sse + right_sse)
+    # Legal split positions: value changes and both children big enough.
+    legal = (
+        (xs_sorted[1:] > xs_sorted[:-1] + 1e-12)
+        & (counts >= min_leaf)
+        & (right_counts >= min_leaf)
+    )
+    reduction = np.where(legal, reduction, -np.inf)
+    positions = np.argmax(reduction, axis=0)
+    gains = reduction[positions, np.arange(xs.shape[1])]
+    best: Optional[Tuple[int, int, float]] = None
+    for feat, (pos, gain) in enumerate(zip(positions.tolist(), gains.tolist())):
+        # A feature with no legal split scores -inf and is skipped here.
+        if gain <= 1e-12:
             continue
-        reduction = np.where(legal, reduction, -np.inf)
-        pos = int(np.argmax(reduction))
-        if reduction[pos] <= 1e-12:
-            continue
-        threshold = 0.5 * (xs_sorted[pos] + xs_sorted[pos + 1])
-        if best is None or reduction[pos] > best[2]:
-            best = (feat, float(threshold), float(reduction[pos]))
-    return best
+        if best is None or gain > best[2]:
+            best = (feat, pos, gain)
+    if best is None:
+        return None
+    feat, pos, gain = best
+    threshold = 0.5 * (xs_sorted[pos, feat] + xs_sorted[pos + 1, feat])
+    return feat, float(threshold), gain
 
 
 class RegressionTree(RegressionModel):
@@ -130,6 +136,19 @@ class RegressionTree(RegressionModel):
 
     # ------------------------------------------------------------------
     def _fit(self, x: np.ndarray, y: np.ndarray) -> None:
+        for _ in self.grow(x, y):
+            pass
+
+    def grow(self, x: np.ndarray, y: np.ndarray) -> Iterator[int]:
+        """Grow the tree on a validated design, yielding its leaf count
+        once for the root and once after every split.
+
+        Growth is nested: at the yield of ``c`` leaves the tree is the
+        one ``max_leaves=c`` grows, so one growth to the largest size
+        serves every smaller one (:class:`~repro.models.rbf.RbfModel`
+        reads :meth:`leaf_regions` at each size it needs).  Drive it to
+        the end, as :meth:`fit` does, for the ``max_leaves`` tree.
+        """
         self._x = x
         indices = np.arange(x.shape[0])
         mean, node_sse = _node_stats(y)
@@ -145,6 +164,7 @@ class RegressionTree(RegressionModel):
 
         push(self.root)
         n_leaves = 1
+        yield n_leaves
         while heap and n_leaves < self.max_leaves:
             _, _, node, (feat, threshold, _) = heapq.heappop(heap)
             mask = x[node.indices, feat] <= threshold
@@ -159,6 +179,7 @@ class RegressionTree(RegressionModel):
             n_leaves += 1
             push(node.left)
             push(node.right)
+            yield n_leaves
 
     def _predict(self, x: np.ndarray) -> np.ndarray:
         out = np.empty(x.shape[0])

@@ -156,18 +156,28 @@ class PackedTrace:
 
 
 def static_digest(exe: Executable) -> str:
-    """Content digest of an executable's timing-relevant static image.
+    """Content digest of everything :func:`~repro.sim.func.execute`
+    reads from an executable.
 
-    Covers every field the timing model reads: opcode/class, registers,
-    immediates, branch targets and instruction order (hence code
-    layout).  Two compiler configurations that emit the same machine
-    code get the same digest -- the hook the cross-point memo layers
-    key on.
+    Covers the entry pc, the initial stack pointer, each initialised
+    global's address and values, and every field of every instruction
+    the timing model reads: opcode/class, registers, immediates, branch
+    targets and instruction order (hence code layout).  The digest
+    therefore fixes the trace: two workload inputs that differ only in
+    initialised data (mcf's ``train`` and ``ref``) get different
+    digests, while two compiler configurations that emit the same image
+    share one -- the hook the artifact store and the cross-point memo
+    layers key on.
     """
     cached = getattr(exe, "_repro_static_digest", None)
     if cached is not None:
         return cached
-    h = hashlib.md5(repr(exe.entry_pc).encode(), usedforsecurity=False)
+    h = hashlib.md5(
+        f"{exe.entry_pc!r}|{exe.stack_base!r}\n".encode(), usedforsecurity=False
+    )
+    for sym in exe.symbols.values():
+        if sym.init:
+            h.update(f"{sym.address!r}|{sym.init!r}\n".encode())
     for instr in exe.instrs:
         h.update(
             (

@@ -61,8 +61,15 @@ def fake_server():
         yield host, port, lambda fn: script.__setitem__("fn", fn)
     finally:
         alive = False
+        # Closing a listening socket does not wake a thread blocked in
+        # accept() on Linux; shutting it down first does.
+        try:
+            listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         listener.close()
         thread.join(timeout=5)
+        assert not thread.is_alive(), "fake server thread did not exit"
 
 
 class TestConnectionRefused:

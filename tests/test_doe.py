@@ -46,6 +46,26 @@ class TestModelMatrix:
         f = b.expand(np.array([[0.5, -1.0]]))
         assert f.tolist() == [[1.0, 0.5, -1.0, -0.5]]
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 25])
+    def test_expansion_is_the_per_term_product_bit_for_bit(self, k):
+        rng = np.random.default_rng(k)
+        specials = np.array([-0.0, np.inf, -np.inf, 1e150, -1e150])
+        for interactions in (True, False):
+            for quadratic in (True, False):
+                b = ModelMatrixBuilder(
+                    k, interactions=interactions, quadratic=quadratic
+                )
+                for n in (1, 3, 60):
+                    x = rng.uniform(-1, 1, (n, k))
+                    mask = rng.random((n, k)) < 0.2
+                    x[mask] = rng.choice(specials, size=int(mask.sum()))
+                    with np.errstate(invalid="ignore"):
+                        want = np.column_stack([t.evaluate(x) for t in b.terms])
+                        got = b.expand(x)
+                    assert got.shape == want.shape
+                    assert got.flags.c_contiguous
+                    assert got.tobytes() == want.tobytes()
+
     def test_term_names(self):
         b = ModelMatrixBuilder(2, interactions=True)
         names = b.term_names(["x", "y"])

@@ -96,6 +96,23 @@ class TestMeasurementEngine:
         assert engine2.simulations == 0
         assert a.cycles == b.cycles
 
+    def test_shared_artifacts_keep_inputs_apart(self, tmp_path):
+        """mcf's train and ref inputs differ only in initialised data, so
+        their O2 binaries have identical code: the stored trace of one
+        must not be served for the other."""
+        shared = str(tmp_path / "artifacts")
+        typical = TABLE5_CONFIGS["typical"]
+        width = typical.issue_width
+        MeasurementEngine(artifact_dir=shared).compile_and_trace(
+            "mcf", "train", O2, width
+        )
+        served = MeasurementEngine(artifact_dir=shared).measure_configs(
+            "mcf", O2, typical, "ref"
+        )
+        _, alone = MeasurementEngine().compile_and_trace("mcf", "ref", O2, width)
+        assert served.checksum == alone.return_value
+        assert served.instructions == alone.instruction_count
+
     def test_oracle_interface(self):
         engine = MeasurementEngine()
         space = full_space()
