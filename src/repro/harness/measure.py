@@ -13,9 +13,8 @@ Caching layers (see ``docs/SIMULATOR.md`` for keys and invalidation):
   artifact store (:mod:`repro.harness.artifacts`), shared across
   engines and pool workers, since the trace does not depend on the rest
   of the microarchitecture;
-* SMARTS timing work is memoized on (binary digest, trace digest, full
-  timing key) at run and sampling-unit granularity
-  (:mod:`repro.sim.memo`);
+* whole SMARTS runs are memoized on (binary digest, trace digest, full
+  timing key, sampling schedule) (:mod:`repro.sim.memo`);
 * (cycles, checksum) results are memoized on the full point, optionally
   persisted to ``.repro_cache/measurements.json`` so the benchmark suite
   reuses measurements across processes.
@@ -26,10 +25,10 @@ embarrassingly parallel: :meth:`MeasurementEngine.measure_many` /
 process pool (``jobs`` workers, default from ``REPRO_JOBS``).  Misses
 are grouped by shared binary, partitioned into one cost-balanced chunk
 per worker (a measured per-point cost model sizes the chunks), and
-workers share compiles/traces/timing units through the on-disk stores.
-Since a point's measurement is a pure function of its cache key, the
-results are bit-identical to the serial path regardless of worker
-count.
+workers share compiles, traces and timing runs through the on-disk
+stores.  Since a point's measurement is a pure function of its cache
+key, the results are bit-identical to the serial path regardless of
+worker count.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ from repro.opt.flags import CompilerConfig
 from repro.sim import simulate
 from repro.sim.config import MicroarchConfig
 from repro.sim.func import execute
-from repro.sim.memo import TimingMemo
+from repro.sim.memo import SIM_MEMO_VERSION, TimingMemo
 from repro.workloads import get_workload
 
 _TRACE_HITS = counter("measure.trace_cache.hits")
@@ -255,6 +254,7 @@ class MeasurementEngine:
                 input_name,
                 cls._workload_fingerprint(workload, input_name),
                 f"cc{COMPILER_VERSION}",
+                f"sim{SIM_MEMO_VERSION}",
                 mode,
                 str(interval),
             ]
@@ -640,8 +640,8 @@ class MeasurementEngine:
                             workload, input_name, worker_ms / 1e3 / len(items)
                         )
         if self.memo is not None:
-            # Absorb the units/runs the workers just persisted, so
-            # follow-up serial measurements in this process reuse them.
+            # Absorb the runs the workers just persisted, so follow-up
+            # serial measurements in this process reuse them.
             self.memo.load()
 
     def measure_batch(
@@ -765,7 +765,7 @@ def _measure_chunk(
     The chunk is measured sequentially on the worker's engine -- its
     binary LRU serves the shared-binary runs the planner grouped -- and
     the timing memo is flushed once at the end so sibling workers and
-    future processes reuse the units this chunk simulated.
+    future processes reuse the runs this chunk simulated.
     """
     begin_task()
     t0 = time.perf_counter()

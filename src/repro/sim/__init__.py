@@ -21,9 +21,8 @@ Components:
   confidence interval on the CPI estimate;
 * :mod:`repro.sim.tracepack` -- flat-array trace tables the hot loops
   index (built once per binary+trace, shared across configurations);
-* :mod:`repro.sim.memo` -- content-addressed memoization of SMARTS
-  timing work at run and sampling-unit granularity (see
-  ``docs/SIMULATOR.md``).
+* :mod:`repro.sim.memo` -- content-addressed memoization of whole
+  timing runs (see ``docs/SIMULATOR.md``).
 
 :func:`repro.sim.run.simulate` is the one-call entry point.
 """

@@ -1,22 +1,17 @@
-"""Content-addressed memoization of SMARTS timing work.
+"""Content-addressed memoization of whole timing runs.
 
-Two exact (bit-identical-by-construction) memo layers over the timing
+One exact (bit-identical-by-construction) memo over the timing
 simulator, shared across design points, engines and worker processes:
+a whole ``smarts_simulate`` (or exhaustive detailed) outcome, keyed on
+(static binary digest, trace digest, full timing key, sampling
+schedule).  Design points that differ only in compiler flags which
+happened to produce the same machine code -- the dominant case in
+one-factor DOE screens and GA populations -- hit here and skip the
+simulator entirely.
 
-* **run level** -- a whole ``smarts_simulate`` (or exhaustive detailed)
-  outcome, keyed on (static binary digest, trace digest, full timing
-  key, sampling schedule).  Design points that differ only in compiler
-  flags which happened to produce the same machine code -- the dominant
-  case in one-factor DOE screens and GA populations -- hit here and
-  skip the simulator entirely.
-* **unit level** -- one sampled SMARTS unit's (cycles, instructions)
-  contribution, keyed on the *chained prefix digest* of the trace up to
-  the unit's cooldown end plus the unit's boundaries.  The chain makes
-  the key cover everything the unit's incoming microarchitectural state
-  depends on (every earlier trace byte and the unit schedule), so a hit
-  is exact, never approximate.  On a hit the detailed window is
-  replaced by the much cheaper state-replay pass
-  (:meth:`repro.sim.ooo.OooTimingModel.replay_window`).
+There is no finer level.  The static digest fixes the trace, so a
+sampled unit can only repeat inside a run whose key repeats too, and
+that run is served whole before any unit is timed.
 
 Keys embed the **full** timing key -- every field of
 :class:`MicroarchConfig`, including the structural parameters -- plus a
@@ -26,8 +21,10 @@ impossible by construction (test-enforced).
 Persistence follows the measurement cache's discipline: one JSON file,
 locked read-merge-replace through :func:`repro.store.update_json`.
 Workers load at pool init and save after each chunk, so N workers
-simulate each distinct (binary, microarch) unit once instead of N
-times.
+simulate each distinct (binary, microarch, schedule) run once instead
+of N times.  A file from an older version may also hold a ``units``
+map; it still loads, and the map is ignored and dropped on the next
+save.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ import hashlib
 import os
 from dataclasses import fields
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro import store
 from repro.obs import counter
@@ -46,13 +43,8 @@ from repro.sim.config import MicroarchConfig
 #: across simulator versions.
 SIM_MEMO_VERSION = 1
 
-#: Soft cap on persisted unit entries; oldest half is dropped beyond it.
-MAX_UNIT_ENTRIES = 200_000
-
 RUN_HITS = counter("sim.memo.run.hits")
 RUN_MISSES = counter("sim.memo.run.misses")
-UNIT_HITS = counter("sim.memo.unit.hits")
-UNIT_MISSES = counter("sim.memo.unit.misses")
 
 
 def timing_key(config: MicroarchConfig) -> str:
@@ -74,7 +66,6 @@ class TimingMemo:
 
     def __init__(self, path: Optional[os.PathLike] = None):
         self._runs: Dict[str, dict] = {}
-        self._units: Dict[str, Tuple[int, int]] = {}
         self._dirty = False
         self._path: Optional[Path] = Path(path) if path is not None else None
         if self._path is not None:
@@ -114,31 +105,19 @@ class TimingMemo:
         self._runs[key] = payload
         self._dirty = True
 
-    # -- unit level -----------------------------------------------------
-    def get_unit(self, key: str) -> Optional[Tuple[int, int]]:
-        hit = self._units.get(key)
-        if hit is not None:
-            UNIT_HITS.inc()
-            return hit
-        UNIT_MISSES.inc()
-        return None
+    # Inert: perfbench/tracer.py looks get_unit up in every benchmark run.
+    def get_unit(self, key: str) -> None: return None
 
-    def put_unit(self, key: str, cycles: int, instructions: int) -> None:
-        self._units[key] = (cycles, instructions)
-        self._dirty = True
+    # Inert: perfbench/tracer.py looks put_unit up in every benchmark run.
+    def put_unit(self, key: str, cycles: int, instructions: int) -> None: pass
 
     # -- stats ----------------------------------------------------------
     @property
     def n_runs(self) -> int:
         return len(self._runs)
 
-    @property
-    def n_units(self) -> int:
-        return len(self._units)
-
     def clear(self) -> None:
         self._runs.clear()
-        self._units.clear()
         self._dirty = False
 
     # -- persistence ----------------------------------------------------
@@ -148,19 +127,10 @@ class TimingMemo:
             return
         for key, value in raw.get("runs", {}).items():
             self._runs.setdefault(key, value)
-        for key, value in raw.get("units", {}).items():
-            self._units.setdefault(key, (int(value[0]), int(value[1])))
 
     def _merge_into(self, raw: dict) -> dict:
         self._absorb(raw)
-        if len(self._units) > MAX_UNIT_ENTRIES:
-            keep = list(self._units.items())[len(self._units) // 2 :]
-            self._units = dict(keep)
-        return {
-            "version": SIM_MEMO_VERSION,
-            "runs": self._runs,
-            "units": {k: list(v) for k, v in self._units.items()},
-        }
+        return {"version": SIM_MEMO_VERSION, "runs": self._runs}
 
     def load(self) -> None:
         if self._path is not None:

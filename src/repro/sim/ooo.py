@@ -29,8 +29,8 @@ memory operations, control transfers; see
 :meth:`repro.sim.tracepack.TraceTables.events_for`), and can write one
 outcome code per position: where the IL1 and DL1 accesses were served,
 and whether a control transfer was a correctly predicted redirect or a
-mispredict.  Functional warming (:meth:`~OooTimingModel.warm`) and memo
-replay (:meth:`~OooTimingModel.replay_window`) are that kernel alone.
+mispredict.  Functional warming (:meth:`~OooTimingModel.warm`) is that
+kernel alone.
 :meth:`~OooTimingModel.simulate_window` runs the kernel over its window
 first, then a timing loop (fetch, RUU, FU pools, store buffer, memory
 bus, commit) that reads only the codes and one op record per
@@ -530,15 +530,5 @@ class OooTimingModel:
         """
         self._walk(tables_for(self.exe, trace), start, end, None)
 
-    def replay_window(
-        self, trace: Sequence[Tuple[int, int]], start: int, end: int
-    ) -> None:
-        """Leave caches, predictor, BTB and RAS (and their statistics)
-        exactly as :meth:`simulate_window` over the same window would.
-
-        Used by the SMARTS memo on a unit hit: the unit's cycles come
-        from the memo, and every later unit stays bit-identical because
-        the state is.  This is warming under another name -- the update
-        sequence does not depend on timing (see the module docstring).
-        """
-        self._walk(tables_for(self.exe, trace), start, end, None)
+    # Inert: perfbench/tracer.py looks replay_window up in every benchmark run.
+    replay_window = warm

@@ -16,7 +16,6 @@ simulator.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -30,7 +29,6 @@ from repro.sim.tracepack import packed_for, static_digest
 
 _UNITS_SAMPLED = counter("smarts.units.sampled")
 _UNITS_SKIPPED = counter("smarts.units.skipped")
-_UNITS_REPLAYED = counter("smarts.units.replayed")
 
 #: z-value for 99.7% confidence (three sigma), as the paper quotes.
 Z_997 = 3.0
@@ -89,27 +87,20 @@ def smarts_simulate(
         cool-down never changes the unit's own cycles; the next unit
         walks the same positions again.
     memo:
-        Optional :class:`repro.sim.memo.TimingMemo`.  Run-level hits
-        skip the simulation entirely; unit-level hits replace a sampled
-        unit's detailed window with the cheaper exact state replay
-        (:meth:`OooTimingModel.replay_window`).  Results are
-        bit-identical with and without a memo by construction
-        (test-enforced).
+        Optional :class:`repro.sim.memo.TimingMemo`.  A hit on the run
+        key skips the simulation entirely; a miss simulates and stores
+        the outcome.  Results are bit-identical with and without a memo
+        by construction (test-enforced).
     """
     if unit_size < 1 or interval < 1:
         raise ValueError("unit_size and interval must be positive")
     n = len(trace)
     run_key = None
-    packed = None
-    chain = None
     if memo is not None:
-        packed = packed_for(exe, trace)
-        static_dig = static_digest(exe)
-        tkey = timing_key(config)
         run_key = TimingMemo.run_key(
-            static_dig,
-            packed.digest(),
-            tkey,
+            static_digest(exe),
+            packed_for(exe, trace).digest(),
+            timing_key(config),
             "smarts",
             unit_size,
             interval,
@@ -120,17 +111,6 @@ def smarts_simulate(
         hit = memo.get_run(run_key)
         if hit is not None:
             return SmartsResult(**hit)
-        # Chained prefix digest: after processing the unit ending at
-        # ``pos``, ``chain`` covers the schedule header plus every trace
-        # byte in [0, pos) -- everything a unit's incoming cache and
-        # predictor state can depend on.
-        chain = hashlib.md5(
-            (
-                f"{static_dig}|{tkey}|{unit_size}|{interval}|{offset}|"
-                f"{detailed_warmup}|{detailed_cooldown}"
-            ).encode(),
-            usedforsecurity=False,
-        )
     model = OooTimingModel(exe, config)
     unit_cpis: List[float] = []
     pos = 0
@@ -140,50 +120,21 @@ def smarts_simulate(
         if unit_index % interval == offset % interval:
             warm_start = max(0, pos - detailed_warmup)
             cool_end = min(n, end + detailed_cooldown)
-            unit_key = None
-            unit_hit = None
-            if memo is not None:
-                h = chain.copy()
-                h.update(packed.segment_bytes(pos, cool_end))
-                h.update(f"|{warm_start}|{pos}|{end}|{cool_end}".encode())
-                unit_key = h.hexdigest()
-                unit_hit = memo.get_unit(unit_key)
-            if unit_hit is not None:
-                # The unit's cycles come from the memo; replay the
-                # window so caches/predictors end up exactly as the
-                # detailed simulation would have left them (subsequent
-                # units stay bit-identical).
-                with span(
-                    "smarts.replay_unit", unit=unit_index, instructions=end - pos
-                ):
-                    model.replay_window(trace, warm_start, cool_end)
-                _UNITS_SAMPLED.inc()
-                _UNITS_REPLAYED.inc()
-                cycles, instructions = unit_hit
-                if instructions > 0:
-                    unit_cpis.append(cycles / instructions)
-            else:
-                with span(
-                    "smarts.detailed_unit", unit=unit_index, instructions=end - pos
-                ):
-                    result = model.simulate_window(
-                        trace, warm_start, cool_end, measure_from=pos, measure_to=end
-                    )
-                _UNITS_SAMPLED.inc()
-                if memo is not None:
-                    memo.put_unit(unit_key, result.cycles, result.instructions)
-                # The window walked [warm_start, cool_end) through the
-                # caches and predictor.  The warm-up positions were
-                # already walked by the previous unit, and the next unit
-                # walks the cool-down positions again.
-                if result.instructions > 0:
-                    unit_cpis.append(result.cycles / result.instructions)
+            with span("smarts.detailed_unit", unit=unit_index, instructions=end - pos):
+                result = model.simulate_window(
+                    trace, warm_start, cool_end, measure_from=pos, measure_to=end
+                )
+            _UNITS_SAMPLED.inc()
+            # The window walked [warm_start, cool_end) through the
+            # caches and predictor.  The warm-up positions were already
+            # walked by the previous unit, and the next unit walks the
+            # cool-down positions again.
+            if result.instructions > 0:
+                unit_cpis.append(result.cycles / result.instructions)
         else:
             with span("smarts.warm", unit=unit_index, instructions=end - pos):
                 model.warm(trace, pos, end)
             _UNITS_SKIPPED.inc()
-        if memo is not None:
-            chain.update(packed.segment_bytes(pos, end))
         pos = end
         unit_index += 1
 

@@ -8,8 +8,8 @@ tables built once per (executable, trace) and reused across every SMARTS
 window and every microarchitecture sharing the trace:
 
 * :class:`PackedTrace` -- the dynamic trace as two parallel numpy arrays
-  (``pcs``, ``eas``) with a content digest and cheap segment hashing for
-  the timing memo (:mod:`repro.sim.memo`).  :func:`repro.sim.func.execute`
+  (``pcs``, ``eas``) with a content digest for the timing memo's run
+  key (:mod:`repro.sim.memo`).  :func:`repro.sim.func.execute`
   returns its trace in this form.  It behaves as a sequence of
   ``(pc, ea)`` tuples, so existing consumers (``instruction_mix``,
   ``detailed_statistics``, tests) keep working unchanged.
@@ -149,10 +149,6 @@ class PackedTrace:
             h.update(self.eas.tobytes())
             self._digest = h.hexdigest()
         return self._digest
-
-    def segment_bytes(self, start: int, end: int) -> bytes:
-        """Raw bytes of trace[start:end] for incremental chain digests."""
-        return self.pcs[start:end].tobytes() + self.eas[start:end].tobytes()
 
 
 def static_digest(exe: Executable) -> str:

@@ -1,8 +1,11 @@
 """Tests for the measurement engine and harness plumbing."""
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.codegen import COMPILER_VERSION
 from repro.harness.configs import (
     TABLE5_CONFIGS,
     joint_point,
@@ -112,6 +115,40 @@ class TestMeasurementEngine:
         _, alone = MeasurementEngine().compile_and_trace("mcf", "ref", O2, width)
         assert served.checksum == alone.return_value
         assert served.instructions == alone.instruction_count
+
+    def test_keys_without_the_simulator_version_are_never_served(self, tmp_path):
+        """Before traces were keyed on initialised data, mcf ``ref``
+        could be timed on ``train``'s trace: 362,512 cycles and checksum
+        241 at O2/TYPICAL.  Such entries sit in ``measurements.json``
+        under keys that name only the compiler version; measurement keys
+        also name the simulator version, so none of them is served."""
+        typical = TABLE5_CONFIGS["typical"]
+        stale_key = "|".join(
+            [
+                "mcf",
+                "ref",
+                MeasurementEngine._workload_fingerprint("mcf", "ref"),
+                f"cc{COMPILER_VERSION}",
+                "smarts",
+                "3",
+            ]
+            + [str(v) for v in O2.cache_key()]
+            + [str(v) for v in typical.cache_key()]
+        )
+        # mcf train's measurement at O2/TYPICAL.
+        stale = {
+            "cycles": 362511.6716091548,
+            "checksum": 241,
+            "instructions": 851283,
+            "sampling_error": 0.051792686053224714,
+            "code_size": 299,
+        }
+        (tmp_path / "measurements.json").write_text(json.dumps({stale_key: stale}))
+        engine = MeasurementEngine(cache_dir=str(tmp_path), jobs=1)
+        m = engine.measure_configs("mcf", O2, typical, "ref")
+        assert engine.simulations == 1
+        # The IR interpreter's checksum of mcf on input ref.
+        assert m.checksum == -5262
 
     def test_oracle_interface(self):
         engine = MeasurementEngine()

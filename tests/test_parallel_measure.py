@@ -405,7 +405,6 @@ class TestFingerprintFips:
                 static_digest(exe),
                 PackedTrace.from_pairs(trace).digest(),
                 sorted(memo._runs),
-                sorted(memo._units),
             )
 
         plain = digests()

@@ -9,7 +9,7 @@ after each taken or mispredicted transfer; ``warm_data`` for loads,
 stores and prefetches; ``predict_and_update``; BTB ``predict``/``update``;
 RAS ``push``/``pop``.  After each of the same windows, both models must
 hold the same state and the same counters, whichever public method
-(``warm``, ``replay_window``, ``simulate_window``) drove the kernel.
+(``warm``, ``simulate_window``) drove the kernel.
 """
 
 from dataclasses import replace
@@ -135,7 +135,7 @@ GEOMETRY = st.fixed_dictionaries(
     geometry=GEOMETRY,
     cuts=st.lists(st.floats(0.0, 1.0), max_size=4),
     methods=st.lists(
-        st.sampled_from(["warm", "replay_window", "simulate_window"]),
+        st.sampled_from(["warm", "simulate_window"]),
         min_size=5,
         max_size=5,
     ),

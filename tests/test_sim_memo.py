@@ -1,10 +1,13 @@
-"""Bit-identity and key-soundness tests for the timing memo layers.
+"""Bit-identity, key-soundness and size tests for the timing memo.
 
 ``tests/data/golden_measure_pr8.json`` holds 27 measurements captured
 *before* the hot-loop rewrite and the memo/artifact caches existed.
-Every cached path -- fresh engine, artifact-store warm engine, run-level
-memo hit, unit-level replay -- must reproduce those numbers exactly:
-the caches are allowed to make measurement cheaper, never different.
+Every cached path -- fresh engine, artifact-store warm engine, run memo
+hit -- must reproduce those numbers exactly: the caches are allowed to
+make measurement cheaper, never different.
+
+The memo keeps whole runs only.  Files written while it also kept
+sampled units still load, and their units are dropped on the next save.
 """
 
 import json
@@ -20,12 +23,20 @@ from repro.opt import O2
 from repro.sim import TimingMemo, execute, smarts_simulate, static_digest, timing_key
 from repro.sim.config import CONSTRAINED, TYPICAL, MicroarchConfig
 from repro.sim.memo import SIM_MEMO_VERSION
-from repro.sim.smarts import _UNITS_REPLAYED
 from repro.workloads import get_workload
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "golden_measure_pr8.json").read_text()
 )
+
+#: A stored run outcome, as ``smarts_simulate`` writes it.
+RUN = {
+    "estimated_cycles": 123.5,
+    "cpi": 1.1,
+    "relative_error": float("inf"),
+    "sampled_units": 1,
+    "instructions": 100,
+}
 
 
 def _check(m, entry):
@@ -128,52 +139,15 @@ class TestCrossMicroarchKeys:
         )
 
 
-class TestReplayExactness:
-    def test_unit_replay_is_bit_identical(self, art_run):
-        """A memo holding only *unit* entries forces the replay path for
-        every sampled unit; a memo holding every *other* unit forces the
-        mixed replay/detailed interleaving.  Both must reproduce the
-        cold result exactly -- the replay leaves caches and predictors
-        in precisely the state the detailed window would have."""
-        exe, functional = art_run
-        trace = functional.trace
-        cold = smarts_simulate(exe, TYPICAL, trace)
-        populated = TimingMemo()
-        assert smarts_simulate(exe, TYPICAL, trace, memo=populated) == cold
-
-        replay_all = TimingMemo()
-        replay_all._units = dict(populated._units)
-        before = _UNITS_REPLAYED.value
-        assert smarts_simulate(exe, TYPICAL, trace, memo=replay_all) == cold
-        assert _UNITS_REPLAYED.value - before == cold.sampled_units
-
-        mixed = TimingMemo()
-        mixed._units = dict(list(populated._units.items())[::2])
-        before = _UNITS_REPLAYED.value
-        assert smarts_simulate(exe, TYPICAL, trace, memo=mixed) == cold
-        replayed = _UNITS_REPLAYED.value - before
-        assert 0 < replayed < cold.sampled_units
-
-
 class TestPersistence:
     def test_round_trip_including_inf(self, tmp_path):
         path = tmp_path / "memo.json"
         m = TimingMemo(path)
-        run = {
-            "estimated_cycles": 123.5,
-            "cpi": 1.1,
-            "relative_error": float("inf"),
-            "sampled_units": 1,
-            "instructions": 100,
-        }
-        m.put_run("rk", run)
-        m.put_unit("uk", 4200, 1000)
+        m.put_run("rk", RUN)
         m.save()
-        fresh = TimingMemo(path)
-        got = fresh.get_run("rk")
+        got = TimingMemo(path).get_run("rk")
         assert math.isinf(got["relative_error"])
-        assert got == run
-        assert fresh.get_unit("uk") == (4200, 1000)
+        assert got == RUN
 
     def test_version_mismatch_ignored(self, tmp_path):
         path = tmp_path / "memo.json"
@@ -184,15 +158,45 @@ class TestPersistence:
         path = tmp_path / "memo.json"
         a = TimingMemo(path)
         b = TimingMemo(path)
-        a.put_unit("ua", 1, 1)
-        b.put_unit("ub", 2, 2)
+        a.put_run("ra", {"estimated_cycles": 1.0})
+        b.put_run("rb", {"estimated_cycles": 2.0})
         a.save()
         b.save()  # must absorb a's entry, not clobber it
         fresh = TimingMemo(path)
-        assert fresh.get_unit("ua") == (1, 1)
-        assert fresh.get_unit("ub") == (2, 2)
+        assert fresh.n_runs == 2
+        assert fresh.get_run("ra") == {"estimated_cycles": 1.0}
+        assert fresh.get_run("rb") == {"estimated_cycles": 2.0}
 
     def test_clean_memo_save_is_noop(self, tmp_path):
         path = tmp_path / "memo.json"
         TimingMemo(path).save()
         assert not path.exists()
+
+    def test_file_with_units_loads_and_sheds_them(self, tmp_path):
+        """A memo file written while the memo also kept sampled units:
+        every run is served, and the next save writes no ``units``."""
+        path = tmp_path / "memo.json"
+        runs = {f"r{i}": dict(RUN, instructions=100 + i) for i in range(3)}
+        units = {f"u{i}": [4200 + i, 1000] for i in range(40)}
+        path.write_text(
+            json.dumps({"version": SIM_MEMO_VERSION, "runs": runs, "units": units})
+        )
+        memo = TimingMemo(path)
+        assert memo.n_runs == 3
+        for key, run in runs.items():
+            assert memo.get_run(key) == run
+        memo.put_run("new", RUN)
+        memo.save()
+        raw = json.loads(path.read_text())
+        assert set(raw) == {"version", "runs"}
+        assert raw["runs"] == {**runs, "new": RUN}
+
+    def test_stored_run_is_small(self, tmp_path, art_run):
+        """One real SMARTS run leaves at most 300 bytes in the file."""
+        exe, functional = art_run
+        path = tmp_path / "sim_memo.json"
+        memo = TimingMemo(path)
+        smarts_simulate(exe, TYPICAL, functional.trace, interval=3, memo=memo)
+        memo.save()
+        assert memo.n_runs == 1
+        assert path.stat().st_size <= 300 * memo.n_runs

@@ -161,31 +161,33 @@ class TestQuarantinePerStore:
         path = tmp_path / "sim_memo.json"
         full = TimingMemo(path)
         for i in range(50):
-            full.put_unit(f"u{i}", i, 2 * i)
+            full.put_run(f"r{i}", {"estimated_cycles": float(i)})
         full.save()
         damaged = _damage(path)
         before = QUARANTINED.value
 
         memo = TimingMemo(path)
-        assert memo.n_units == 0
-        memo.put_unit("new", 3, 4)
+        assert memo.n_runs == 0
+        memo.put_run("new", {"estimated_cycles": 3.0})
         memo.save()
 
         (aside,) = _corrupt_files(path)
         assert aside.read_bytes() == damaged
         assert QUARANTINED.value == before + 1
-        assert TimingMemo(path).get_unit("new") == (3, 4)
+        assert TimingMemo(path).get_run("new") == {"estimated_cycles": 3.0}
 
     def test_memo_with_other_version_is_replaced_not_quarantined(self, tmp_path):
         path = tmp_path / "sim_memo.json"
-        path.write_text(json.dumps({"version": -1, "units": {"old": [1, 1]}}))
+        path.write_text(
+            json.dumps({"version": -1, "runs": {"old": {"estimated_cycles": 1.0}}})
+        )
         memo = TimingMemo(path)
-        memo.put_unit("new", 3, 4)
+        memo.put_run("new", {"estimated_cycles": 3.0})
         memo.save()
         assert _corrupt_files(path) == []
         raw = json.loads(path.read_text())
         assert raw["version"] == SIM_MEMO_VERSION
-        assert raw["units"] == {"new": [3, 4]}
+        assert raw["runs"] == {"new": {"estimated_cycles": 3.0}}
 
     def test_metrics(self, tmp_path):
         path = tmp_path / "metrics.json"
@@ -304,7 +306,7 @@ def _die_mid_write(kind, directory, fraction, conn):
         engine.save()
     else:
         memo = TimingMemo(directory / "sim_memo.json")
-        memo.put_unit("crashed", 9, 9)
+        memo.put_run("crashed", {"estimated_cycles": 9.0})
         memo.save()
 
 
@@ -328,13 +330,11 @@ class TestCrashMidWrite:
             )
         memo = TimingMemo(directory / "sim_memo.json")
         for i in range(20):
-            memo.put_unit(f"u{i}", i, i + 1)
-        memo.put_run("r", {"estimated_cycles": 5.0})
+            memo.put_run(f"r{i}", {"estimated_cycles": float(i)})
         memo.save()
 
         def load():
-            fresh = TimingMemo(directory / "sim_memo.json")
-            return dict(fresh._units), dict(fresh._runs)
+            return dict(TimingMemo(directory / "sim_memo.json")._runs)
 
         return directory / "sim_memo.json", load
 
@@ -376,11 +376,10 @@ class TestCrashMidWrite:
             assert after == {**before, "after": _measurement(1)}
         else:
             memo = TimingMemo(path)
-            memo.put_unit("after", 1, 2)
+            memo.put_run("after", {"estimated_cycles": 1.0})
             memo.save()
-            units, runs = load()
-            assert units == {**before[0], "after": (1, 2)}
-            assert runs == before[1]
+            after = load()
+            assert after == {**before, "after": {"estimated_cycles": 1.0}}
         assert set(tmp_path.glob(path.name + "*.tmp")) == temps
         assert _corrupt_files(path) == []
         assert QUARANTINED.value == quarantined
