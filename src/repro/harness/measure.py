@@ -12,9 +12,12 @@ Caching layers (see ``docs/SIMULATOR.md`` for keys and invalidation):
   compiler key, issue width) and *on disk* in the content-addressed
   artifact store (:mod:`repro.harness.artifacts`), shared across
   engines and pool workers, since the trace does not depend on the rest
-  of the microarchitecture;
-* whole SMARTS runs are memoized on (binary digest, trace digest, full
-  timing key, sampling schedule) (:mod:`repro.sim.memo`);
+  of the microarchitecture.  A binary's trace is loaded only when a
+  point needs the simulator;
+* whole timing runs are memoized on md5(static binary digest | full
+  timing key | mode | interval) (:mod:`repro.sim.memo`).  The lookup
+  happens as soon as the binary is built or loaded: a hit needs
+  neither the trace nor the simulator;
 * (cycles, checksum) results are memoized on the full point, optionally
   persisted to ``.repro_cache/measurements.json`` so the benchmark suite
   reuses measurements across processes.
@@ -40,12 +43,14 @@ import os
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import store
 from repro.codegen import COMPILER_VERSION, compile_module
+from repro.codegen.linker import Executable
 from repro.harness.artifacts import ArtifactStore
 from repro.harness.configs import split_point
 from repro.obs import counter, histogram, span
@@ -62,8 +67,9 @@ from repro.obs.ledger import cap_result_keys, record_event
 from repro.opt.flags import CompilerConfig
 from repro.sim import simulate
 from repro.sim.config import MicroarchConfig
-from repro.sim.func import execute
-from repro.sim.memo import SIM_MEMO_VERSION, TimingMemo
+from repro.sim.func import FunctionalResult, execute
+from repro.sim.memo import SIM_MEMO_VERSION, TimingMemo, timing_key
+from repro.sim.tracepack import static_digest
 from repro.workloads import get_workload
 
 _TRACE_HITS = counter("measure.trace_cache.hits")
@@ -73,12 +79,13 @@ _RESULT_HITS = counter("measure.result_cache.hits")
 _RESULT_MISSES = counter("measure.result_cache.misses")
 _COMPILATIONS = counter("measure.compilations")
 _SIMULATIONS = counter("measure.simulations")
-# Pool bookkeeping.  These two are the only counters recorded on the
+# Pool bookkeeping.  These three are the only metrics recorded on the
 # *parent* side of a pool run; every other ``measure.*`` metric above is
 # incremented where the work happens (possibly a worker process) and
 # shipped back via repro.obs.context, which is what keeps serial and
 # parallel runs of the same point set bit-identical in `repro stats`.
 _BATCH_SUBMITTED = counter("measure.batch.submitted")
+_BATCH_LOST_CHUNKS = counter("measure.batch.lost_chunks")
 _WORKER_MS = histogram("measure.batch.worker_ms")
 
 
@@ -156,9 +163,9 @@ class MeasurementEngine:
         self.smarts_interval = smarts_interval
         self.max_cached_traces = max_cached_traces
         self.jobs = default_jobs() if jobs is None else max(1, int(jobs))
-        #: LRU of (exe, functional) keyed on (workload, input, compiler
-        #: key, issue width); hits move the entry to the MRU end.
-        self._trace_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
+        #: LRU of ``[exe, functional or None]`` keyed on (workload, input,
+        #: compiler key, issue width); hits move the entry to the MRU end.
+        self._trace_cache: "OrderedDict[tuple, list]" = OrderedDict()
         self._result_cache: Dict[str, Measurement] = {}
         self._dirty = False
         self.simulations = 0
@@ -263,9 +270,15 @@ class MeasurementEngine:
         )
         return "|".join(parts)
 
-    def _binary_and_trace(
+    def _binary(
         self, workload: str, input_name: str, compiler: CompilerConfig, issue_width: int
-    ):
+    ) -> list:
+        """The LRU entry ``[exe, functional]`` for one binary.
+
+        The binary comes from the LRU, the artifact store or the
+        compiler; the functional run stays None until
+        :meth:`_functional` first needs it.
+        """
         key = (workload, input_name, compiler.cache_key(), issue_width)
         hit = self._trace_cache.get(key)
         if hit is not None:
@@ -305,31 +318,53 @@ class MeasurementEngine:
             _COMPILATIONS.inc()
             if self.artifacts is not None:
                 self.artifacts.store_binary(art_key, exe)
-        functional = None
-        if self.artifacts is not None:
-            # Keyed on the binary's content digest: flag settings that
-            # emit identical machine code share one stored trace.
-            functional = self.artifacts.load_trace(exe)
-        if functional is None:
-            with span(
-                "measure.functional", workload=workload, input=input_name
-            ) as sp:
-                functional = execute(exe, collect_trace=True)
-                sp.set_attrs(instructions=functional.instruction_count)
-            if self.artifacts is not None:
-                self.artifacts.store_trace(exe, functional)
         if len(self._trace_cache) >= self.max_cached_traces:
             self._trace_cache.popitem(last=False)  # evict the LRU entry
             _TRACE_EVICTIONS.inc()
-        entry = (exe, functional)
+        entry = [exe, None]
         self._trace_cache[key] = entry
         return entry
 
+    def _functional(
+        self, entry: list, workload: str, input_name: str
+    ) -> FunctionalResult:
+        """The functional run of an LRU entry's binary, loaded once."""
+        if entry[1] is None:
+            exe = entry[0]
+            functional = None
+            if self.artifacts is not None:
+                # Keyed on the binary's content digest: flag settings that
+                # emit identical machine code share one stored trace.
+                functional = self.artifacts.load_trace(exe)
+            if functional is None:
+                with span(
+                    "measure.functional", workload=workload, input=input_name
+                ) as sp:
+                    functional = execute(exe, collect_trace=True)
+                    sp.set_attrs(instructions=functional.instruction_count)
+                if self.artifacts is not None:
+                    self.artifacts.store_trace(exe, functional)
+            entry[1] = functional
+        return entry[1]
+
     def compile_and_trace(
         self, workload: str, input_name: str, compiler: CompilerConfig, issue_width: int
-    ):
+    ) -> Tuple[Executable, FunctionalResult]:
         """Public cached access to a workload's (binary, functional run)."""
-        return self._binary_and_trace(workload, input_name, compiler, issue_width)
+        entry = self._binary(workload, input_name, compiler, issue_width)
+        return entry[0], self._functional(entry, workload, input_name)
+
+    def _run_key(self, exe: Executable, microarch: MicroarchConfig) -> str:
+        """The timing memo's key for ``exe`` on ``microarch``.
+
+        The static digest fixes the trace the engine simulates, so the
+        key needs no digest of the trace itself.
+        """
+        return hashlib.md5(
+            f"{static_digest(exe)}|{timing_key(microarch)}|"
+            f"{self.mode}|{self.smarts_interval}".encode(),
+            usedforsecurity=False,
+        ).hexdigest()
 
     # ------------------------------------------------------------------
     def measure(
@@ -362,34 +397,40 @@ class MeasurementEngine:
                 key, workload, compiler, microarch, input_name
             )
         t0 = time.perf_counter()
-        exe, functional = self._binary_and_trace(
-            workload, input_name, compiler, microarch.issue_width
-        )
-        with span(
-            "measure.simulate",
-            workload=workload,
-            input=input_name,
-            mode=self.mode,
-            interval=self.smarts_interval,
-        ):
-            outcome = simulate(
-                exe,
-                microarch,
+        entry = self._binary(workload, input_name, compiler, microarch.issue_width)
+        exe = entry[0]
+        stored = None
+        if self.memo is not None:
+            run_key = self._run_key(exe, microarch)
+            stored = self.memo.get_run(run_key)
+        if stored is None:
+            functional = self._functional(entry, workload, input_name)
+            with span(
+                "measure.simulate",
+                workload=workload,
+                input=input_name,
                 mode=self.mode,
                 interval=self.smarts_interval,
-                functional=functional,
-                memo=self.memo,
-            )
+            ):
+                outcome = simulate(
+                    exe,
+                    microarch,
+                    mode=self.mode,
+                    interval=self.smarts_interval,
+                    functional=functional,
+                )
+            stored = {
+                "cycles": outcome.cycles,
+                "checksum": outcome.return_value,
+                "instructions": outcome.instructions,
+                "sampling_error": outcome.sampling_error,
+            }
+            if self.memo is not None:
+                self.memo.put_run(run_key, stored)
         self.simulations += 1
         _SIMULATIONS.inc()
         self._observe_cost(workload, input_name, time.perf_counter() - t0)
-        result = Measurement(
-            cycles=outcome.cycles,
-            checksum=outcome.return_value,
-            instructions=outcome.instructions,
-            sampling_error=outcome.sampling_error,
-            code_size=len(exe.instrs),
-        )
+        result = Measurement(**stored, code_size=len(exe.instrs))
         self._result_cache[key] = result
         self._dirty = True
         return result
@@ -483,6 +524,7 @@ class MeasurementEngine:
                 results[i] = cached
             else:
                 pending.setdefault(key, []).append(i)
+        lost_chunks = 0
         # Static estimates are microseconds each: the pool's per-worker
         # startup would dwarf the work, so they always run in-process.
         if pending and (jobs <= 1 or len(pending) == 1 or self.mode == "static"):
@@ -492,9 +534,11 @@ class MeasurementEngine:
                 for i in indices:
                     results[i] = m
         elif pending:
-            self._measure_pending_parallel(requests, pending, results, jobs)
+            lost_chunks = self._measure_pending_parallel(
+                requests, pending, results, jobs
+            )
         if requests:
-            self._record_batch_provenance(requests, pending, jobs)
+            self._record_batch_provenance(requests, pending, jobs, lost_chunks)
         return results  # type: ignore[return-value]
 
     def _record_batch_provenance(
@@ -502,6 +546,7 @@ class MeasurementEngine:
         requests: Sequence[Tuple[str, CompilerConfig, MicroarchConfig, str]],
         pending: "OrderedDict[str, List[int]]",
         jobs: int,
+        lost_chunks: int,
     ) -> None:
         """Append one ``measure_batch`` ledger event covering this call.
 
@@ -510,6 +555,8 @@ class MeasurementEngine:
         not just the simulator work this particular process happened to
         do.  The config digest fingerprints the full ordered key list,
         so two batches over the same design are recognizably identical.
+        ``lost_chunks`` counts pool chunks whose worker died; their
+        points were measured again in this process.
         """
         keys = [
             self._result_key(
@@ -528,6 +575,7 @@ class MeasurementEngine:
                 "n_misses": len(pending),
                 "n_hits": len(requests) - sum(len(v) for v in pending.values()),
                 "jobs": jobs,
+                "lost_chunks": lost_chunks,
                 "mode": self.mode,
                 "interval": self.smarts_interval,
             },
@@ -591,9 +639,18 @@ class MeasurementEngine:
         pending: "OrderedDict[str, List[int]]",
         results: List[Optional[Measurement]],
         jobs: int,
-    ) -> None:
+    ) -> int:
+        """Measure ``pending`` on a process pool; returns the number of
+        chunks lost to a dead worker.
+
+        A worker that dies (OOM kill, crash) breaks the whole pool, so
+        every chunk not yet finished fails with ``BrokenProcessPool``.
+        The finished chunks are kept, and the lost ones are measured
+        again in this process.
+        """
         n_workers = min(jobs, len(pending))
         chunks = self._plan_chunks(requests, pending, n_workers)
+        lost = []
         with span(
             "measure.batch",
             pool_size=n_workers,
@@ -619,12 +676,16 @@ class MeasurementEngine:
                     ctx,
                 ),
             ) as pool:
-                futures = []
+                futures = {}
                 for chunk in chunks:
-                    futures.append(pool.submit(_measure_chunk, chunk))
+                    futures[pool.submit(_measure_chunk, chunk)] = chunk
                     _BATCH_SUBMITTED.inc()
                 for fut in as_completed(futures):
-                    items, worker_ms, telemetry = fut.result()
+                    try:
+                        items, worker_ms, telemetry = fut.result()
+                    except BrokenProcessPool:
+                        lost.append(futures[fut])
+                        continue
                     _WORKER_MS.observe(worker_ms)
                     merge_worker_telemetry(telemetry, ctx)
                     for key, m in items:
@@ -643,6 +704,13 @@ class MeasurementEngine:
             # Absorb the runs the workers just persisted, so follow-up
             # serial measurements in this process reuse them.
             self.memo.load()
+        _BATCH_LOST_CHUNKS.inc(len(lost))
+        for chunk in lost:
+            for key, workload, compiler, microarch, input_name in chunk:
+                m = self.measure_configs(workload, compiler, microarch, input_name)
+                for i in pending[key]:
+                    results[i] = m
+        return len(lost)
 
     def measure_batch(
         self,

@@ -59,8 +59,14 @@ _ERRORS = counter("serve.server.errors")
 _CONNECTIONS = counter("serve.server.connections")
 _REQUEST_MS = histogram("serve.server.request_ms")
 
-#: Op label used in stats for lines that never parsed far enough to
-#: carry a valid ``op`` field.
+#: The ops :meth:`PredictionServer._dispatch` implements.
+_OPS = frozenset(
+    {"ping", "models", "info", "predict", "predict_point", "stats", "shutdown"}
+)
+
+#: Op label used in stats for every request whose ``op`` is not in
+#: ``_OPS``, unparseable lines included, so client-chosen names can
+#: never add a metric.
 _INVALID_OP = "_invalid"
 
 
@@ -269,7 +275,7 @@ class PredictionServer:
             if not isinstance(request, dict):
                 raise ValueError("request must be a JSON object")
             request_id = request.get("id")
-            if isinstance(request.get("op"), str):
+            if isinstance(request.get("op"), str) and request["op"] in _OPS:
                 op = request["op"]
             with span("serve.request", op=op or _INVALID_OP):
                 response, stop = self._dispatch(request)
@@ -289,8 +295,9 @@ class PredictionServer:
     def _record_op(self, op: str, elapsed_ms: float, failed: bool) -> None:
         """Attribute one finished request to its op's RED accounting."""
         # Global histogram: feeds `repro stats` / cross-invocation
-        # persistence.  An unknown op still gets a bucket -- a flood of
-        # bad requests is exactly what SLO telemetry must surface.
+        # persistence.  Unknown ops share the `_invalid` bucket: a flood
+        # of bad requests is exactly what SLO telemetry must surface,
+        # without growing one histogram per name.
         histogram(f"serve.server.op_ms.{op}").observe(elapsed_ms)
         with self._lock:
             self._op_counts[op] = self._op_counts.get(op, 0) + 1

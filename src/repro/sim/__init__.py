@@ -21,10 +21,14 @@ Components:
   confidence interval on the CPI estimate;
 * :mod:`repro.sim.tracepack` -- flat-array trace tables the hot loops
   index (built once per binary+trace, shared across configurations);
-* :mod:`repro.sim.memo` -- content-addressed memoization of whole
-  timing runs (see ``docs/SIMULATOR.md``).
+* :mod:`repro.sim.memo` -- the timing key and the store of whole timing
+  runs that the measurement engine keeps (see ``docs/SIMULATOR.md``).
 
-:func:`repro.sim.run.simulate` is the one-call entry point.
+:func:`repro.sim.run.simulate` is the one-call entry point.  Every
+simulator function is pure: the same binary, trace, configuration and
+sampling schedule give the same cycles.  Reusing a run across design
+points is the measurement engine's job
+(:meth:`repro.harness.measure.MeasurementEngine.measure_configs`).
 """
 
 from repro.sim.config import MicroarchConfig

@@ -1,17 +1,22 @@
 """Content-addressed memoization of whole timing runs.
 
 One exact (bit-identical-by-construction) memo over the timing
-simulator, shared across design points, engines and worker processes:
-a whole ``smarts_simulate`` (or exhaustive detailed) outcome, keyed on
-(static binary digest, trace digest, full timing key, sampling
-schedule).  Design points that differ only in compiler flags which
-happened to produce the same machine code -- the dominant case in
-one-factor DOE screens and GA populations -- hit here and skip the
-simulator entirely.
+simulator, shared across design points, engines and worker processes.
+The simulator itself knows nothing of it: the measurement engine
+(:meth:`repro.harness.measure.MeasurementEngine.measure_configs`) looks
+a run up as soon as it has the binary, keyed on md5(static binary
+digest | full timing key | mode | sampling interval), and stores the
+measured cycles, checksum, instruction count and sampling error on a
+miss.  Design points that differ only in compiler flags which happened
+to produce the same machine code -- the dominant case in one-factor DOE
+screens and GA populations -- hit here, and a hit needs neither the
+trace nor the simulator.
 
-There is no finer level.  The static digest fixes the trace, so a
-sampled unit can only repeat inside a run whose key repeats too, and
-that run is served whole before any unit is timed.
+The static digest fixes the trace (:func:`repro.sim.tracepack.static_digest`
+covers everything the functional simulator reads), so the key needs no
+digest of the trace itself.  There is no finer level: a sampled unit
+can only repeat inside a run whose key repeats too, and that run is
+served whole before any unit is timed.
 
 Keys embed the **full** timing key -- every field of
 :class:`MicroarchConfig`, including the structural parameters -- plus a
@@ -22,14 +27,14 @@ Persistence follows the measurement cache's discipline: one JSON file,
 locked read-merge-replace through :func:`repro.store.update_json`.
 Workers load at pool init and save after each chunk, so N workers
 simulate each distinct (binary, microarch, schedule) run once instead
-of N times.  A file from an older version may also hold a ``units``
-map; it still loads, and the map is ignored and dropped on the next
-save.
+of N times.  Entries live under ``binary_runs``.  Older files keep
+theirs under ``runs`` (keyed on a trace digest too, in another payload
+format) and may hold a ``units`` map: both are never read and are
+dropped on the next save.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 from dataclasses import fields
 from pathlib import Path
@@ -71,27 +76,6 @@ class TimingMemo:
         if self._path is not None:
             self.load()
 
-    # -- keys -----------------------------------------------------------
-    @staticmethod
-    def run_key(
-        static_dig: str,
-        trace_dig: str,
-        tkey: str,
-        mode: str,
-        unit_size: int,
-        interval: int,
-        offset: int,
-        warmup: int,
-        cooldown: int,
-    ) -> str:
-        return hashlib.md5(
-            (
-                f"{static_dig}|{trace_dig}|{tkey}|{mode}|{unit_size}|"
-                f"{interval}|{offset}|{warmup}|{cooldown}"
-            ).encode(),
-            usedforsecurity=False,
-        ).hexdigest()
-
     # -- run level ------------------------------------------------------
     def get_run(self, key: str) -> Optional[dict]:
         hit = self._runs.get(key)
@@ -116,21 +100,17 @@ class TimingMemo:
     def n_runs(self) -> int:
         return len(self._runs)
 
-    def clear(self) -> None:
-        self._runs.clear()
-        self._dirty = False
-
     # -- persistence ----------------------------------------------------
     def _absorb(self, raw: dict) -> None:
         """Take in stored entries this memo does not hold."""
         if raw.get("version") != SIM_MEMO_VERSION:
             return
-        for key, value in raw.get("runs", {}).items():
+        for key, value in raw.get("binary_runs", {}).items():
             self._runs.setdefault(key, value)
 
     def _merge_into(self, raw: dict) -> dict:
         self._absorb(raw)
-        return {"version": SIM_MEMO_VERSION, "runs": self._runs}
+        return {"version": SIM_MEMO_VERSION, "binary_runs": self._runs}
 
     def load(self) -> None:
         if self._path is not None:

@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 from repro.codegen.linker import Executable
 from repro.obs import counter, span
 from repro.sim.config import MicroarchConfig
 from repro.sim.func import FunctionalResult, execute
-from repro.sim.memo import TimingMemo, timing_key
 from repro.sim.ooo import OooTimingModel
-from repro.sim.smarts import SmartsResult, smarts_simulate
-from repro.sim.tracepack import packed_for, static_digest
+from repro.sim.smarts import smarts_simulate
 
 _DETAILED_RUNS = counter("sim.detailed_runs")
 _SMARTS_RUNS = counter("sim.smarts_runs")
@@ -40,62 +38,28 @@ def simulate(
     mode: str = "smarts",
     unit_size: int = 1000,
     interval: int = 10,
-    trace: Optional[Sequence[Tuple[int, int]]] = None,
     functional: Optional[FunctionalResult] = None,
-    memo: Optional[TimingMemo] = None,
 ) -> SimulationOutcome:
     """Measure the execution time of ``exe`` on ``config``.
 
     ``mode="smarts"`` uses statistical sampling (the paper's
     methodology); ``mode="detailed"`` simulates every instruction.  A
-    pre-computed functional result/trace may be passed to amortize the
-    functional run across microarchitectures, and a ``memo``
-    (:class:`repro.sim.memo.TimingMemo`) reuses timing work across
-    design points that produced identical machine code.
+    pre-computed functional result may be passed to amortize the
+    functional run across microarchitectures.  The result is a pure
+    function of the binary, ``config``, ``mode`` and the sampling
+    schedule; reusing it across design points is the measurement
+    engine's job (:mod:`repro.sim.memo`).
     """
     if functional is None:
         with span("sim.functional") as sp:
             functional = execute(exe, collect_trace=True)
             sp.set_attrs(instructions=functional.instruction_count)
-    if trace is None:
-        trace = functional.trace
+    trace = functional.trace
     if mode == "detailed":
         _DETAILED_RUNS.inc()
-        run_key = None
-        if memo is not None:
-            packed = packed_for(exe, trace)
-            run_key = TimingMemo.run_key(
-                static_digest(exe),
-                packed.digest(),
-                timing_key(config),
-                "detailed",
-                0,
-                0,
-                0,
-                0,
-                0,
-            )
-            hit = memo.get_run(run_key)
-            if hit is not None:
-                return SimulationOutcome(
-                    cycles=float(hit["cycles"]),
-                    return_value=functional.return_value,
-                    instructions=int(hit["instructions"]),
-                    cpi=float(hit["cpi"]),
-                    sampling_error=0.0,
-                )
         with span("sim.detailed", instructions=len(trace)):
             model = OooTimingModel(exe, config)
             timing = model.simulate_trace(trace)
-        if memo is not None:
-            memo.put_run(
-                run_key,
-                {
-                    "cycles": timing.cycles,
-                    "instructions": timing.instructions,
-                    "cpi": timing.cpi,
-                },
-            )
         return SimulationOutcome(
             cycles=float(timing.cycles),
             return_value=functional.return_value,
@@ -112,7 +76,7 @@ def simulate(
             interval=interval,
         ) as sp:
             est = smarts_simulate(
-                exe, config, trace, unit_size=unit_size, interval=interval, memo=memo
+                exe, config, trace, unit_size=unit_size, interval=interval
             )
             sp.set_attrs(
                 sampled_units=est.sampled_units,

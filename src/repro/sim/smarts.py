@@ -12,26 +12,46 @@ as SMARTS does).
 The paper tuned sampling to <1% error at 99.7% confidence; the benchmark
 ``bench_smarts_accuracy`` reproduces that check against the exhaustive
 simulator.
+
+Everything here is a pure function of the binary, the trace, the
+configuration and the schedule.  The sampling constants below are part
+of the timing semantics: changing one changes cycle counts, so it must
+bump :data:`repro.sim.memo.SIM_MEMO_VERSION`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.codegen.linker import Executable
 from repro.obs import counter, span
 from repro.sim.config import MicroarchConfig
-from repro.sim.memo import TimingMemo, timing_key
-from repro.sim.ooo import OooTimingModel, TimingResult
-from repro.sim.tracepack import packed_for, static_digest
+from repro.sim.ooo import OooTimingModel
+from repro.sim.tracepack import PackedTrace
+
+# Unused: perfbench/tracer.py looks packed_for up here in every benchmark run.
+packed_for = PackedTrace.from_pairs
 
 _UNITS_SAMPLED = counter("smarts.units.sampled")
 _UNITS_SKIPPED = counter("smarts.units.skipped")
 
 #: z-value for 99.7% confidence (three sigma), as the paper quotes.
 Z_997 = 3.0
+
+#: Index of the first sampled unit within each interval.
+SAMPLE_OFFSET = 0
+
+#: Instructions of detailed pipeline warming before each measured unit
+#: (their cycles are discarded), removing cold-start bias.
+DETAILED_WARMUP = 300
+
+#: Instructions past each unit's end that its detailed window walks
+#: through the caches and predictor without timing them.  No commit
+#: cycle depends on a later instruction, so the cool-down never changes
+#: the unit's own cycles; the next unit walks the same positions again.
+DETAILED_COOLDOWN = 150
 
 
 @dataclass
@@ -60,10 +80,6 @@ def smarts_simulate(
     trace: Sequence[Tuple[int, int]],
     unit_size: int = 1000,
     interval: int = 10,
-    offset: int = 0,
-    detailed_warmup: int = 300,
-    detailed_cooldown: int = 150,
-    memo: Optional[TimingMemo] = None,
 ) -> SmartsResult:
     """Estimate execution time by systematic sampling.
 
@@ -75,51 +91,23 @@ def smarts_simulate(
         Detail-simulate one unit in every ``interval`` (the paper's
         billion-instruction runs use 1000; our short traces default to
         10 so enough units are sampled).
-    offset:
-        Index of the first sampled unit within each interval.
-    detailed_warmup:
-        Instructions of detailed pipeline warming before each measured
-        unit (their cycles are discarded), removing cold-start bias.
-    detailed_cooldown:
-        Instructions past each unit's end that its detailed window
-        walks through the caches and predictor without timing them.
-        No commit cycle depends on a later instruction, so the
-        cool-down never changes the unit's own cycles; the next unit
-        walks the same positions again.
-    memo:
-        Optional :class:`repro.sim.memo.TimingMemo`.  A hit on the run
-        key skips the simulation entirely; a miss simulates and stores
-        the outcome.  Results are bit-identical with and without a memo
-        by construction (test-enforced).
+
+    Each sampled unit is timed in a window from ``DETAILED_WARMUP``
+    instructions before it to ``DETAILED_COOLDOWN`` instructions past
+    it; see the module constants.
     """
     if unit_size < 1 or interval < 1:
         raise ValueError("unit_size and interval must be positive")
     n = len(trace)
-    run_key = None
-    if memo is not None:
-        run_key = TimingMemo.run_key(
-            static_digest(exe),
-            packed_for(exe, trace).digest(),
-            timing_key(config),
-            "smarts",
-            unit_size,
-            interval,
-            offset,
-            detailed_warmup,
-            detailed_cooldown,
-        )
-        hit = memo.get_run(run_key)
-        if hit is not None:
-            return SmartsResult(**hit)
     model = OooTimingModel(exe, config)
     unit_cpis: List[float] = []
     pos = 0
     unit_index = 0
     while pos < n:
         end = min(pos + unit_size, n)
-        if unit_index % interval == offset % interval:
-            warm_start = max(0, pos - detailed_warmup)
-            cool_end = min(n, end + detailed_cooldown)
+        if unit_index % interval == SAMPLE_OFFSET % interval:
+            warm_start = max(0, pos - DETAILED_WARMUP)
+            cool_end = min(n, end + DETAILED_COOLDOWN)
             with span("smarts.detailed_unit", unit=unit_index, instructions=end - pos):
                 result = model.simulate_window(
                     trace, warm_start, cool_end, measure_from=pos, measure_to=end
@@ -142,44 +130,31 @@ def smarts_simulate(
         # Degenerate short trace: fall back to detailed simulation.
         with span("smarts.fallback_detailed", instructions=n):
             result = model.simulate_trace(trace)
-        outcome = SmartsResult(
+        return SmartsResult(
             estimated_cycles=float(result.cycles),
             cpi=result.cpi,
             relative_error=0.0,
             sampled_units=1,
             instructions=n,
         )
+    k = len(unit_cpis)
+    mean_cpi = sum(unit_cpis) / k
+    if k > 1:
+        var = sum((c - mean_cpi) ** 2 for c in unit_cpis) / (k - 1)
+        stderr = math.sqrt(var / k)
+        rel_err = Z_997 * stderr / mean_cpi if mean_cpi > 0 else 0.0
+    elif n <= unit_size:
+        # The single unit covered the whole trace: the estimate is exact.
+        rel_err = 0.0
     else:
-        k = len(unit_cpis)
-        mean_cpi = sum(unit_cpis) / k
-        if k > 1:
-            var = sum((c - mean_cpi) ** 2 for c in unit_cpis) / (k - 1)
-            stderr = math.sqrt(var / k)
-            rel_err = Z_997 * stderr / mean_cpi if mean_cpi > 0 else 0.0
-        elif n <= unit_size:
-            # The single unit covered the whole trace: the estimate is exact.
-            rel_err = 0.0
-        else:
-            rel_err = float("inf")
-        outcome = SmartsResult(
-            estimated_cycles=mean_cpi * n,
-            cpi=mean_cpi,
-            relative_error=rel_err,
-            sampled_units=k,
-            instructions=n,
-        )
-    if memo is not None:
-        memo.put_run(
-            run_key,
-            {
-                "estimated_cycles": outcome.estimated_cycles,
-                "cpi": outcome.cpi,
-                "relative_error": outcome.relative_error,
-                "sampled_units": outcome.sampled_units,
-                "instructions": outcome.instructions,
-            },
-        )
-    return outcome
+        rel_err = float("inf")
+    return SmartsResult(
+        estimated_cycles=mean_cpi * n,
+        cpi=mean_cpi,
+        relative_error=rel_err,
+        sampled_units=k,
+        instructions=n,
+    )
 
 
 def smarts_with_target_error(
@@ -189,7 +164,6 @@ def smarts_with_target_error(
     target_relative_error: float = 0.01,
     unit_size: int = 1000,
     initial_interval: int = 20,
-    memo: Optional[TimingMemo] = None,
 ) -> SmartsResult:
     """Iteratively densify sampling until the error bound is met.
 
@@ -202,7 +176,7 @@ def smarts_with_target_error(
     interval = initial_interval
     while True:
         result = smarts_simulate(
-            exe, config, trace, unit_size=unit_size, interval=interval, memo=memo
+            exe, config, trace, unit_size=unit_size, interval=interval
         )
         if result.relative_error <= target_relative_error or interval == 1:
             return result

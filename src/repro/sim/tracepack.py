@@ -8,9 +8,8 @@ tables built once per (executable, trace) and reused across every SMARTS
 window and every microarchitecture sharing the trace:
 
 * :class:`PackedTrace` -- the dynamic trace as two parallel numpy arrays
-  (``pcs``, ``eas``) with a content digest for the timing memo's run
-  key (:mod:`repro.sim.memo`).  :func:`repro.sim.func.execute`
-  returns its trace in this form.  It behaves as a sequence of
+  (``pcs``, ``eas``).  :func:`repro.sim.func.execute` returns its trace
+  in this form.  It behaves as a sequence of
   ``(pc, ea)`` tuples, so existing consumers (``instruction_mix``,
   ``detailed_statistics``, tests) keep working unchanged.
 * :class:`TraceTables` -- per-position pcs, addresses and branch
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -107,14 +106,13 @@ class PackedTrace:
     :class:`TraceTables` is built from.
     """
 
-    __slots__ = ("pcs", "eas", "_digest")
+    __slots__ = ("pcs", "eas")
 
     def __init__(self, pcs: np.ndarray, eas: np.ndarray):
         self.pcs = np.ascontiguousarray(pcs, dtype=np.int64)
         self.eas = np.ascontiguousarray(eas, dtype=np.int64)
         if self.pcs.shape != self.eas.shape:
             raise ValueError("pcs and eas must have the same length")
-        self._digest: Optional[str] = None
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -140,15 +138,6 @@ class PackedTrace:
 
     def __iter__(self) -> Iterator[Tuple[int, int]]:
         return iter(zip(self.pcs.tolist(), self.eas.tolist()))
-
-    # -- content addressing ---------------------------------------------
-    def digest(self) -> str:
-        """Content digest of the whole trace."""
-        if self._digest is None:
-            h = hashlib.md5(self.pcs.tobytes(), usedforsecurity=False)
-            h.update(self.eas.tobytes())
-            self._digest = h.hexdigest()
-        return self._digest
 
 
 def static_digest(exe: Executable) -> str:
@@ -319,29 +308,6 @@ class TraceTables:
         return result
 
 
-def packed_for(exe: Executable, trace: Sequence[Tuple[int, int]]) -> PackedTrace:
-    """The (cached) packed view of a trace, without building tables.
-
-    Digest-only consumers (memo key computation on a run-level hit) need
-    the packed arrays but not the full :class:`TraceTables`; this caches
-    just the conversion, keyed like :func:`tables_for`.
-    """
-    if isinstance(trace, PackedTrace):
-        return trace
-    registry: Dict[int, Tuple[object, PackedTrace]] = getattr(
-        exe, "_repro_packed_traces", None
-    )
-    if registry is None:
-        registry = {}
-        exe._repro_packed_traces = registry  # type: ignore[attr-defined]
-    hit = registry.get(id(trace))
-    if hit is not None and hit[0] is trace:
-        return hit[1]
-    packed = PackedTrace.from_pairs(trace)
-    registry[id(trace)] = (trace, packed)
-    return packed
-
-
 def tables_for(exe: Executable, trace: Sequence[Tuple[int, int]]) -> TraceTables:
     """The (cached) flat tables for one (executable, trace) pair.
 
@@ -360,7 +326,7 @@ def tables_for(exe: Executable, trace: Sequence[Tuple[int, int]]) -> TraceTables
     hit = registry.get(id(trace))
     if hit is not None and hit[0] is trace:
         return hit[1]
-    packed = packed_for(exe, trace)
+    packed = PackedTrace.from_pairs(trace)
     tables = TraceTables(exe, packed)
     registry[id(trace)] = (trace, tables)
     if packed is not trace:

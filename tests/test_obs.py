@@ -444,12 +444,12 @@ class TestEngineCaches:
         def key(cc):
             return ("wl", "train", cc.cache_key(), 4)
 
-        engine._binary_and_trace("wl", "train", O0, 4)
-        engine._binary_and_trace("wl", "train", O2, 4)
+        engine.compile_and_trace("wl", "train", O0, 4)
+        engine.compile_and_trace("wl", "train", O2, 4)
         # Hit O0: under FIFO it would still be the eviction victim; under
         # LRU the hit refreshes it and O2 is evicted instead.
-        engine._binary_and_trace("wl", "train", O0, 4)
-        engine._binary_and_trace("wl", "train", O3, 4)
+        engine.compile_and_trace("wl", "train", O0, 4)
+        engine.compile_and_trace("wl", "train", O3, 4)
         assert key(O0) in engine._trace_cache
         assert key(O2) not in engine._trace_cache
         assert key(O3) in engine._trace_cache
@@ -459,16 +459,17 @@ class TestEngineCaches:
         from repro.opt import O0, O2, O3
 
         before = counter("measure.trace_cache.evictions").value
-        engine._binary_and_trace("wl", "train", O0, 4)
-        engine._binary_and_trace("wl", "train", O2, 4)
-        engine._binary_and_trace("wl", "train", O3, 4)
+        engine.compile_and_trace("wl", "train", O0, 4)
+        engine.compile_and_trace("wl", "train", O2, 4)
+        engine.compile_and_trace("wl", "train", O3, 4)
         assert counter("measure.trace_cache.evictions").value == before + 1
 
     def test_compile_and_trace_public_alias(self, engine):
         from repro.opt import O0
 
-        first = engine.compile_and_trace("wl", "train", O0, 4)
-        assert engine.compile_and_trace("wl", "train", O0, 4) is first
+        exe, functional = engine.compile_and_trace("wl", "train", O0, 4)
+        again = engine.compile_and_trace("wl", "train", O0, 4)
+        assert again[0] is exe and again[1] is functional
 
 
 class TestAtomicSave:

@@ -2,6 +2,8 @@
 concurrent-writer-safe persistent cache."""
 
 import json
+import multiprocessing
+import os
 from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
@@ -11,14 +13,17 @@ import pytest
 
 from repro.harness.configs import TABLE5_CONFIGS
 from repro.harness.measure import (
+    _BATCH_LOST_CHUNKS,
     _BATCH_SUBMITTED,
     EngineOracle,
     Measurement,
     MeasurementEngine,
     default_jobs,
 )
+from repro.obs.ledger import Ledger, reset_default_ledger, set_default_ledger
 from repro.opt import O2, O3
 from repro.pipeline import measure_points
+from repro.sim.config import TYPICAL
 from repro.space import full_space
 
 
@@ -93,6 +98,45 @@ class TestMeasureBatch:
         assert default_jobs() == 1
         monkeypatch.setenv("REPRO_JOBS", "0")
         assert default_jobs() >= 1
+
+
+class TestDeadWorker:
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the dying worker inherits its patch through fork",
+    )
+    def test_dead_worker_loses_no_points(self, monkeypatch, tmp_path):
+        """A worker that dies mid-batch (an OOM kill, a crash) breaks the
+        pool.  The finished chunks are kept, the lost ones are measured
+        again in the parent, and the batch equals a serial engine's."""
+        requests = [
+            (workload, compiler, TYPICAL, "train")
+            for workload in ("gen-chase-3", "gen-loopnest-5")
+            for compiler in (O2, O3)
+        ]
+        expected = MeasurementEngine().measure_many(requests, jobs=1)
+        parent = os.getpid()
+        real = MeasurementEngine.measure_configs
+
+        def dying(self, workload, *args, **kwargs):
+            if os.getpid() != parent and workload == "gen-chase-3":
+                os._exit(1)
+            return real(self, workload, *args, **kwargs)
+
+        monkeypatch.setattr(MeasurementEngine, "measure_configs", dying)
+        ledger = Ledger(tmp_path / "ledger.jsonl")
+        set_default_ledger(ledger)
+        try:
+            before = _BATCH_LOST_CHUNKS.value
+            got = MeasurementEngine().measure_many(requests, jobs=2)
+        finally:
+            reset_default_ledger()
+        assert got == expected
+        lost = _BATCH_LOST_CHUNKS.value - before
+        assert lost in (1, 2)  # the pool may take the other chunk down too
+        (event,) = ledger.events()
+        assert event.kind == "measure_batch"
+        assert event.attrs["lost_chunks"] == lost
 
 
 class TestChunkPlanning:
@@ -379,14 +423,12 @@ class TestFingerprintFips:
         from repro.minic import compile_source
         from repro.models import LinearModel
         from repro.serve.serialize import model_to_payload
-        from repro.sim import TimingMemo, execute, smarts_simulate, static_digest
+        from repro.sim import static_digest
         from repro.sim.config import TYPICAL
-        from repro.sim.tracepack import PackedTrace
         from repro.workgen import corpus_digest, default_grammar
         from tests.util import SUM_LOOP
 
         exe = compile_module(compile_source(SUM_LOOP), O2, issue_width=4)
-        trace = execute(exe, collect_trace=True).trace
         x = np.random.default_rng(0).uniform(-1, 1, (40, full_space().dim))
         model = LinearModel().fit(x, x.sum(axis=1))
 
@@ -394,8 +436,6 @@ class TestFingerprintFips:
             MeasurementEngine._fingerprints.pop(("art", "train"), None)
             exe.__dict__.pop("_repro_static_digest", None)
             program = default_grammar().generate("chase", 3)
-            memo = TimingMemo()
-            smarts_simulate(exe, TYPICAL, trace, unit_size=100, memo=memo)
             return (
                 MeasurementEngine._workload_fingerprint("art", "train"),
                 program.source,
@@ -403,8 +443,7 @@ class TestFingerprintFips:
                 corpus_digest([program]),
                 model_to_payload(model, space=full_space())[0],
                 static_digest(exe),
-                PackedTrace.from_pairs(trace).digest(),
-                sorted(memo._runs),
+                MeasurementEngine()._run_key(exe, TYPICAL),
             )
 
         plain = digests()

@@ -7,12 +7,14 @@ check of ``python3 perfbench/run.py --selftest``, in a fraction of a
 second instead of minutes.  The tracer is loaded from its file and only
 read.
 
-Three targets are inert leftovers of the removed unit-level timing
-memo: ``OooTimingModel.replay_window`` (an alias of ``warm``),
+Four targets are inert leftovers.  Three are of the removed unit-level
+timing memo: ``OooTimingModel.replay_window`` (an alias of ``warm``),
 ``TimingMemo.get_unit`` (returns None) and ``TimingMemo.put_unit``
-(does nothing).  They go once a benchmark-only change drops their three
-``PATCHES`` entries from ``perfbench/tracer.py``; this test then stops
-asking for them.
+(does nothing).  The fourth, ``repro.sim.smarts.packed_for`` (an alias
+of ``PackedTrace.from_pairs`` that nothing calls), is of the run memo's
+trace digest, which left the simulator with the memo.  They go once a
+benchmark-only change drops their four ``PATCHES`` entries from
+``perfbench/tracer.py``; this test then stops asking for them.
 """
 
 import importlib.util

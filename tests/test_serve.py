@@ -446,6 +446,35 @@ class TestServer:
         assert stats["ops"]["_invalid"]["count"] == 1
         assert stats["ops"]["_invalid"]["errors"] == 1
 
+    def test_unknown_ops_share_the_invalid_bucket(self, registry_with_model):
+        """Client-chosen op names cannot grow serving telemetry: a flood
+        of distinct unknown ops adds only the ``_invalid`` op, per
+        server and to the global ``serve.server.op_ms.*`` histograms."""
+        from repro.obs import get_registry
+
+        def op_histograms():
+            return {
+                name
+                for name in get_registry().snapshot()["histograms"]
+                if name.startswith("serve.server.op_ms.")
+            }
+
+        reg, _ = registry_with_model
+        before = op_histograms()
+        with PredictionServer(registry=reg) as server:
+            with PredictionClient(*server.address) as client:
+                for i in range(200):
+                    with pytest.raises(RuntimeError, match="unknown op"):
+                        client.request(f"bogus-{i}")
+                stats = client.stats()
+        assert set(stats["ops"]) == {"_invalid"}
+        assert stats["ops"]["_invalid"]["count"] == 200
+        assert stats["ops"]["_invalid"]["errors"] == 200
+        assert op_histograms() - before <= {
+            "serve.server.op_ms._invalid",
+            "serve.server.op_ms.stats",
+        }
+
     def test_concurrent_clients_match_direct_predict(
         self, registry_with_model
     ):

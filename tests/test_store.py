@@ -187,7 +187,7 @@ class TestQuarantinePerStore:
         assert _corrupt_files(path) == []
         raw = json.loads(path.read_text())
         assert raw["version"] == SIM_MEMO_VERSION
-        assert raw["runs"] == {"new": {"estimated_cycles": 3.0}}
+        assert raw["binary_runs"] == {"new": {"estimated_cycles": 3.0}}
 
     def test_metrics(self, tmp_path):
         path = tmp_path / "metrics.json"

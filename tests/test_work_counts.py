@@ -8,11 +8,10 @@ prediction server:
 * ``cold`` -- accurate SMARTS points from empty stores, at ``jobs=1``,
   over three generated programs.  Two of the points are O2 and O2 with a
   heuristic knob whose flag is off: two compiles, one binary, so the
-  second point is served by the artifact store's trace and the run
-  memo;
+  run memo serves the second point before its trace is loaded;
 * ``stores`` -- the same points on a fresh engine with no result cache:
-  every binary and trace comes from the artifact store and every
-  estimate from the run memo, so nothing compiles or simulates;
+  every binary comes from the artifact store and every estimate from
+  the run memo, so nothing compiles, loads a trace or simulates;
 * ``results`` -- the same points on a fresh engine over the cache
   directory: the result cache serves every one;
 * ``static_ga`` -- a static-oracle linear model build and a GA over it;
