@@ -15,11 +15,16 @@ interaction, a square and a sine, plus noise):
   the 100-row linear model;
 * ``rbf_split_searches_n<rows>`` -- the exact number of regression-tree
   split searches in one RBF-RT fit: one growth to the largest
-  candidate size L makes at most 2L - 1.  The count does not depend on
-  the host.
+  candidate size L makes at most 2L - 1;
+* ``mars_scoring_passes_n<rows>`` -- the exact number of candidate
+  scoring passes (``mars._pair_gain`` calls) in one MARS fit: one per
+  forward step, where scoring each (parent, variable) group on its own
+  made 799 at 100 rows and 3,549 at 400.
 
-The gates are the RBF-RT fit time and its split-search count at 100
-rows.  Results land in the committed ``BENCH_model_fit.json`` via
+Neither count depends on the host.  The gates are the RBF-RT and MARS
+fit times and their counts at 100 rows; the counts are what catch a
+return to per-tree growth or per-group scoring under a loose wall-clock
+threshold.  Results land in the committed ``BENCH_model_fit.json`` via
 ``repro bench``.
 """
 
@@ -28,6 +33,7 @@ import time
 
 import numpy as np
 
+import repro.models.mars as mars
 import repro.models.regression_tree as regression_tree
 from repro.doe import random_candidates
 from repro.harness.model_zoo import standard_factories
@@ -61,20 +67,20 @@ def _median_ms(fn, repeats: int) -> float:
     return statistics.median(times) * 1e3
 
 
-def _split_searches(factory, x, y) -> int:
-    """Split searches in one fit, counted by wrapping the search."""
-    search = regression_tree._best_split
+def _calls(module, name: str, factory, x, y) -> int:
+    """Calls of ``module.<name>`` in one fit, counted by wrapping it."""
+    target = getattr(module, name)
     calls = [0]
 
     def counted(*args):
         calls[0] += 1
-        return search(*args)
+        return target(*args)
 
-    regression_tree._best_split = counted
+    setattr(module, name, counted)
     try:
         factory().fit(x, y)
     finally:
-        regression_tree._best_split = search
+        setattr(module, name, target)
     return calls[0]
 
 
@@ -89,7 +95,10 @@ def _bench(quick: bool) -> dict:
                 lambda: factories[key]().fit(x, y), repeats
             )
         out[f"rbf_split_searches_n{n}"] = float(
-            _split_searches(factories["rbf-rt"], x, y)
+            _calls(regression_tree, "_best_split", factories["rbf-rt"], x, y)
+        )
+        out[f"mars_scoring_passes_n{n}"] = float(
+            _calls(mars, "_pair_gain", factories["mars"], x, y)
         )
 
     space, x, y = _data(100)
@@ -104,8 +113,16 @@ def _bench(quick: bool) -> dict:
 
 BENCH_SCENARIO = BenchScenario(
     name="model_fit",
-    description="fit ms per model family, 60-row linear predict, RBF split searches",
+    description=(
+        "fit ms per model family, 60-row linear predict, RBF split searches, "
+        "MARS scoring passes"
+    ),
     run=_bench,
-    gates={"fit_ms_rbf_n100": "lower", "rbf_split_searches_n100": "lower"},
+    gates={
+        "fit_ms_rbf_n100": "lower",
+        "rbf_split_searches_n100": "lower",
+        "fit_ms_mars_n100": "lower",
+        "mars_scoring_passes_n100": "lower",
+    },
     threshold_pct=50.0,
 )

@@ -7,9 +7,10 @@ response as a linear combination of these basis functions (Equation 6).
 The implementation follows the classical two-phase algorithm:
 
 * **forward pass** -- greedily add the reflected hinge pair (parent basis
-  x variable x knot) that most reduces training SSE, with candidate
-  scoring vectorized over knots via orthogonalization against the current
-  basis;
+  x variable x knot) that most reduces training SSE.  Each parent's
+  candidate hinge columns are built once, when it enters the basis; each
+  step orthogonalizes all of them against the current basis and scores
+  every pair in one pass;
 * **backward pass** -- prune basis functions one at a time, keeping the
   subset minimizing Generalized Cross Validation.
 
@@ -75,43 +76,61 @@ class MarsBasis:
 
 
 def _pair_gain(
-    c_perp: np.ndarray, residual: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
+    c_perp: Sequence[np.ndarray], residual: np.ndarray
+) -> List[np.ndarray]:
     """SSE reduction of jointly adding each (plus, minus) column pair.
 
-    ``c_perp`` has shape (n, 2K): columns 2k and 2k+1 are a reflected pair,
-    already orthogonalized against the current basis.  Returns the gain per
-    pair and per-column squared norms (for degeneracy checks).
+    Each entry of ``c_perp`` stacks G candidate blocks of one width, shape
+    (G, n, 2K): in every block, columns 2k and 2k+1 are a reflected pair,
+    already orthogonalized against the current basis.  Returns the (G, K)
+    gains of each entry; every pair of every entry is scored in one pass.
+
+    Each block is reduced on its own (n, 2K) slab and each 2x2 solve is its
+    own BLAS product, the arithmetic of scoring one block at a time, so a
+    gain does not depend on which other blocks share the pass.
     """
-    n, two_k = c_perp.shape
-    k = two_k // 2
-    a = c_perp[:, 0::2]
-    b = c_perp[:, 1::2]
-    aa = np.einsum("ij,ij->j", a, a)
-    bb = np.einsum("ij,ij->j", b, b)
-    ab = np.einsum("ij,ij->j", a, b)
-    ar = a.T @ residual
-    br = b.T @ residual
-    det = aa * bb - ab * ab
-    gains = np.empty(k)
+    stats = []
+    for block in c_perp:
+        a = block[:, :, 0::2]
+        b = block[:, :, 1::2]
+        stats.append((
+            np.einsum("gij,gij->gj", a, a),
+            np.einsum("gij,gij->gj", b, b),
+            np.einsum("gij,gij->gj", a, b),
+            np.matmul(a.transpose(0, 2, 1), residual),
+            np.matmul(b.transpose(0, 2, 1), residual),
+        ))
+    aa, bb, ab, ar, br = (
+        np.concatenate([s[i].ravel() for s in stats]) for i in range(5)
+    )
     eps = 1e-10
-    for i in range(k):
-        if det[i] > eps * max(aa[i] * bb[i], eps):
-            # Joint 2-column projection gain.
-            inv = np.array([[bb[i], -ab[i]], [-ab[i], aa[i]]]) / det[i]
-            v = np.array([ar[i], br[i]])
-            gains[i] = float(v @ inv @ v)
-        elif aa[i] > eps or bb[i] > eps:
-            # Degenerate pair: score the better single column.
-            ga = ar[i] ** 2 / aa[i] if aa[i] > eps else 0.0
-            gb = br[i] ** 2 / bb[i] if bb[i] > eps else 0.0
-            gains[i] = max(ga, gb)
-        else:
-            gains[i] = -np.inf
-    col_norms = np.empty(two_k)
-    col_norms[0::2] = aa
-    col_norms[1::2] = bb
-    return gains, col_norms
+    aabb = aa * bb
+    det = aabb - ab * ab
+    joint = det > eps * np.where(eps > aabb, eps, aabb)
+    gains = np.full(aa.shape, -np.inf)
+    # Joint 2-column projection gain v @ inv @ v, one BLAS product per pair.
+    inv = np.empty((int(joint.sum()), 2, 2))
+    inv[:, 0, 0] = bb[joint]
+    inv[:, 0, 1] = inv[:, 1, 0] = -ab[joint]
+    inv[:, 1, 1] = aa[joint]
+    inv /= det[joint][:, None, None]
+    v = np.stack([ar[joint], br[joint]], axis=1)
+    gains[joint] = np.matmul(np.matmul(v[:, None, :], inv), v[:, :, None])[:, 0, 0]
+    # Degenerate pair: score the better single column.  ``t ** 2`` on a
+    # NumPy scalar is libm's pow, which is not always ``t * t``.
+    single = ~joint & ((aa > eps) | (bb > eps))
+    ga = np.zeros(aa.shape)
+    gb = np.zeros(aa.shape)
+    for g, r, norm in ((ga, ar, aa), (gb, br, bb)):
+        use = single & (norm > eps)
+        g[use] = np.array([t ** 2 for t in r[use]]) / norm[use]
+    gains[single] = np.where(gb > ga, gb, ga)[single]
+    out, start = [], 0
+    for block in c_perp:
+        g_count, k = block.shape[0], block.shape[2] // 2
+        out.append(gains[start:start + g_count * k].reshape(g_count, k))
+        start += g_count * k
+    return out
 
 
 class MarsModel(RegressionModel):
@@ -127,7 +146,7 @@ class MarsModel(RegressionModel):
         paper's two-factor-interaction focus).
     max_knots:
         Maximum number of candidate knots per (parent, variable) pair;
-        knots are taken at quantiles of the active data.
+        knots are evenly spaced among the distinct active values.
     penalty:
         GCV complexity charge per non-constant basis function (Friedman
         recommends 2-4; 3 is customary when interactions are allowed).
@@ -157,56 +176,104 @@ class MarsModel(RegressionModel):
     def _candidate_knots(
         self, x_col: np.ndarray, active: np.ndarray
     ) -> np.ndarray:
+        """Knots for one (parent, variable) group.
+
+        Every distinct value of the active data but the largest, thinned
+        to ``max_knots`` knots evenly spaced by rank when there are more.
+        """
         values = np.unique(x_col[active]) if active.any() else np.unique(x_col)
         if values.shape[0] < 2:
             return np.empty(0)
-        # Knots at interior data values; cap via quantile subsampling.
-        knots = values[:-1] if values.shape[0] > 2 else values[:1]
+        knots = values[:-1]
         if knots.shape[0] > self.max_knots:
             idx = np.linspace(0, knots.shape[0] - 1, self.max_knots).astype(int)
             knots = knots[idx]
         return knots
 
+    def _candidate_blocks(
+        self, x: np.ndarray, parent: MarsBasis, parent_col: np.ndarray
+    ) -> List[Tuple[int, np.ndarray, np.ndarray]]:
+        """``(var, knots, cand)`` for every variable ``parent`` may split on.
+
+        ``cand`` has shape (n, 2K): columns 2k and 2k+1 are the reflected
+        hinge pair ``parent * max(0, x_var - t_k)``,
+        ``parent * max(0, t_k - x_var)``.  Empty when the parent is at
+        ``max_degree`` or active on fewer than three rows.
+        """
+        active = parent_col > 0
+        if parent.degree >= self.max_degree or active.sum() < 3:
+            return []
+        blocks = []
+        for var in range(x.shape[1]):
+            if var in parent.variables:
+                continue
+            knots = self._candidate_knots(x[:, var], active)
+            if knots.shape[0] == 0:
+                continue
+            xv = x[:, var][:, None]
+            cand = np.empty((x.shape[0], 2 * knots.shape[0]))
+            cand[:, 0::2] = parent_col[:, None] * np.maximum(0.0, xv - knots)
+            cand[:, 1::2] = parent_col[:, None] * np.maximum(0.0, knots - xv)
+            blocks.append((var, knots, cand))
+        return blocks
+
     def _forward(self, x: np.ndarray, y: np.ndarray) -> List[MarsBasis]:
-        n, k = x.shape
+        n = x.shape[0]
         basis = [MarsBasis()]
-        b_cols = [np.ones(n)]
         # Orthonormal basis of the fitted column space + residual.
         q = np.ones((n, 1)) / np.sqrt(n)
         residual = y - q[:, 0] * (q[:, 0] @ y)
         sse_now = float(residual @ residual)
+        # Candidate blocks, built once when their parent enters the basis
+        # and numbered in (parent, variable) order.  Blocks of one width
+        # 2K share a (G, n, 2K) stack; ``found`` locates a block number.
+        stacks: Dict[int, np.ndarray] = {}
+        numbers: Dict[int, List[int]] = {}
+        # Per block number: (width, row in its stack, parent, var, knots).
+        found: List[Tuple[int, int, int, int, np.ndarray]] = []
 
-        while len(basis) + 2 <= self.max_terms:
-            best = None  # (gain, parent_idx, var, knot)
-            for parent_idx, parent in enumerate(basis):
-                if parent.degree >= self.max_degree:
-                    continue
-                parent_col = b_cols[parent_idx]
-                active = parent_col > 0
-                if active.sum() < 3:
-                    continue
-                for var in range(k):
-                    if var in parent.variables:
-                        continue
-                    knots = self._candidate_knots(x[:, var], active)
-                    if knots.shape[0] == 0:
-                        continue
-                    xv = x[:, var][:, None]
-                    plus = parent_col[:, None] * np.maximum(0.0, xv - knots)
-                    minus = parent_col[:, None] * np.maximum(0.0, knots - xv)
-                    cand = np.empty((n, 2 * knots.shape[0]))
-                    cand[:, 0::2] = plus
-                    cand[:, 1::2] = minus
-                    c_perp = cand - q @ (q.T @ cand)
-                    gains, _ = _pair_gain(c_perp, residual)
-                    j = int(np.argmax(gains))
-                    if np.isfinite(gains[j]) and (
-                        best is None or gains[j] > best[0]
-                    ):
-                        best = (float(gains[j]), parent_idx, var, float(knots[j]))
-            if best is None:
+        def enter(parent_idx: int, col: np.ndarray) -> None:
+            new: Dict[int, List[np.ndarray]] = {}
+            for var, knots, cand in self._candidate_blocks(
+                x, basis[parent_idx], col
+            ):
+                width = cand.shape[1]
+                rows = numbers.setdefault(width, [])
+                found.append((width, len(rows), parent_idx, var, knots))
+                rows.append(len(found) - 1)
+                new.setdefault(width, []).append(cand)
+            for width, cands in new.items():
+                added = np.stack(cands)
+                stacks[width] = (
+                    np.concatenate([stacks[width], added])
+                    if width in stacks
+                    else added
+                )
+
+        enter(0, np.ones(n))
+        while stacks and len(basis) + 2 <= self.max_terms:
+            widths = list(stacks)
+            projected = []
+            for w in widths:
+                # One GEMM pair per block, as each would be projected alone
+                # (one GEMM over a wide array changes bits with the column
+                # offset).  Subtracting in place saves a stack-sized buffer.
+                fitted = np.matmul(q, np.matmul(q.T, stacks[w]))
+                projected.append(np.subtract(stacks[w], fitted, out=fitted))
+            gains = _pair_gain(projected, residual)
+            # A block whose best gain is not finite offers nothing; the step
+            # takes the first maximum in (parent, variable, knot) order.
+            top = np.empty(len(found))
+            for width, g in zip(widths, gains):
+                top[numbers[width]] = g.max(axis=1)
+            usable = np.isfinite(top)
+            if not usable.any():
                 break
-            gain, parent_idx, var, knot = best
+            number = int(np.argmax(np.where(usable, top, -np.inf)))
+            width, row, parent_idx, var, knots = found[number]
+            block = gains[widths.index(width)][row]
+            j = int(np.argmax(block))
+            gain, knot = float(block[j]), float(knots[j])
             if gain <= 1e-10 * max(sse_now, 1e-10):
                 break
             parent = basis[parent_idx]
@@ -218,7 +285,7 @@ class MarsModel(RegressionModel):
                 if norm < 1e-8:
                     continue  # degenerate (e.g. hinge inactive everywhere)
                 basis.append(new_basis)
-                b_cols.append(col)
+                enter(len(basis) - 1, col)
                 q_new = c_perp / norm
                 residual = residual - q_new * (q_new @ residual)
                 q = np.column_stack([q, q_new])

@@ -67,6 +67,18 @@ class Variable:
         if self.kind is VariableKind.LOG2:
             if self.low <= 0:
                 raise ValueError(f"log2 variable {self.name!r}: low must be > 0")
+        # Decoding reads the level grid once per coordinate, so compute it
+        # once.  Not a field: equality and hashing stay on the fields.  The
+        # dataclass is frozen, hence ``object.__setattr__``.
+        object.__setattr__(self, "_grid", tuple(self._levels()))
+
+    def __getstate__(self) -> dict:
+        # Pickle the fields alone, as before the grid was stored.
+        return {k: v for k, v in self.__dict__.items() if k != "_grid"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        object.__setattr__(self, "_grid", tuple(self._levels()))
 
     # ------------------------------------------------------------------
     # Transform helpers
@@ -98,8 +110,12 @@ class Variable:
 
         Levels are evenly spaced on the transformed scale, which makes
         power-of-two variables enumerate successive powers of two and
-        linear variables enumerate an arithmetic progression.
+        linear variables enumerate an arithmetic progression.  Returns a
+        new list, so a caller cannot change the stored grid.
         """
+        return list(self._grid)
+
+    def _levels(self) -> List[float]:
         if self.kind is VariableKind.BINARY:
             return [0.0, 1.0]
         t_low, t_high = self._t_low, self._t_high
@@ -127,12 +143,12 @@ class Variable:
         coded = min(1.0, max(-1.0, coded))
         t = self._t_low + (coded + 1.0) / 2.0 * (self._t_high - self._t_low)
         raw = self._untransform(t)
-        return min(self.level_values(), key=lambda v: abs(v - raw))
+        return min(self._grid, key=lambda v: abs(v - raw))
 
     def coded_levels(self) -> List[float]:
         """The coded positions of all levels."""
-        return [self.encode(v) for v in self.level_values()]
+        return [self.encode(v) for v in self._grid]
 
     def is_level(self, value: float) -> bool:
         """Whether ``value`` is one of this variable's legal levels."""
-        return any(abs(value - v) < 1e-9 for v in self.level_values())
+        return any(abs(value - v) < 1e-9 for v in self._grid)

@@ -211,6 +211,24 @@ class TestDiscovery:
             assert s.gates, f"{s.name} has no gated metric"
             assert all(d in ("lower", "higher") for d in s.gates.values())
 
+    def test_committed_baselines_carry_every_declared_gate(self):
+        """``compare_against_baseline`` skips a gated metric the baseline
+        lacks, so a gate added without regenerating the committed
+        ``BENCH_<name>.json`` would never gate in CI."""
+        committed = sorted(REPO_ROOT.glob("BENCH_*.json"))
+        scenarios = {
+            s.name: s for s in discover_scenarios(REPO_ROOT / "benchmarks")
+        }
+        assert committed
+        for path in committed:
+            payload = load_bench_json(path)
+            assert payload is not None, path.name
+            scenario = scenarios[payload["name"]]
+            assert path == bench_json_path(REPO_ROOT, scenario.name)
+            assert payload["gates"] == scenario.gates, path.name
+            missing = sorted(set(scenario.gates) - set(payload["metrics"]))
+            assert not missing, f"{path.name} lacks gated metrics {missing}"
+
     def test_files_without_scenario_are_skipped(self, tmp_path):
         (tmp_path / "bench_plain.py").write_text("X = 1\n")
         (tmp_path / "bench_good.py").write_text(

@@ -53,13 +53,14 @@ class TestPairGain:
         minus = np.maximum(0, 0.1 - x)
         cand = np.column_stack([plus, minus])
         c_perp = cand - q @ (q.T @ cand)
-        gains, _ = _pair_gain(c_perp, residual)
+        (gains,) = _pair_gain([c_perp[None]], residual)
+        assert gains.shape == (1, 1)
 
         # Direct: fit [1, plus, minus] by least squares.
         full = np.column_stack([np.ones(n), plus, minus])
         beta, *_ = np.linalg.lstsq(full, y, rcond=None)
         sse_after = float(np.sum((full @ beta - y) ** 2))
-        assert gains[0] == pytest.approx(sse_before - sse_after, rel=1e-8)
+        assert gains[0, 0] == pytest.approx(sse_before - sse_after, rel=1e-8)
 
     def test_degenerate_pair_scores_single_column(self):
         rng = np.random.default_rng(1)
@@ -73,8 +74,9 @@ class TestPairGain:
         assert np.all(minus == 0)
         cand = np.column_stack([plus, minus])
         c_perp = cand - q @ (q.T @ cand)
-        gains, _ = _pair_gain(c_perp, residual)
-        assert np.isfinite(gains[0]) and gains[0] >= 0
+        (gains,) = _pair_gain([c_perp[None]], residual)
+        assert gains.shape == (1, 1)
+        assert np.isfinite(gains[0, 0]) and gains[0, 0] >= 0
 
 
 class TestTrainingBehaviour:

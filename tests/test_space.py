@@ -84,6 +84,51 @@ class TestVariable:
         assert not v.is_level(4.5)
 
 
+class TestLevelGrid:
+    """Each variable computes its level grid once, at construction."""
+
+    def test_stored_grid_equals_a_fresh_computation(self):
+        for v in full_space().variables:
+            assert isinstance(v._grid, tuple)
+            assert v._grid == tuple(v._levels())
+            assert v.level_values() == list(v._levels())
+            for value in v.level_values():
+                assert v.decode(v.encode(value)) == value
+                assert v.is_level(value)
+            assert v.coded_levels() == [v.encode(t) for t in v._levels()]
+
+    def test_mutating_a_returned_list_leaves_the_grid(self):
+        for v in full_space().variables:
+            coded = np.linspace(-1.0, 1.0, 17)
+            before = [v.decode(c) for c in coded]
+            values = v.level_values()
+            values[:] = [-12345.0] * len(values)
+            assert [v.decode(c) for c in coded] == before
+            assert v.level_values() == list(v._levels())
+
+    def test_fields_equality_hashing_and_pickling_unchanged(self):
+        import copy
+        import dataclasses
+        import pickle
+
+        v = Variable("c", VariableKind.LOG2, 512, 8192, 5, "cache")
+        w = Variable("c", VariableKind.LOG2, 512, 8192, 5, "cache")
+        assert [f.name for f in dataclasses.fields(v)] == [
+            "name", "kind", "low", "high", "levels", "description"
+        ]
+        assert v == w and hash(v) == hash(w)
+        assert hash(v) == hash(("c", VariableKind.LOG2, 512, 8192, 5, "cache"))
+        assert v != Variable("c", VariableKind.LOG2, 512, 8192, 4, "cache")
+        # Pickles hold the fields alone; loading recomputes the grid.
+        assert "_grid" not in v.__getstate__()
+        for clone in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v)):
+            assert clone == v and hash(clone) == hash(v)
+            assert clone._grid == v._grid
+            assert clone.decode(0.3) == v.decode(0.3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v._grid = (1.0,)
+
+
 class TestParameterSpace:
     def make(self):
         return ParameterSpace(
