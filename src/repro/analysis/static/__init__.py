@@ -7,10 +7,11 @@ half).
   reports fired/declined decisions with locations, reasons and
   expected-benefit estimates into scoped collectors, serialized as
   schema-versioned JSONL.
-* :mod:`repro.analysis.static.analyses` -- the pass-manager-driven
-  analyses (loop nests, trip counts, block frequencies, instruction
-  mix/ILP, memory streams + dependence distances + alias classes,
-  branch predictability) assembled into a :class:`ModuleSummary`.
+* :mod:`repro.analysis.static.analyses` -- seven plain analysis
+  functions (CFG, loop forest, trip counts, block frequencies,
+  instruction mix/ILP, memory streams + dependence distances + alias
+  classes, branch predictability) that :func:`analyze_module` calls in
+  order on every function and assembles into a :class:`ModuleSummary`.
 * :mod:`repro.analysis.static.costmodel` -- the analytical cost model
   mapping (summary, pass features, compiler config, microarch config)
   to a cycle estimate in microseconds per point.
@@ -28,10 +29,8 @@ mirroring the parent package.
 from repro.analysis.static import remarks
 
 _LAZY = {
-    "AnalysisManager": "repro.analysis.static.analyses",
     "ModuleSummary": "repro.analysis.static.analyses",
     "analyze_module": "repro.analysis.static.analyses",
-    "default_analyses": "repro.analysis.static.analyses",
     "CostBreakdown": "repro.analysis.static.costmodel",
     "PassFeatures": "repro.analysis.static.costmodel",
     "StaticCostModel": "repro.analysis.static.costmodel",

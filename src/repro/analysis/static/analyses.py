@@ -1,29 +1,33 @@
-"""Pass-manager-driven static analyses over the IR.
+"""Static analyses over the IR: seven plain functions, called in order.
 
-A small analysis manager (:class:`AnalysisManager`) runs registered
-:class:`FunctionAnalysis` / :class:`ModuleAnalysis` passes on demand,
-caches their results, and resolves declared dependencies -- the same
-shape LLVM's analysis manager gives optimization passes, scaled to this
-IR.  The stock analyses compute, per function:
+Each analysis is a module-level function that takes what it reads as
+arguments and returns its result.  :func:`analyze_module` calls each
+one once per IR function, in this (dependency) order:
 
-* ``cfg`` -- successor/predecessor maps and a reverse postorder;
-* ``loops`` -- the natural-loop forest plus depth and innermost-loop
-  maps (interprocedural nesting comes from ``callgraph``);
-* ``trips`` -- static trip counts for counted loops (IV init/step from
-  the latch, bounds through :mod:`value-range <repro.ir>` resolution of
+* :func:`cfg_info` -- successor/predecessor maps;
+* :func:`loop_forest` -- the natural-loop forest plus depth and
+  innermost-loop maps;
+* :func:`trip_counts` -- static trip counts for counted loops (IV
+  init/step from the latch, bounds through affine resolution of
   global-scalar initializers), with a calibrated default when unknown;
-* ``freq`` -- static block-frequency estimates: mass propagation over
-  the back-edge-free CFG, loop bodies scaled by trip counts, loop exits
-  taking ``1/trip`` of the mass;
-* ``mix`` -- per-block instruction mix by functional-unit class and the
-  latency-weighted critical path (the block's ILP bound), tracking how
-  many loads sit on the critical chain;
-* ``memory`` -- per-loop memory streams (base symbol, per-iteration
-  stride in bytes, footprint, reuse class), store->load dependence
-  distances in iterations, and an alias-class partition of memory ops
-  by resolved base symbol;
-* ``branches`` -- branch-predictability classes (loop latch/exit,
-  data-dependent, regular) with a base misprediction probability.
+* :func:`block_freqs` -- static block-frequency estimates: mass
+  propagation over the back-edge-free CFG, loop bodies scaled by trip
+  counts, loop exits taking ``1/trip`` of the mass;
+* :func:`block_mix` -- per-block instruction mix by functional-unit
+  class and the latency-weighted critical path (the block's ILP bound),
+  tracking how many loads sit on the critical chain;
+* :func:`memory_info` -- per-loop memory streams (base symbol,
+  per-iteration stride in bytes, footprint, reuse class), store->load
+  dependence distances in iterations, and an alias-class partition of
+  memory ops by resolved base symbol;
+* :func:`branch_info` -- branch-predictability classes (loop
+  latch/exit, data-dependent, regular) with a base misprediction
+  probability.
+
+Each function's single-definition map and its affine environment are
+built once and passed to the analyses that read them.  Whole-program
+entry frequencies come from propagating call-site frequencies from
+``main``.
 
 ``analyze_module`` assembles everything into a :class:`ModuleSummary`
 -- the static feature vector consumed by the analytical cost model
@@ -36,8 +40,8 @@ it across flag-vector sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.ir import (
     Addr,
@@ -118,106 +122,7 @@ def classify(instr) -> str:
 
 
 # ----------------------------------------------------------------------
-# The analysis manager
-# ----------------------------------------------------------------------
-class AnalysisError(Exception):
-    pass
-
-
-class FunctionAnalysis:
-    """Base class: computes one result per function, cached by name."""
-
-    name: str = ""
-    requires: Tuple[str, ...] = ()
-
-    def run(self, func: Function, am: "AnalysisManager"):
-        raise NotImplementedError
-
-
-class ModuleAnalysis:
-    """Base class: computes one result per module."""
-
-    name: str = ""
-    requires: Tuple[str, ...] = ()
-
-    def run(self, module: Module, am: "AnalysisManager"):
-        raise NotImplementedError
-
-
-class AnalysisManager:
-    """Runs analyses on demand, memoizing per (analysis, function)."""
-
-    def __init__(self, module: Module, analyses: Sequence = ()):
-        self.module = module
-        self._function_analyses: Dict[str, FunctionAnalysis] = {}
-        self._module_analyses: Dict[str, ModuleAnalysis] = {}
-        self._func_cache: Dict[Tuple[str, str], object] = {}
-        self._mod_cache: Dict[str, object] = {}
-        self._running: List[str] = []
-        for a in list(analyses) or default_analyses():
-            self.register(a)
-
-    def register(self, analysis) -> None:
-        if isinstance(analysis, FunctionAnalysis):
-            self._function_analyses[analysis.name] = analysis
-        elif isinstance(analysis, ModuleAnalysis):
-            self._module_analyses[analysis.name] = analysis
-        else:
-            raise AnalysisError(f"not an analysis: {analysis!r}")
-
-    def _check_cycle(self, name: str) -> None:
-        if name in self._running:
-            chain = " -> ".join(self._running + [name])
-            raise AnalysisError(f"analysis dependency cycle: {chain}")
-
-    def on(self, name: str, func: Function):
-        """Result of function analysis ``name`` on ``func`` (cached)."""
-        key = (name, func.name)
-        if key in self._func_cache:
-            return self._func_cache[key]
-        analysis = self._function_analyses.get(name)
-        if analysis is None:
-            raise AnalysisError(f"unknown function analysis {name!r}")
-        self._check_cycle(name)
-        self._running.append(name)
-        try:
-            for dep in analysis.requires:
-                if dep in self._function_analyses:
-                    self.on(dep, func)
-                else:
-                    self.module_result(dep)
-            result = analysis.run(func, self)
-        finally:
-            self._running.pop()
-        self._func_cache[key] = result
-        return result
-
-    def module_result(self, name: str):
-        if name in self._mod_cache:
-            return self._mod_cache[name]
-        analysis = self._module_analyses.get(name)
-        if analysis is None:
-            raise AnalysisError(f"unknown module analysis {name!r}")
-        self._check_cycle(name)
-        self._running.append(name)
-        try:
-            for dep in analysis.requires:
-                self.module_result(dep) if dep in self._module_analyses \
-                    else None
-            result = analysis.run(self.module, self)
-        finally:
-            self._running.pop()
-        self._mod_cache[name] = result
-        return result
-
-    def invalidate(self) -> None:
-        """Drop all cached results (after IR mutation)."""
-        self._func_cache.clear()
-        self._mod_cache.clear()
-
-
-# ----------------------------------------------------------------------
-# Stock analyses
+# The analyses
 # ----------------------------------------------------------------------
 @dataclass
 class CfgInfo:
@@ -225,11 +130,8 @@ class CfgInfo:
     pred: Dict[str, List[str]]
 
 
-class CfgAnalysis(FunctionAnalysis):
-    name = "cfg"
-
-    def run(self, func, am):
-        return CfgInfo(succ=successors(func), pred=predecessors(func))
+def cfg_info(func: Function) -> CfgInfo:
+    return CfgInfo(succ=successors(func), pred=predecessors(func))
 
 
 @dataclass
@@ -241,21 +143,17 @@ class LoopForest:
     depth: Dict[str, int]
 
 
-class LoopAnalysis(FunctionAnalysis):
-    name = "loops"
-    requires = ("cfg",)
-
-    def run(self, func, am):
-        loops = natural_loops(func)
-        innermost: Dict[str, Optional[Loop]] = {
-            b.label: None for b in func.blocks
-        }
-        depth: Dict[str, int] = {b.label: 0 for b in func.blocks}
-        for loop in sorted(loops, key=lambda l: l.depth):
-            for label in loop.body_in_layout_order(func):
-                innermost[label] = loop
-                depth[label] = loop.depth
-        return LoopForest(loops=loops, innermost=innermost, depth=depth)
+def loop_forest(func: Function) -> LoopForest:
+    loops = natural_loops(func)
+    innermost: Dict[str, Optional[Loop]] = {
+        b.label: None for b in func.blocks
+    }
+    depth: Dict[str, int] = {b.label: 0 for b in func.blocks}
+    for loop in sorted(loops, key=lambda l: l.depth):
+        for label in loop.body_in_layout_order(func):
+            innermost[label] = loop
+            depth[label] = loop.depth
+    return LoopForest(loops=loops, innermost=innermost, depth=depth)
 
 
 def _single_defs(func: Function) -> Dict[Temp, object]:
@@ -291,9 +189,11 @@ class _AffineEnv:
     numbers without running the program.
     """
 
-    def __init__(self, func: Function, module: Module):
-        self.single = _single_defs(func)
-        self.scalars = _scalar_inits(module)
+    def __init__(
+        self, single: Dict[Temp, object], scalars: Dict[str, float]
+    ):
+        self.single = single
+        self.scalars = scalars
         self._memo: Dict[Temp, Optional[Tuple[Dict[Temp, float], float]]] = {}
 
     def affine(self, value) -> Optional[Tuple[Dict[Temp, float], float]]:
@@ -390,183 +290,174 @@ class TripInfo:
     ivs: Dict[str, Dict[Temp, float]]
 
 
-class TripCountAnalysis(FunctionAnalysis):
-    name = "trips"
-    requires = ("loops", "cfg")
+def trip_counts(
+    func: Function, cfg: CfgInfo, forest: LoopForest, env: _AffineEnv
+) -> TripInfo:
+    from repro.opt.strength import find_basic_ivs
 
-    def run(self, func, am):
-        from repro.opt.strength import find_basic_ivs
+    counts: Dict[str, Optional[float]] = {}
+    estimates: Dict[str, float] = {}
+    ivs_out: Dict[str, Dict[Temp, float]] = {}
+    for loop in forest.loops:
+        ivs = find_basic_ivs(func, loop)
+        ivs_out[loop.header] = {iv.temp: float(iv.step) for iv in ivs}
+        counts[loop.header] = _trip_count(func, loop, ivs, env, cfg)
+        c = counts[loop.header]
+        estimates[loop.header] = c if c and c > 0 else DEFAULT_TRIP
+    return TripInfo(counts=counts, estimates=estimates, ivs=ivs_out)
 
-        forest: LoopForest = am.on("loops", func)
-        cfg: CfgInfo = am.on("cfg", func)
-        env = _AffineEnv(func, am.module)
-        counts: Dict[str, Optional[float]] = {}
-        estimates: Dict[str, float] = {}
-        ivs_out: Dict[str, Dict[Temp, float]] = {}
-        for loop in forest.loops:
-            ivs = find_basic_ivs(func, loop)
-            ivs_out[loop.header] = {iv.temp: float(iv.step) for iv in ivs}
-            counts[loop.header] = self._trip_count(func, loop, ivs, env, cfg)
-            c = counts[loop.header]
-            estimates[loop.header] = c if c and c > 0 else DEFAULT_TRIP
-        return TripInfo(counts=counts, estimates=estimates, ivs=ivs_out)
 
-    def _trip_count(self, func, loop, ivs, env: _AffineEnv, cfg: CfgInfo):
-        header = func.block(loop.header)
-        term = header.terminator
-        if not isinstance(term, Branch) or not isinstance(term.cond, Temp):
-            return None
-        cmp_instr = None
-        for instr in header.instrs:
-            if isinstance(instr, Cmp) and instr.defs() == term.cond:
-                cmp_instr = instr
-        if cmp_instr is None:
-            return None
-        iv_steps = {t: s for t, s in ((iv.temp, iv.step) for iv in ivs)}
-
-        def side(value):
-            form = env.affine(value)
-            if form is None:
-                return None
-            iv_terms = {
-                t: c for t, c in form[0].items() if t in iv_steps and c
-            }
-            other = {
-                t: c
-                for t, c in form[0].items()
-                if t not in iv_steps and c
-            }
-            if other:
-                return None
-            if len(iv_terms) > 1:
-                return None
-            return (iv_terms, form[1])
-
-        lhs, rhs = side(cmp_instr.a), side(cmp_instr.b)
-        if lhs is None or rhs is None:
-            return None
-        # Normalize to: coeff*iv + c0  <op>  bound (iv on one side only).
-        if lhs[0] and not rhs[0]:
-            iv_side, bound, op = lhs, rhs[1], cmp_instr.op
-        elif rhs[0] and not lhs[0]:
-            swap = {"lt": "gt", "le": "ge", "gt": "lt", "ge": "le"}
-            if cmp_instr.op not in swap and cmp_instr.op not in ("eq", "ne"):
-                return None
-            iv_side, bound, op = rhs, lhs[1], swap.get(cmp_instr.op, cmp_instr.op)
-        else:
-            return None
-        (iv_temp, coeff), = iv_side[0].items()
-        step = iv_steps[iv_temp] * coeff
-        init = self._iv_init(func, loop, iv_temp, env, cfg)
-        if init is None or step == 0:
-            return None
-        start = init * coeff + iv_side[1]
-        if op == "lt" and step > 0:
-            trips = (bound - start + step - 1) // step
-        elif op == "le" and step > 0:
-            trips = (bound - start) // step + 1
-        elif op == "gt" and step < 0:
-            trips = (start - bound - step - 1) // -step
-        elif op == "ge" and step < 0:
-            trips = (start - bound) // -step + 1
-        elif op == "ne" and step != 0:
-            delta = bound - start
-            trips = delta / step if delta % step == 0 else None
-            if trips is None:
-                return None
-        else:
-            return None
-        return float(trips) if trips and trips > 0 else 0.0
-
-    def _iv_init(self, func, loop, iv_temp, env: _AffineEnv, cfg: CfgInfo):
-        """Initial IV value: chase a linear chain of out-of-loop
-        predecessors for the last constant assignment to the IV."""
-        outside = [p for p in cfg.pred[loop.header] if p not in loop.body]
-        if len(outside) != 1:
-            return None
-        label = outside[0]
-        hops = 0
-        while label is not None and hops < 16:
-            block = func.block(label)
-            for instr in reversed(block.instrs):
-                if instr.defs() == iv_temp:
-                    form = env.affine(instr.src) if isinstance(
-                        instr, Copy
-                    ) else None
-                    if form is not None and not form[0]:
-                        return form[1]
-                    return None
-            preds = cfg.pred.get(label, [])
-            label = preds[0] if len(preds) == 1 else None
-            hops += 1
+def _trip_count(func, loop, ivs, env: _AffineEnv, cfg: CfgInfo):
+    header = func.block(loop.header)
+    term = header.terminator
+    if not isinstance(term, Branch) or not isinstance(term.cond, Temp):
         return None
+    cmp_instr = None
+    for instr in header.instrs:
+        if isinstance(instr, Cmp) and instr.defs() == term.cond:
+            cmp_instr = instr
+    if cmp_instr is None:
+        return None
+    iv_steps = {t: s for t, s in ((iv.temp, iv.step) for iv in ivs)}
+
+    def side(value):
+        form = env.affine(value)
+        if form is None:
+            return None
+        iv_terms = {
+            t: c for t, c in form[0].items() if t in iv_steps and c
+        }
+        other = {
+            t: c
+            for t, c in form[0].items()
+            if t not in iv_steps and c
+        }
+        if other:
+            return None
+        if len(iv_terms) > 1:
+            return None
+        return (iv_terms, form[1])
+
+    lhs, rhs = side(cmp_instr.a), side(cmp_instr.b)
+    if lhs is None or rhs is None:
+        return None
+    # Normalize to: coeff*iv + c0  <op>  bound (iv on one side only).
+    if lhs[0] and not rhs[0]:
+        iv_side, bound, op = lhs, rhs[1], cmp_instr.op
+    elif rhs[0] and not lhs[0]:
+        swap = {"lt": "gt", "le": "ge", "gt": "lt", "ge": "le"}
+        if cmp_instr.op not in swap and cmp_instr.op not in ("eq", "ne"):
+            return None
+        iv_side, bound, op = rhs, lhs[1], swap.get(cmp_instr.op, cmp_instr.op)
+    else:
+        return None
+    (iv_temp, coeff), = iv_side[0].items()
+    step = iv_steps[iv_temp] * coeff
+    init = _iv_init(func, loop, iv_temp, env, cfg)
+    if init is None or step == 0:
+        return None
+    start = init * coeff + iv_side[1]
+    if op == "lt" and step > 0:
+        trips = (bound - start + step - 1) // step
+    elif op == "le" and step > 0:
+        trips = (bound - start) // step + 1
+    elif op == "gt" and step < 0:
+        trips = (start - bound - step - 1) // -step
+    elif op == "ge" and step < 0:
+        trips = (start - bound) // -step + 1
+    elif op == "ne" and step != 0:
+        delta = bound - start
+        trips = delta / step if delta % step == 0 else None
+        if trips is None:
+            return None
+    else:
+        return None
+    return float(trips) if trips and trips > 0 else 0.0
 
 
-class FreqAnalysis(FunctionAnalysis):
+def _iv_init(func, loop, iv_temp, env: _AffineEnv, cfg: CfgInfo):
+    """Initial IV value: chase a linear chain of out-of-loop
+    predecessors for the last constant assignment to the IV."""
+    outside = [p for p in cfg.pred[loop.header] if p not in loop.body]
+    if len(outside) != 1:
+        return None
+    label = outside[0]
+    hops = 0
+    while label is not None and hops < 16:
+        block = func.block(label)
+        for instr in reversed(block.instrs):
+            if instr.defs() == iv_temp:
+                form = env.affine(instr.src) if isinstance(
+                    instr, Copy
+                ) else None
+                if form is not None and not form[0]:
+                    return form[1]
+                return None
+        preds = cfg.pred.get(label, [])
+        label = preds[0] if len(preds) == 1 else None
+        hops += 1
+    return None
+
+
+def block_freqs(
+    func: Function, cfg: CfgInfo, forest: LoopForest, trips: TripInfo
+) -> Dict[str, float]:
     """Static block-frequency estimates (executions per function entry)."""
+    headers = {l.header: l for l in forest.loops}
 
-    name = "freq"
-    requires = ("loops", "trips", "cfg")
+    # Forward CFG: drop back edges (u -> header of a loop containing u).
+    fsucc: Dict[str, List[str]] = {}
+    for label, succs in cfg.succ.items():
+        fsucc[label] = [
+            s
+            for s in succs
+            if not (s in headers and label in headers[s].body)
+        ]
+    indeg: Dict[str, int] = {b.label: 0 for b in func.blocks}
+    for label, succs in fsucc.items():
+        for s in succs:
+            indeg[s] += 1
 
-    def run(self, func, am):
-        forest: LoopForest = am.on("loops", func)
-        trips: TripInfo = am.on("trips", func)
-        cfg: CfgInfo = am.on("cfg", func)
-        headers = {l.header: l for l in forest.loops}
+    in_mass: Dict[str, float] = {b.label: 0.0 for b in func.blocks}
+    freq: Dict[str, float] = {b.label: 0.0 for b in func.blocks}
+    in_mass[func.entry.label] = 1.0
+    ready = [func.entry.label]
+    seen = {func.entry.label}
+    order: List[str] = []
+    # Kahn's algorithm from the entry; unreachable blocks keep freq 0.
+    pending = dict(indeg)
+    while ready:
+        label = ready.pop()
+        order.append(label)
+        for s in fsucc[label]:
+            pending[s] -= 1
+            if pending[s] <= 0 and s not in seen:
+                seen.add(s)
+                ready.append(s)
 
-        # Forward CFG: drop back edges (u -> header of a loop containing u).
-        fsucc: Dict[str, List[str]] = {}
-        for label, succs in cfg.succ.items():
-            fsucc[label] = [
-                s
-                for s in succs
-                if not (s in headers and label in headers[s].body)
-            ]
-        indeg: Dict[str, int] = {b.label: 0 for b in func.blocks}
-        for label, succs in fsucc.items():
-            for s in succs:
-                indeg[s] += 1
-
-        in_mass: Dict[str, float] = {b.label: 0.0 for b in func.blocks}
-        freq: Dict[str, float] = {b.label: 0.0 for b in func.blocks}
-        in_mass[func.entry.label] = 1.0
-        ready = [func.entry.label]
-        seen = {func.entry.label}
-        order: List[str] = []
-        # Kahn's algorithm from the entry; unreachable blocks keep freq 0.
-        pending = dict(indeg)
-        while ready:
-            label = ready.pop()
-            order.append(label)
-            for s in fsucc[label]:
-                pending[s] -= 1
-                if pending[s] <= 0 and s not in seen:
-                    seen.add(s)
-                    ready.append(s)
-
-        for label in order:
-            mass = in_mass[label]
-            loop = headers.get(label)
-            f = mass * trips.estimates[label] if loop is not None else mass
-            freq[label] = f
-            succs = fsucc[label]
-            if not succs:
+    for label in order:
+        mass = in_mass[label]
+        loop = headers.get(label)
+        f = mass * trips.estimates[label] if loop is not None else mass
+        freq[label] = f
+        succs = fsucc[label]
+        if not succs:
+            continue
+        inner = forest.innermost.get(label)
+        if inner is not None and len(succs) > 1:
+            inside = [s for s in succs if s in inner.body]
+            outside = [s for s in succs if s not in inner.body]
+            if len(inside) == 1 and len(outside) == 1:
+                # Loop-exit branch: one exit per loop entry.
+                trip = trips.estimates[inner.header]
+                exit_share = f / trip if trip > 0 else f
+                in_mass[outside[0]] += min(exit_share, f)
+                in_mass[inside[0]] += max(f - exit_share, 0.0)
                 continue
-            inner = forest.innermost.get(label)
-            if inner is not None and len(succs) > 1:
-                inside = [s for s in succs if s in inner.body]
-                outside = [s for s in succs if s not in inner.body]
-                if len(inside) == 1 and len(outside) == 1:
-                    # Loop-exit branch: one exit per loop entry.
-                    trip = trips.estimates[inner.header]
-                    exit_share = f / trip if trip > 0 else f
-                    in_mass[outside[0]] += min(exit_share, f)
-                    in_mass[inside[0]] += max(f - exit_share, 0.0)
-                    continue
-            share = f / len(succs)
-            for s in succs:
-                in_mass[s] += share
-        return freq
+        share = f / len(succs)
+        for s in succs:
+            in_mass[s] += share
+    return freq
 
 
 @dataclass
@@ -579,46 +470,43 @@ class BlockMix:
     loads_on_path: int
 
 
-class MixAnalysis(FunctionAnalysis):
-    name = "mix"
-
-    def run(self, func, am):
-        out: Dict[str, BlockMix] = {}
-        for block in func.blocks:
-            mix: Dict[str, int] = {}
-            finish: Dict[Temp, float] = {}
-            loads_chain: Dict[Temp, int] = {}
-            cp = 0.0
-            cp_loads = 0
-            n = 0
-            for instr in block.all_instrs():
-                cls = classify(instr)
-                mix[cls] = mix.get(cls, 0) + 1
-                n += 1
-                start = 0.0
-                chain_loads = 0
-                for u in instr.uses():
-                    if isinstance(u, Temp) and u in finish:
-                        if finish[u] > start:
-                            start = finish[u]
-                            chain_loads = loads_chain.get(u, 0)
-                        elif finish[u] == start:
-                            chain_loads = max(
-                                chain_loads, loads_chain.get(u, 0)
-                            )
-                fin = start + _LATENCY[cls]
-                total_loads = chain_loads + (1 if cls == "load" else 0)
-                d = instr.defs()
-                if d is not None:
-                    finish[d] = fin
-                    loads_chain[d] = total_loads
-                if fin > cp or (fin == cp and total_loads > cp_loads):
-                    cp = fin
-                    cp_loads = total_loads
-            out[block.label] = BlockMix(
-                n_instrs=n, mix=mix, crit_path=cp, loads_on_path=cp_loads
-            )
-        return out
+def block_mix(func: Function) -> Dict[str, BlockMix]:
+    out: Dict[str, BlockMix] = {}
+    for block in func.blocks:
+        mix: Dict[str, int] = {}
+        finish: Dict[Temp, float] = {}
+        loads_chain: Dict[Temp, int] = {}
+        cp = 0.0
+        cp_loads = 0
+        n = 0
+        for instr in block.all_instrs():
+            cls = classify(instr)
+            mix[cls] = mix.get(cls, 0) + 1
+            n += 1
+            start = 0.0
+            chain_loads = 0
+            for u in instr.uses():
+                if isinstance(u, Temp) and u in finish:
+                    if finish[u] > start:
+                        start = finish[u]
+                        chain_loads = loads_chain.get(u, 0)
+                    elif finish[u] == start:
+                        chain_loads = max(
+                            chain_loads, loads_chain.get(u, 0)
+                        )
+            fin = start + _LATENCY[cls]
+            total_loads = chain_loads + (1 if cls == "load" else 0)
+            d = instr.defs()
+            if d is not None:
+                finish[d] = fin
+                loads_chain[d] = total_loads
+            if fin > cp or (fin == cp and total_loads > cp_loads):
+                cp = fin
+                cp_loads = total_loads
+        out[block.label] = BlockMix(
+            n_instrs=n, mix=mix, crit_path=cp, loads_on_path=cp_loads
+        )
+    return out
 
 
 @dataclass
@@ -656,122 +544,120 @@ class MemoryInfo:
     alias_classes: Dict[str, int]
 
 
-class MemoryAnalysis(FunctionAnalysis):
-    name = "memory"
-    requires = ("loops", "trips")
-
-    def run(self, func, am):
-        forest: LoopForest = am.on("loops", func)
-        trips: TripInfo = am.on("trips", func)
-        env = _AffineEnv(func, am.module)
-        module = am.module
-        streams: List[MemStream] = []
-        deps: List[DepDistance] = []
-        alias: Dict[str, int] = {}
-        #: (loop, symbol) -> list of (kind, coeffs-sans-const, const, stride)
-        forms: Dict[Tuple[str, str], List[Tuple[str, tuple, float, float]]] = {}
-        for block in func.blocks:
-            loop = forest.innermost.get(block.label)
-            iv_steps = (
-                trips.ivs.get(loop.header, {}) if loop is not None else {}
-            )
-            for instr in block.all_instrs():
-                if isinstance(instr, Load):
-                    kind = "load"
-                elif isinstance(instr, Store):
-                    kind = "store"
-                elif isinstance(instr, Prefetch):
-                    kind = "prefetch"
-                else:
-                    continue
-                symbol = env.resolve_base(instr.base)
-                alias_key = symbol if symbol is not None else "?unknown"
-                alias[alias_key] = alias.get(alias_key, 0) + 1
-                form = env.affine(instr.offset)
-                stride: Optional[float] = None
-                if form is not None:
-                    stride = sum(
-                        c * iv_steps[t]
-                        for t, c in form[0].items()
-                        if t in iv_steps
-                    )
-                    if any(
-                        c and t not in iv_steps and self._varies_in_loop(
-                            func, loop, t
-                        )
-                        for t, c in form[0].items()
-                    ):
-                        stride = None  # offset varies non-affinely in loop
-                size = (
-                    module.globals[symbol].size_bytes
-                    if symbol in module.globals
-                    else 4096.0
-                )
-                if loop is None:
-                    footprint = 0.0
-                    reuse = "scalar"
-                elif stride is None:
-                    footprint = float(size)
-                    reuse = "random"
-                elif stride == 0:
-                    footprint = 8.0
-                    reuse = "scalar"
-                else:
-                    trip = trips.estimates[loop.header]
-                    footprint = min(float(size), abs(stride) * trip)
-                    reuse = "stream" if abs(stride) <= 32 else "strided"
-                streams.append(
-                    MemStream(
-                        function=func.name,
-                        block=block.label,
-                        loop=loop.header if loop is not None else None,
-                        kind=kind,
-                        symbol=symbol,
-                        stride=stride,
-                        footprint=footprint,
-                        reuse=reuse,
-                    )
-                )
-                if (
-                    loop is not None
-                    and symbol is not None
-                    and form is not None
-                    and stride not in (None, 0)
-                ):
-                    coeff_key = tuple(
-                        sorted(
-                            (t.name, c) for t, c in form[0].items() if c
-                        )
-                    )
-                    slot = forms.setdefault((loop.header, symbol), [])
-                    for okind, okey, oconst, ostride in slot:
-                        if okey == coeff_key and {kind, okind} == {
-                            "load",
-                            "store",
-                        }:
-                            deps.append(
-                                DepDistance(
-                                    function=func.name,
-                                    loop=loop.header,
-                                    symbol=symbol,
-                                    distance=abs(form[1] - oconst)
-                                    / abs(stride),
-                                )
-                            )
-                    slot.append((kind, coeff_key, form[1], stride))
-        return MemoryInfo(
-            streams=streams, dep_distances=deps, alias_classes=alias
+def memory_info(
+    func: Function,
+    module: Module,
+    forest: LoopForest,
+    trips: TripInfo,
+    env: _AffineEnv,
+) -> MemoryInfo:
+    streams: List[MemStream] = []
+    deps: List[DepDistance] = []
+    alias: Dict[str, int] = {}
+    #: (loop, symbol) -> list of (kind, coeffs-sans-const, const, stride)
+    forms: Dict[Tuple[str, str], List[Tuple[str, tuple, float, float]]] = {}
+    for block in func.blocks:
+        loop = forest.innermost.get(block.label)
+        iv_steps = (
+            trips.ivs.get(loop.header, {}) if loop is not None else {}
         )
+        for instr in block.all_instrs():
+            if isinstance(instr, Load):
+                kind = "load"
+            elif isinstance(instr, Store):
+                kind = "store"
+            elif isinstance(instr, Prefetch):
+                kind = "prefetch"
+            else:
+                continue
+            symbol = env.resolve_base(instr.base)
+            alias_key = symbol if symbol is not None else "?unknown"
+            alias[alias_key] = alias.get(alias_key, 0) + 1
+            form = env.affine(instr.offset)
+            stride: Optional[float] = None
+            if form is not None:
+                stride = sum(
+                    c * iv_steps[t]
+                    for t, c in form[0].items()
+                    if t in iv_steps
+                )
+                if any(
+                    c and t not in iv_steps and _varies_in_loop(
+                        func, loop, t
+                    )
+                    for t, c in form[0].items()
+                ):
+                    stride = None  # offset varies non-affinely in loop
+            size = (
+                module.globals[symbol].size_bytes
+                if symbol in module.globals
+                else 4096.0
+            )
+            if loop is None:
+                footprint = 0.0
+                reuse = "scalar"
+            elif stride is None:
+                footprint = float(size)
+                reuse = "random"
+            elif stride == 0:
+                footprint = 8.0
+                reuse = "scalar"
+            else:
+                trip = trips.estimates[loop.header]
+                footprint = min(float(size), abs(stride) * trip)
+                reuse = "stream" if abs(stride) <= 32 else "strided"
+            streams.append(
+                MemStream(
+                    function=func.name,
+                    block=block.label,
+                    loop=loop.header if loop is not None else None,
+                    kind=kind,
+                    symbol=symbol,
+                    stride=stride,
+                    footprint=footprint,
+                    reuse=reuse,
+                )
+            )
+            if (
+                loop is not None
+                and symbol is not None
+                and form is not None
+                and stride not in (None, 0)
+            ):
+                coeff_key = tuple(
+                    sorted(
+                        (t.name, c) for t, c in form[0].items() if c
+                    )
+                )
+                slot = forms.setdefault((loop.header, symbol), [])
+                for okind, okey, oconst, ostride in slot:
+                    if okey == coeff_key and {kind, okind} == {
+                        "load",
+                        "store",
+                    }:
+                        deps.append(
+                            DepDistance(
+                                function=func.name,
+                                loop=loop.header,
+                                symbol=symbol,
+                                distance=abs(form[1] - oconst)
+                                / abs(stride),
+                            )
+                        )
+                slot.append((kind, coeff_key, form[1], stride))
+    return MemoryInfo(
+        streams=streams, dep_distances=deps, alias_classes=alias
+    )
 
-    @staticmethod
-    def _varies_in_loop(func, loop, temp) -> bool:
-        if loop is None:
-            return False
-        for label in loop.body:  # lint: set-order-ok (order-insensitive any)
-            for instr in func.block(label).all_instrs():
-                if instr.defs() == temp:
-                    return True
+
+def _varies_in_loop(func, loop, temp) -> bool:
+    if loop is None:
         return False
+    for label in loop.body:  # lint: set-order-ok (order-insensitive any)
+        for instr in func.block(label).all_instrs():
+            if instr.defs() == temp:
+                return True
+    return False
 
 
 @dataclass
@@ -784,88 +670,74 @@ class BranchInfo:
     mispredict: float
 
 
-class BranchAnalysis(FunctionAnalysis):
-    name = "branches"
-    requires = ("loops", "trips")
-
-    def run(self, func, am):
-        forest: LoopForest = am.on("loops", func)
-        trips: TripInfo = am.on("trips", func)
-        single = _single_defs(func)
-        out: List[BranchInfo] = []
-        for block in func.blocks:
-            term = block.terminator
-            if not isinstance(term, Branch):
-                continue
-            loop = forest.innermost.get(block.label)
-            kind = "regular"
-            prob = 0.10
-            if loop is not None:
-                targets = term.targets()
-                back = any(
-                    t in {l.header for l in forest.loops}
-                    and block.label in forest.innermost
-                    and t == loop.header
-                    for t in targets
-                )
-                exits = [t for t in targets if t not in loop.body]
-                trip = trips.estimates[loop.header]
-                if block.label == loop.header and exits:
-                    kind = "loop_exit"
-                    prob = min(0.5, 1.0 / max(trip, 2.0))
-                elif back:
-                    kind = "loop_latch"
-                    prob = min(0.5, 1.0 / max(trip, 2.0))
-                elif exits:
-                    kind = "loop_exit"
-                    prob = min(0.5, 1.0 / max(trip, 2.0))
-                else:
-                    kind, prob = self._cond_kind(term, single)
+def branch_info(
+    func: Function,
+    forest: LoopForest,
+    trips: TripInfo,
+    single: Dict[Temp, object],
+) -> List[BranchInfo]:
+    out: List[BranchInfo] = []
+    for block in func.blocks:
+        term = block.terminator
+        if not isinstance(term, Branch):
+            continue
+        loop = forest.innermost.get(block.label)
+        kind = "regular"
+        prob = 0.10
+        if loop is not None:
+            targets = term.targets()
+            back = any(
+                t in {l.header for l in forest.loops}
+                and block.label in forest.innermost
+                and t == loop.header
+                for t in targets
+            )
+            exits = [t for t in targets if t not in loop.body]
+            trip = trips.estimates[loop.header]
+            if block.label == loop.header and exits:
+                kind = "loop_exit"
+                prob = min(0.5, 1.0 / max(trip, 2.0))
+            elif back:
+                kind = "loop_latch"
+                prob = min(0.5, 1.0 / max(trip, 2.0))
+            elif exits:
+                kind = "loop_exit"
+                prob = min(0.5, 1.0 / max(trip, 2.0))
             else:
-                kind, prob = self._cond_kind(term, single)
-            out.append(
-                BranchInfo(
-                    function=func.name,
-                    block=block.label,
-                    kind=kind,
-                    mispredict=prob,
-                )
+                kind, prob = _cond_kind(term, single)
+        else:
+            kind, prob = _cond_kind(term, single)
+        out.append(
+            BranchInfo(
+                function=func.name,
+                block=block.label,
+                kind=kind,
+                mispredict=prob,
             )
-        return out
-
-    @staticmethod
-    def _cond_kind(term, single) -> Tuple[str, float]:
-        """Data-dependent branches (condition fed by a load) mispredict
-        far more often than control-induction ones."""
-        cond = term.cond
-        frontier = [cond]
-        hops = 0
-        while frontier and hops < 6:
-            v = frontier.pop()
-            if not isinstance(v, Temp):
-                continue
-            instr = single.get(v)
-            if instr is None:
-                continue
-            if isinstance(instr, Load):
-                return "data", 0.25
-            frontier.extend(
-                u for u in instr.uses() if isinstance(u, Temp)
-            )
-            hops += 1
-        return "regular", 0.10
+        )
+    return out
 
 
-def default_analyses() -> List[object]:
-    return [
-        CfgAnalysis(),
-        LoopAnalysis(),
-        TripCountAnalysis(),
-        FreqAnalysis(),
-        MixAnalysis(),
-        MemoryAnalysis(),
-        BranchAnalysis(),
-    ]
+def _cond_kind(term, single) -> Tuple[str, float]:
+    """Data-dependent branches (condition fed by a load) mispredict
+    far more often than control-induction ones."""
+    cond = term.cond
+    frontier = [cond]
+    hops = 0
+    while frontier and hops < 6:
+        v = frontier.pop()
+        if not isinstance(v, Temp):
+            continue
+        instr = single.get(v)
+        if instr is None:
+            continue
+        if isinstance(instr, Load):
+            return "data", 0.25
+        frontier.extend(
+            u for u in instr.uses() if isinstance(u, Temp)
+        )
+        hops += 1
+    return "regular", 0.10
 
 
 # ----------------------------------------------------------------------
@@ -1069,7 +941,7 @@ class ModuleSummary:
         return problems
 
 
-def _entry_freqs(module: Module, local_freqs, call_sites) -> Dict[str, float]:
+def _entry_freqs(module: Module, call_sites) -> Dict[str, float]:
     """Whole-program entry counts per function, propagated from main
     through call-site frequencies (recursion capped by iteration)."""
     freqs = {name: 0.0 for name in module.functions}
@@ -1093,16 +965,27 @@ def _entry_freqs(module: Module, local_freqs, call_sites) -> Dict[str, float]:
     return freqs
 
 
-def analyze_module(
-    module: Module, am: Optional[AnalysisManager] = None
-) -> ModuleSummary:
-    """Run the full analysis stack and assemble the module summary."""
-    am = am or AnalysisManager(module)
-    local_freqs: Dict[str, Dict[str, float]] = {}
+def analyze_module(module: Module) -> ModuleSummary:
+    """Run the seven analyses once per function, in dependency order,
+    and assemble the module summary."""
+    scalars = _scalar_inits(module)
+    results = {}
     call_sites: Dict[str, List[Tuple[str, str, float]]] = {}
     for name, func in module.functions.items():
-        freq = am.on("freq", func)
-        local_freqs[name] = freq
+        single = _single_defs(func)
+        env = _AffineEnv(single, scalars)
+        cfg = cfg_info(func)
+        forest = loop_forest(func)
+        trips = trip_counts(func, cfg, forest, env)
+        freq = block_freqs(func, cfg, forest, trips)
+        results[name] = (
+            forest,
+            trips,
+            freq,
+            block_mix(func),
+            memory_info(func, module, forest, trips, env),
+            branch_info(func, forest, trips, single),
+        )
         sites: List[Tuple[str, str, float]] = []
         for block in func.blocks:
             for instr in block.instrs:
@@ -1111,16 +994,11 @@ def analyze_module(
                         (instr.callee, block.label, freq[block.label])
                     )
         call_sites[name] = sites
-    entry = _entry_freqs(module, local_freqs, call_sites)
+    entry = _entry_freqs(module, call_sites)
 
     functions: Dict[str, FunctionSummary] = {}
     for name, func in module.functions.items():
-        forest: LoopForest = am.on("loops", func)
-        trips: TripInfo = am.on("trips", func)
-        mix: Dict[str, BlockMix] = am.on("mix", func)
-        memory: MemoryInfo = am.on("memory", func)
-        branches: List[BranchInfo] = am.on("branches", func)
-        freq = local_freqs[name]
+        forest, trips, freq, mix, memory, branches = results[name]
         loops: List[LoopSummary] = []
         for loop in forest.loops:
             iters = freq[loop.header] * entry.get(name, 0.0)

@@ -36,10 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.static.analyses import ModuleSummary
 from repro.opt.flags import CompilerConfig
+from repro.opt.inline import inline_eligible
+from repro.opt.unroll import unroll_factor
 from repro.sim.config import MicroarchConfig
 
 #: Calibration constants (fitted once, global across workloads, by a
@@ -249,8 +251,8 @@ class StaticCostModel:
 
     # ------------------------------------------------------------------
     def _unroll_factor(self, compiler: CompilerConfig, key) -> float:
-        """The factor the unroller would pick for this loop (mirrors
-        ``repro.opt.unroll``)."""
+        """The factor the unroller would pick for this loop (its size
+        limit, then :func:`repro.opt.unroll.unroll_factor`)."""
         if not compiler.unroll_loops:
             return 1.0
         cand = self.features.unrollable.get(key)
@@ -258,24 +260,18 @@ class StaticCostModel:
             return 1.0
         if cand.size > compiler.max_unrolled_insns:
             return 1.0
-        return float(
-            min(
-                compiler.max_unroll_times,
-                max(2, compiler.max_unrolled_insns // max(cand.size, 1)),
-            )
-        )
+        return float(unroll_factor(cand.size, compiler))
 
     def _inlined_sites(self, compiler: CompilerConfig) -> List[InlineSite]:
-        """The sites the inliner would accept (mirrors
-        ``repro.opt.inline``: eligibility, hottest-first order, and the
-        unit-growth budget)."""
+        """The sites the inliner would accept
+        (:func:`repro.opt.inline.inline_eligible`, then the inliner's
+        hottest-first order and unit-growth budget)."""
         if not compiler.inline_functions:
             return []
         eligible = [
             site
             for site in self.features.inline_sites
-            if site.size <= 3 * compiler.inline_call_cost
-            or site.size <= compiler.max_inline_insns_auto
+            if inline_eligible(site.size, compiler)
         ]
         eligible.sort(key=lambda s: (-s.depth, s.size))
         base = float(self.summary.total_instrs)

@@ -13,8 +13,8 @@ unoptimized module under :func:`remarks.collecting` and its quantitative
 remark details (instructions hoisted, callee sizes, stream counts, loop
 sizes) become the :class:`PassFeatures` the cost model replays per
 configuration.  Config-dependent decisions (unroll factor, inline
-eligibility) are recomputed analytically from the recorded sizes, using
-the same formulas as the passes.
+eligibility) are recomputed analytically from the recorded sizes, by
+calling the passes' own rules (``unroll_factor``, ``inline_eligible``).
 
 Estimates carry ``checksum=0`` and ``sampling_error=0.0``: the static
 path never executes the program, and its results must not be confused

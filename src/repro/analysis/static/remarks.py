@@ -91,12 +91,6 @@ class RemarkCollector:
     def add(self, remark: Remark) -> None:
         self.remarks.append(remark)
 
-    def by_pass(self) -> Dict[str, List[Remark]]:
-        out: Dict[str, List[Remark]] = {}
-        for r in self.remarks:
-            out.setdefault(r.pass_name, []).append(r)
-        return out
-
     def counts(self) -> Dict[str, Dict[str, int]]:
         out: Dict[str, Dict[str, int]] = {}
         for r in self.remarks:

@@ -13,8 +13,8 @@ optimization pipeline (the historical default), and ``full`` adds deep
 per-pass IR verification plus machine-code verification after
 instruction selection, register allocation, frame lowering, each
 scheduling pass (dependence-order preservation) and linking.  The level
-comes from the ``verify_level`` argument, the ``REPRO_VERIFY``
-environment variable, or the legacy ``verify`` flag, in that order.
+comes from the ``verify_level`` argument, else the ``REPRO_VERIFY``
+environment variable, else ``ir``.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ def compile_module(
     module: Module,
     config: CompilerConfig,
     issue_width: int = 4,
-    verify: bool = True,
     verify_level: "VerifyLevel | str | None" = None,
 ) -> Executable:
     """Optimize and compile an IR module into an executable.
@@ -87,10 +86,7 @@ def compile_module(
     independent per function, so they are looped phase-major to give
     each phase a single span.
     """
-    level = resolve_verify_level(
-        verify_level,
-        default=VerifyLevel.IR if verify else VerifyLevel.OFF,
-    )
+    level = resolve_verify_level(verify_level)
     mc = None
     if level.is_full:
         # Lazy: the analysis layer is opt-in and the default compile

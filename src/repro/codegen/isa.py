@@ -99,10 +99,6 @@ class OpClass(enum.Enum):
             OpClass.RET,
         )
 
-    @property
-    def is_memory(self) -> bool:
-        return self in (OpClass.LOAD, OpClass.STORE, OpClass.PREFETCH)
-
 
 #: opcode -> OpClass for every opcode in the ISA.
 OPCODE_CLASS = {

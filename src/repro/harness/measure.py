@@ -18,9 +18,10 @@ Caching layers (see ``docs/SIMULATOR.md`` for keys and invalidation):
   timing key | mode | interval) (:mod:`repro.sim.memo`).  The lookup
   happens as soon as the binary is built or loaded: a hit needs
   neither the trace nor the simulator;
-* (cycles, checksum) results are memoized on the full point, optionally
-  persisted to ``.repro_cache/measurements.json`` so the benchmark suite
-  reuses measurements across processes.
+* (cycles, checksum) results are memoized on the full point (the
+  compiler's cache key and the microarchitecture's full timing key),
+  optionally persisted to ``.repro_cache/measurements.json`` so the
+  benchmark suite reuses measurements across processes.
 
 Design points are independent of one another, so batches of them are
 embarrassingly parallel: :meth:`MeasurementEngine.measure_many` /
@@ -37,7 +38,6 @@ worker count.
 from __future__ import annotations
 
 import hashlib
-import json  # noqa: F401 - tests patch json.dump through this module
 import multiprocessing
 import os
 import time
@@ -68,7 +68,7 @@ from repro.opt.flags import CompilerConfig
 from repro.sim import simulate
 from repro.sim.config import MicroarchConfig
 from repro.sim.func import FunctionalResult, execute
-from repro.sim.memo import SIM_MEMO_VERSION, TimingMemo, timing_key
+from repro.sim.memo import TimingMemo, timing_key
 from repro.sim.tracepack import static_digest
 from repro.workloads import get_workload
 
@@ -261,12 +261,11 @@ class MeasurementEngine:
                 input_name,
                 cls._workload_fingerprint(workload, input_name),
                 f"cc{COMPILER_VERSION}",
-                f"sim{SIM_MEMO_VERSION}",
                 mode,
                 str(interval),
             ]
             + [str(v) for v in compiler.cache_key()]
-            + [str(v) for v in microarch.cache_key()]
+            + [timing_key(microarch)]
         )
         return "|".join(parts)
 
@@ -387,6 +386,17 @@ class MeasurementEngine:
         key = self._result_key(
             workload, input_name, compiler, microarch, self.mode, self.smarts_interval
         )
+        return self._measure_keyed(key, workload, compiler, microarch, input_name)
+
+    def _measure_keyed(
+        self,
+        key: str,
+        workload: str,
+        compiler: CompilerConfig,
+        microarch: MicroarchConfig,
+        input_name: str,
+    ) -> Measurement:
+        """:meth:`measure_configs` for a caller holding the result key."""
         cached = self._result_cache.get(key)
         if cached is not None:
             _RESULT_HITS.inc()
@@ -512,12 +522,15 @@ class MeasurementEngine:
         requests = list(requests)
         jobs = self.jobs if jobs is None else max(1, int(jobs))
         results: List[Optional[Measurement]] = [None] * len(requests)
-        #: cache key -> indices into `requests` still needing measurement.
-        pending: "OrderedDict[str, List[int]]" = OrderedDict()
-        for i, (workload, comp, micro, input_name) in enumerate(requests):
-            key = self._result_key(
+        keys = [
+            self._result_key(
                 workload, input_name, comp, micro, self.mode, self.smarts_interval
             )
+            for workload, comp, micro, input_name in requests
+        ]
+        #: cache key -> indices into `requests` still needing measurement.
+        pending: "OrderedDict[str, List[int]]" = OrderedDict()
+        for i, key in enumerate(keys):
             cached = self._result_cache.get(key)
             if cached is not None:
                 _RESULT_HITS.inc()
@@ -528,9 +541,9 @@ class MeasurementEngine:
         # Static estimates are microseconds each: the pool's per-worker
         # startup would dwarf the work, so they always run in-process.
         if pending and (jobs <= 1 or len(pending) == 1 or self.mode == "static"):
-            for indices in pending.values():
+            for key, indices in pending.items():
                 workload, comp, micro, input_name = requests[indices[0]]
-                m = self.measure_configs(workload, comp, micro, input_name)
+                m = self._measure_keyed(key, workload, comp, micro, input_name)
                 for i in indices:
                     results[i] = m
         elif pending:
@@ -538,12 +551,15 @@ class MeasurementEngine:
                 requests, pending, results, jobs
             )
         if requests:
-            self._record_batch_provenance(requests, pending, jobs, lost_chunks)
+            self._record_batch_provenance(
+                requests, keys, pending, jobs, lost_chunks
+            )
         return results  # type: ignore[return-value]
 
     def _record_batch_provenance(
         self,
         requests: Sequence[Tuple[str, CompilerConfig, MicroarchConfig, str]],
+        keys: Sequence[str],
         pending: "OrderedDict[str, List[int]]",
         jobs: int,
         lost_chunks: int,
@@ -558,12 +574,6 @@ class MeasurementEngine:
         ``lost_chunks`` counts pool chunks whose worker died; their
         points were measured again in this process.
         """
-        keys = [
-            self._result_key(
-                w, inp, comp, micro, self.mode, self.smarts_interval
-            )
-            for w, comp, micro, inp in requests
-        ]
         workloads = sorted({r[0] for r in requests})
         inputs = sorted({r[3] for r in requests})
         record_event(
@@ -612,7 +622,7 @@ class MeasurementEngine:
                 input_name,
                 comp.cache_key(),
                 micro.issue_width,
-                micro.cache_key(),
+                timing_key(micro),
             )
             cost = self._estimated_cost(workload, input_name)
             tasks.append((order, cost, (key, workload, comp, micro, input_name)))
@@ -707,7 +717,9 @@ class MeasurementEngine:
         _BATCH_LOST_CHUNKS.inc(len(lost))
         for chunk in lost:
             for key, workload, compiler, microarch, input_name in chunk:
-                m = self.measure_configs(workload, compiler, microarch, input_name)
+                m = self._measure_keyed(
+                    key, workload, compiler, microarch, input_name
+                )
                 for i in pending[key]:
                     results[i] = m
         return len(lost)

@@ -15,10 +15,6 @@ class Type(enum.Enum):
     #: Functions with no return value.
     VOID = "void"
 
-    @property
-    def is_numeric(self) -> bool:
-        return self in (Type.INT, Type.FLOAT)
-
 
 #: Size in bytes of every scalar value and array element.
 WORD_SIZE = 8

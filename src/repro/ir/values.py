@@ -37,11 +37,3 @@ class Const:
 
 
 Value = Union[Temp, Const]
-
-
-def int_const(value: int) -> Const:
-    return Const(int(value), Type.INT)
-
-
-def float_const(value: float) -> Const:
-    return Const(float(value), Type.FLOAT)

@@ -88,9 +88,3 @@ class RegressionModel(abc.ABC):
     @property
     def is_fitted(self) -> bool:
         return self._fitted
-
-    # ------------------------------------------------------------------
-    def _name_of(self, index: int) -> str:
-        if self.variable_names:
-            return self.variable_names[index]
-        return f"x{index}"

@@ -146,12 +146,6 @@ class LinearModel(RegressionModel):
     def n_params(self) -> int:
         return int(self._active.shape[0])
 
-    @property
-    def training_sse(self) -> float:
-        if self._sse is None:
-            raise RuntimeError("model is not fitted")
-        return self._sse
-
     def coefficients(self) -> Dict[str, float]:
         """Term name -> partial regression coefficient (coded scale)."""
         if not self._fitted:

@@ -92,10 +92,6 @@ def capture_context() -> TelemetryContext:
     )
 
 
-#: The context installed in this worker process (None in the parent).
-_WORKER_CONTEXT: Optional[TelemetryContext] = None
-
-
 def install_context(ctx: Optional[TelemetryContext]) -> None:
     """Adopt a parent's telemetry context (pool-initializer side).
 
@@ -104,17 +100,11 @@ def install_context(ctx: Optional[TelemetryContext]) -> None:
     shipped back a second time -- and aligns its enabled flag and trace
     id with the parent's.
     """
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = ctx
     tracer = get_tracer()
     tracer.reset()
     if ctx is not None:
         tracer.enabled = ctx.trace_enabled
         tracer.trace_id = ctx.trace_id
-
-
-def current_context() -> Optional[TelemetryContext]:
-    return _WORKER_CONTEXT
 
 
 def begin_task() -> None:

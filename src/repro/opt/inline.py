@@ -82,12 +82,14 @@ def _collect_sites(module: Module, config: CompilerConfig) -> List[_Site]:
     return sites
 
 
-def _site_eligible(site: _Site, config: CompilerConfig) -> bool:
+def inline_eligible(callee_size: int, config: CompilerConfig) -> bool:
+    """Whether a callee of ``callee_size`` instructions may be inlined
+    (the static cost model re-decides sites with this rule too)."""
     # Trivially small callees are always beneficial: the body is barely
     # bigger than the call overhead itself.
-    if site.callee_size <= 3 * config.inline_call_cost:
+    if callee_size <= 3 * config.inline_call_cost:
         return True
-    return site.callee_size <= config.max_inline_insns_auto
+    return callee_size <= config.max_inline_insns_auto
 
 
 def _inline_at(
@@ -182,7 +184,7 @@ def inline_functions(module: Module, config: CompilerConfig) -> int:
     for round_idx in range(4):
         sites = []
         for s in _collect_sites(module, config):
-            if _site_eligible(s, config):
+            if inline_eligible(s.callee_size, config):
                 sites.append(s)
             elif round_idx == 0:
                 remarks.emit(

@@ -13,8 +13,8 @@ body is ``u`` clones of the original body (each containing the IV
 update), and the untouched original loop mops up the leftover iterations.
 
 Heuristics (Table 1, rows 13-14): a loop qualifies when its size is at
-most ``max_unrolled_insns``; the unroll factor is
-``min(max_unroll_times, max_unrolled_insns // size)``.
+most ``max_unrolled_insns``; the unroll factor (:func:`unroll_factor`)
+is ``min(max_unroll_times, max(2, max_unrolled_insns // size))``.
 
 Only innermost loops are unrolled.  Cloned blocks reuse the original
 virtual registers (the IR is not SSA), so unrolling lengthens live ranges
@@ -184,6 +184,15 @@ def _loop_size(func: Function, loop: Loop) -> int:
     )
 
 
+def unroll_factor(size: int, config: CompilerConfig) -> int:
+    """The unroll factor for a loop body of ``size`` instructions (the
+    static cost model re-decides loops with this rule too)."""
+    return min(
+        config.max_unroll_times,
+        max(2, config.max_unrolled_insns // max(size, 1)),
+    )
+
+
 def _clone_blocks(
     func: Function,
     labels: List[str],
@@ -291,10 +300,7 @@ def unroll_loops(module: Module, config: CompilerConfig) -> int:
                             size=size,
                         )
                     continue
-                factor = min(
-                    config.max_unroll_times,
-                    max(2, config.max_unrolled_insns // max(size, 1)),
-                )
+                factor = unroll_factor(size, config)
                 if factor < 2:
                     if remarks.enabled():
                         decline(

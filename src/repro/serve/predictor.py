@@ -211,10 +211,6 @@ class Predictor:
         with self._lock:
             return len(self._cache)
 
-    def clear_cache(self) -> None:
-        with self._lock:
-            self._cache.clear()
-
     def info(self) -> Dict[str, Any]:
         """Serving metadata (used by the wire protocol's ``info`` op)."""
         return {

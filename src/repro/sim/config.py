@@ -68,9 +68,6 @@ class MicroarchConfig:
             name: float(getattr(self, name)) for name in self._PARAM_NAMES
         }
 
-    def cache_key(self) -> tuple:
-        return tuple(getattr(self, n) for n in self._PARAM_NAMES)
-
 
 #: The paper's Table 5 configurations.
 CONSTRAINED = MicroarchConfig(

@@ -123,10 +123,6 @@ class TimingResult:
     def cpi(self) -> float:
         return self.cycles / self.instructions if self.instructions else 0.0
 
-    @property
-    def ipc(self) -> float:
-        return self.instructions / self.cycles if self.cycles else 0.0
-
 
 class OooTimingModel:
     """Reusable timing state for one executable on one configuration."""

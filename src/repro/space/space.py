@@ -96,9 +96,6 @@ class ParameterSpace:
             return np.empty((0, self.dim))
         return np.vstack(rows)
 
-    def decode_matrix(self, coded: np.ndarray) -> List[Dict[str, float]]:
-        return [self.decode(row) for row in np.atleast_2d(coded)]
-
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------

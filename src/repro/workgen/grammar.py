@@ -186,9 +186,3 @@ class Grammar:
             params=params,
             source=source,
         )
-
-    def sample_family(self, rng: np.random.Generator) -> str:
-        """Weighted family draw (used by corpus generation)."""
-        weights = np.array([s.weight for s in self._skeletons], dtype=float)
-        probs = weights / weights.sum()
-        return self._skeletons[int(rng.choice(len(probs), p=probs))].family

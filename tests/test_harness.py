@@ -1,6 +1,7 @@
 """Tests for the measurement engine and harness plumbing."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,7 +134,10 @@ class TestMeasurementEngine:
                 "3",
             ]
             + [str(v) for v in O2.cache_key()]
-            + [str(v) for v in typical.cache_key()]
+            # The 11 Table 2 values of TYPICAL, as keys of that time
+            # spelled the microarchitecture.
+            + ["4", "2048", "64", "32768", "32768", "1", "2", "1048576"]
+            + ["4", "10", "100"]
         )
         # mcf train's measurement at O2/TYPICAL.
         stale = {
@@ -149,6 +153,23 @@ class TestMeasurementEngine:
         assert engine.simulations == 1
         # The IR interpreter's checksum of mcf on input ref.
         assert m.checksum == -5262
+
+    def test_structural_fields_key_the_result_cache(self):
+        """Two microarchitectures that differ only outside Table 2 time
+        differently, so one engine must not serve the first one's result
+        for the second.  Keyed on the 11 Table 2 values, the second call
+        returned the first call's 12,341.8 cycles instead of 14,446.4."""
+        typical = TABLE5_CONFIGS["typical"]
+        slow = replace(typical, mispredict_penalty=12, bus_transfer_cycles=40)
+        engine = MeasurementEngine(jobs=1)
+        first = engine.measure_configs("gen-branchy-3", O2, typical)
+        second = engine.measure_configs("gen-branchy-3", O2, slow)
+        fresh = MeasurementEngine(jobs=1).measure_configs(
+            "gen-branchy-3", O2, slow
+        )
+        assert engine.simulations == 2
+        assert second == fresh
+        assert second.cycles > first.cycles
 
     def test_oracle_interface(self):
         engine = MeasurementEngine()

@@ -496,12 +496,10 @@ class TestAtomicSave:
         eng._result_cache["k2"] = eng._result_cache["k"]
         eng._dirty = True
 
-        from repro.harness import measure as m
-
         def boom(*a, **k):
             raise OSError("disk full")
 
-        monkeypatch.setattr(m.json, "dump", boom)
+        monkeypatch.setattr(json, "dump", boom)
         with pytest.raises(OSError):
             eng.save()
         # The original file is intact and no temp debris remains.
