@@ -73,9 +73,7 @@ Commands
 ``trace``
     Run any other command with tracing enabled and dump the spans as
     JSONL + Chrome ``trace_event`` JSON + a self-timing text report
-    (equivalent to ``REPRO_TRACE=1 python -m repro <cmd>``).  With
-    ``--gc`` it instead prunes old telemetry files from the trace
-    directory by age (``--max-age``) and/or count (``--max-files``).
+    (equivalent to ``REPRO_TRACE=1 python -m repro <cmd>``).
 ``stats``
     Print the telemetry counters/histograms accumulated in
     ``<cache_dir>/metrics.json`` across runs (see docs/OBSERVABILITY.md);
@@ -86,14 +84,6 @@ Commands
 ``lineage``
     Reconstruct a registry model's provenance chain from the ledger:
     publish -> fit -> measurement batches -> serve sessions -> alerts.
-``monitor``
-    Evaluate alert rules (thresholds + EWMA drift) over metric
-    snapshots -- a fixture series, a ``/metrics`` endpoint, or the
-    persisted ``metrics.json``; fired alerts land in the ledger and set
-    a nonzero exit code for CI.
-``top``
-    Live terminal dashboard over a ``/metrics`` endpoint (and,
-    optionally, a running ``repro serve`` instance's RED stats).
 """
 
 from __future__ import annotations
@@ -485,20 +475,12 @@ def _measure_random_points(args) -> int:
         f"({args.input}), seed {args.seed}, jobs {jobs or engine.jobs}, "
         f"oracle {args.oracle}"
     )
-    metrics_server = None
-    if args.metrics_port is not None:
-        from repro.obs import start_metrics_server
-
-        metrics_server = start_metrics_server(args.metrics_port)
-        print(f"  metrics: {metrics_server.url}")
     try:
         measurements = engine.measure_batch(
             args.workload, points, args.input, jobs=jobs
         )
     finally:
         engine.save()
-        if metrics_server is not None:
-            metrics_server.close()
     for i, m in enumerate(measurements):
         print(
             f"  point {i:3d}: {m.cycles:12.0f} cycles "
@@ -513,7 +495,7 @@ def _measure_random_points(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from repro.obs.bench import discover_scenarios, run_scenarios
+    from repro.obs.bench import ScenarioFailures, discover_scenarios, run_scenarios
 
     bench_dir = Path(args.bench_dir)
     scenarios = discover_scenarios(bench_dir)
@@ -533,21 +515,28 @@ def cmd_bench(args) -> int:
         scenarios = [by_name[n] for n in args.scenarios]
     if not scenarios:
         raise SystemExit(f"no BENCH_SCENARIO found in {bench_dir}/bench_*.py")
-    written, regressions = run_scenarios(
-        scenarios,
-        args.out,
-        quick=args.quick,
-        baseline_dir=args.baseline,
-        threshold_pct=args.threshold,
-        gate=not args.no_gate,
-    )
+    failed = {}
+    try:
+        written, regressions = run_scenarios(
+            scenarios,
+            args.out,
+            quick=args.quick,
+            baseline_dir=args.baseline,
+            threshold_pct=args.threshold,
+            gate=not args.no_gate,
+        )
+    except ScenarioFailures as exc:
+        written, regressions, failed = exc.written, exc.regressions, exc.failed
     print(f"\n{len(written)} result file(s) written")
+    if failed:
+        print(f"SCENARIOS FAILED ({len(failed)}):")
+        for name, error in failed.items():
+            print(f"  {name}: {error}")
     if regressions:
         print(f"REGRESSION GATE FAILED ({len(regressions)} finding(s)):")
         for finding in regressions:
             print("  " + finding.describe())
-        return 1
-    return 0
+    return 1 if failed or regressions else 0
 
 
 def cmd_disasm(args) -> int:
@@ -740,7 +729,6 @@ def cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         allow_remote_shutdown=not args.no_remote_shutdown,
-        metrics_port=args.metrics_port,
     )
     host, port = server.address
     known = registry.names()
@@ -749,8 +737,6 @@ def cmd_serve(args) -> int:
         f"  models: {', '.join(known) if known else '(none registered yet)'}"
     )
     print("  protocol: one JSON object per line (see docs/SERVING.md)")
-    if server.metrics_url:
-        print(f"  metrics: {server.metrics_url}")
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -1053,27 +1039,11 @@ def _dump_trace(out_dir: Path) -> None:
 def cmd_trace(args) -> int:
     from repro.obs import get_tracer
 
-    if args.gc:
-        from repro.obs import gc_directory
-
-        out_dir = Path(args.out) if args.out else _trace_out_dir()
-        report = gc_directory(
-            out_dir,
-            max_age_s=_parse_age(args.max_age) if args.max_age else None,
-            max_files=args.max_files,
-            dry_run=args.dry_run,
-        )
-        verb = "would remove" if args.dry_run else "removed"
-        print(f"trace gc {out_dir}: {report.summary().replace('removed', verb, 1)}")
-        return 0
     rest = list(args.rest)
     if rest and rest[0] == "--":
         rest = rest[1:]
     if not rest:
-        raise SystemExit(
-            "usage: repro trace [--out DIR] <command> [args...] | "
-            "repro trace --gc [--max-age AGE] [--max-files N]"
-        )
+        raise SystemExit("usage: repro trace [--out DIR] <command> [args...]")
     tracer = get_tracer()
     tracer.reset()
     tracer.enable()
@@ -1247,74 +1217,6 @@ def cmd_lineage(args) -> int:
     if args.require_complete and not lineage.complete:
         return 1
     return 0
-
-
-def cmd_monitor(args) -> int:
-    from repro.obs.ledger import default_ledger
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.monitor import (
-        Monitor,
-        default_rules,
-        load_rules,
-        load_snapshot_series,
-    )
-
-    rules = load_rules(args.rules) if args.rules else default_rules()
-    ledger = None
-    if not args.no_ledger:
-        try:
-            ledger = _ledger(args)
-        except SystemExit:
-            ledger = default_ledger()  # disabled -> alerts just print
-    monitor = Monitor(rules, ledger=ledger)
-
-    if args.series:
-        monitor.observe_series(load_snapshot_series(args.series))
-    elif args.url:
-        import time as _time
-
-        from repro.obs.promexport import scrape, snapshot_from_prometheus
-
-        for i in range(args.count):
-            monitor.observe(snapshot_from_prometheus(scrape(args.url)))
-            if i + 1 < args.count:
-                _time.sleep(args.interval)
-    else:
-        path = _metrics_path()
-        snapshot = (
-            MetricsRegistry.load_persisted(path) if path is not None else None
-        )
-        if not snapshot:
-            raise SystemExit(
-                "nothing to monitor: no persisted metrics found "
-                f"({path}); pass --url or --series instead"
-            )
-        monitor.observe(snapshot)
-
-    print(monitor.summary())
-    return 1 if monitor.fired else 0
-
-
-def cmd_top(args) -> int:
-    from repro.obs.top import run_top
-
-    serve_addr = None
-    if args.serve:
-        host, _, port = args.serve.rpartition(":")
-        if not host or not port.isdigit():
-            raise SystemExit(f"bad --serve {args.serve!r}; expected HOST:PORT")
-        serve_addr = (host, int(port))
-    url = args.url
-    if "://" not in url:
-        url = f"http://{url}"
-    if not url.rstrip("/").endswith("/metrics"):
-        url = url.rstrip("/") + "/metrics"
-    return run_top(
-        url,
-        serve_addr=serve_addr,
-        interval=args.interval,
-        iterations=1 if args.once else args.iterations,
-    )
 
 
 _FINAL_FLUSH_REGISTERED = False
@@ -1554,14 +1456,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="profile output directory (default $REPRO_TRACE_DIR "
                 "or .repro_trace)",
             )
-            p.add_argument(
-                "--metrics-port",
-                type=int,
-                default=None,
-                metavar="PORT",
-                help="batch mode: expose a Prometheus /metrics endpoint "
-                "on PORT for the duration of the run (0 = ephemeral)",
-            )
 
     p = sub.add_parser(
         "bench", help="run benchmark scenarios and the regression gate"
@@ -1688,14 +1582,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="ignore the wire protocol's shutdown op",
     )
-    p.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="expose a Prometheus /metrics endpoint on PORT "
-        "(0 = ephemeral; off when omitted)",
-    )
     _add_registry_argument(p)
 
     p = sub.add_parser(
@@ -1812,30 +1698,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="output directory (default $REPRO_TRACE_DIR or .repro_trace)",
     )
-    p.add_argument(
-        "--gc",
-        action="store_true",
-        help="prune old telemetry files from the trace directory "
-        "instead of running a command",
-    )
-    p.add_argument(
-        "--max-age",
-        default=None,
-        metavar="AGE",
-        help="gc: remove telemetry files older than AGE (e.g. 6h, 7d)",
-    )
-    p.add_argument(
-        "--max-files",
-        type=int,
-        default=None,
-        metavar="N",
-        help="gc: keep at most the N newest telemetry files",
-    )
-    p.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="gc: report what would be removed without deleting",
-    )
     p.add_argument("rest", nargs=argparse.REMAINDER, metavar="command ...")
 
     p = sub.add_parser("stats", help="print accumulated telemetry metrics")
@@ -1928,89 +1790,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_registry_argument(p)
 
-    p = sub.add_parser(
-        "monitor", help="evaluate alert rules over metric snapshots"
-    )
-    p.add_argument(
-        "--rules",
-        default=None,
-        metavar="FILE",
-        help="JSON rule file (default: the built-in operational rules)",
-    )
-    p.add_argument(
-        "--series",
-        default=None,
-        metavar="FILE",
-        help="observe a JSONL file of metrics snapshots (the CI drift "
-        "fixture format) instead of live metrics",
-    )
-    p.add_argument(
-        "--url",
-        default=None,
-        metavar="URL",
-        help="scrape a Prometheus /metrics endpoint --count times",
-    )
-    p.add_argument(
-        "--count",
-        type=int,
-        default=5,
-        metavar="N",
-        help="scrape mode: number of observations (default 5)",
-    )
-    p.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        metavar="SEC",
-        help="scrape mode: seconds between observations (default 2)",
-    )
-    p.add_argument(
-        "--path",
-        default=None,
-        metavar="FILE",
-        help="ledger file for alert events (default "
-        "$REPRO_LEDGER_PATH or <cache_dir>/ledger.jsonl)",
-    )
-    p.add_argument(
-        "--no-ledger",
-        action="store_true",
-        help="do not record fired alerts to the ledger",
-    )
-
-    p = sub.add_parser(
-        "top", help="live terminal dashboard over a /metrics endpoint"
-    )
-    p.add_argument(
-        "url",
-        nargs="?",
-        default="127.0.0.1:9464",
-        metavar="URL",
-        help="metrics endpoint (default 127.0.0.1:9464; bare HOST:PORT "
-        "gets http:// and /metrics added)",
-    )
-    p.add_argument(
-        "--serve",
-        default=None,
-        metavar="HOST:PORT",
-        help="also poll a running `repro serve` for RED/SLO stats",
-    )
-    p.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        metavar="SEC",
-        help="refresh interval (default 2s)",
-    )
-    p.add_argument(
-        "--iterations",
-        type=int,
-        default=None,
-        metavar="N",
-        help="stop after N frames (default: run until Ctrl-C)",
-    )
-    p.add_argument(
-        "--once", action="store_true", help="render one frame and exit"
-    )
     return parser
 
 
@@ -2035,15 +1814,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         "stats": cmd_stats,
         "ledger": cmd_ledger,
         "lineage": cmd_lineage,
-        "monitor": cmd_monitor,
-        "top": cmd_top,
     }
     _apply_verify_argument(args)
     _register_final_flush()
     try:
         return handlers[args.command](args)
     finally:
-        if args.command not in ("trace", "stats", "ledger", "lineage", "monitor", "top"):
+        if args.command not in ("trace", "stats", "ledger", "lineage"):
             # Accumulate counters across processes next to the
             # measurement cache, and honour REPRO_TRACE=1 runs by
             # dumping the collected spans (`repro trace` dumps itself).

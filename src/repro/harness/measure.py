@@ -108,6 +108,11 @@ def default_jobs() -> int:
     return jobs
 
 
+def _short_md5(text: str) -> str:
+    """The 16-hex md5 digest the ledger uses to reference keys."""
+    return hashlib.md5(text.encode(), usedforsecurity=False).hexdigest()[:16]
+
+
 @dataclass
 class Measurement:
     """One measured design point."""
@@ -569,8 +574,11 @@ class MeasurementEngine:
         Every result key in the batch (cache hit or fresh simulation) is
         referenced, because lineage needs the *inputs* of a model fit,
         not just the simulator work this particular process happened to
-        do.  The config digest fingerprints the full ordered key list,
-        so two batches over the same design are recognizably identical.
+        do.  A key is referenced by its 16-hex md5 digest: a whole key
+        carries the full timing key, about 400 characters, so 256 whole
+        keys would make a 100 KB line.  The config digest fingerprints the
+        full ordered key list, so two batches over the same design are
+        recognizably identical.
         ``lost_chunks`` counts pool chunks whose worker died; their
         points were measured again in this process.
         """
@@ -590,10 +598,10 @@ class MeasurementEngine:
                 "interval": self.smarts_interval,
             },
             refs={
-                "config_digest": hashlib.md5(
-                    "|".join(keys).encode(), usedforsecurity=False
-                ).hexdigest()[:16],
-                "result_keys": cap_result_keys(sorted(set(keys))),
+                "config_digest": _short_md5("|".join(keys)),
+                "result_keys": cap_result_keys(
+                    sorted({_short_md5(key) for key in keys})
+                ),
             },
         )
 

@@ -28,16 +28,8 @@ package makes that cost visible.  Three pieces:
     results plus a regression gate against committed baselines.
 :mod:`repro.obs.ledger`
     Append-only provenance ledger: measurement batches, model fits,
-    registry publishes, serve sessions, and alerts as linked JSONL
-    events (``repro ledger`` / ``repro lineage``).
-:mod:`repro.obs.promexport`
-    Prometheus text-format rendering and a stdlib ``/metrics`` HTTP
-    endpoint (``repro serve --metrics-port``).
-:mod:`repro.obs.monitor`
-    Threshold + EWMA-drift alert rules over metric snapshots
-    (``repro monitor``), with alerts recorded to the ledger.
-:mod:`repro.obs.retention`
-    Telemetry-directory garbage collection (``repro trace --gc``).
+    registry publishes and serve sessions as linked JSONL events
+    (``repro ledger`` / ``repro lineage``).
 
 See ``docs/OBSERVABILITY.md`` for the span taxonomy and usage.
 """
@@ -94,25 +86,6 @@ from repro.obs.ledger import (
     default_ledger_path,
     record_event,
 )
-from repro.obs.promexport import (
-    MetricsHTTPServer,
-    parse_prometheus,
-    render_prometheus,
-    scrape,
-    snapshot_from_prometheus,
-    start_metrics_server,
-    validate_prometheus_text,
-)
-from repro.obs.monitor import (
-    Alert,
-    EwmaDriftRule,
-    Monitor,
-    ThresholdRule,
-    default_rules,
-    flatten_snapshot,
-    load_rules,
-)
-from repro.obs.retention import GcReport, gc_directory
 
 __all__ = [
     "SpanRecord",
@@ -153,20 +126,4 @@ __all__ = [
     "default_ledger",
     "default_ledger_path",
     "record_event",
-    "MetricsHTTPServer",
-    "start_metrics_server",
-    "render_prometheus",
-    "validate_prometheus_text",
-    "parse_prometheus",
-    "snapshot_from_prometheus",
-    "scrape",
-    "Alert",
-    "Monitor",
-    "ThresholdRule",
-    "EwmaDriftRule",
-    "default_rules",
-    "load_rules",
-    "flatten_snapshot",
-    "GcReport",
-    "gc_directory",
 ]

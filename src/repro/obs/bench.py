@@ -34,6 +34,7 @@ import os
 import platform
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -99,6 +100,27 @@ class GateFinding:
             f"{self.baseline:.4g} -> {self.current:.4g} "
             f"({self.change_pct:+.1f}% vs threshold {self.threshold_pct:.0f}%)"
         )
+
+
+class ScenarioFailures(Exception):
+    """Raised by :func:`run_scenarios`, after every scenario has run,
+    when at least one scenario's ``run`` raised.
+
+    Carries what the other scenarios produced, so a caller can still
+    report their files and gate findings.
+    """
+
+    def __init__(
+        self,
+        failed: Dict[str, str],
+        written: List[Path],
+        regressions: List[GateFinding],
+    ):
+        super().__init__(f"scenario(s) failed: {', '.join(failed)}")
+        #: ``{scenario name: "ExceptionType: message"}``.
+        self.failed = failed
+        self.written = written
+        self.regressions = regressions
 
 
 def bench_environment() -> Dict[str, object]:
@@ -239,15 +261,26 @@ def run_scenarios(
     overwrites them.  Returns the written paths and the regressed
     findings (empty = gate passed).  With ``gate=False`` comparisons
     are still reported but nothing counts as failing.
+
+    A scenario whose ``run`` raises writes no file; its traceback is
+    logged and the remaining scenarios still run, so one failing floor
+    cannot hide the others.  :class:`ScenarioFailures` is raised at the
+    end, naming every failed scenario.
     """
     baseline_dir = Path(baseline_dir) if baseline_dir is not None else Path(out_dir)
     written: List[Path] = []
     regressions: List[GateFinding] = []
+    failed: Dict[str, str] = {}
     for scenario in scenarios:
         log(f"bench {scenario.name}: {scenario.description}")
         baseline = load_bench_json(bench_json_path(baseline_dir, scenario.name))
         t0 = time.perf_counter()
-        metrics = scenario.run(quick)
+        try:
+            metrics = scenario.run(quick)
+        except Exception as exc:  # noqa: BLE001 - logged, raised after the rest
+            log(traceback.format_exc().rstrip())
+            failed[scenario.name] = f"{type(exc).__name__}: {exc}"
+            continue
         elapsed = time.perf_counter() - t0
         for key in sorted(metrics):
             log(f"  {key} = {metrics[key]:.6g}")
@@ -264,4 +297,6 @@ def run_scenarios(
             )
         )
         log(f"  wrote {written[-1]} ({elapsed:.2f}s)")
+    if failed:
+        raise ScenarioFailures(failed, written, regressions)
     return written, regressions

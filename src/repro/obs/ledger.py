@@ -3,15 +3,17 @@
 The paper's empirical models are only trustworthy if a served prediction
 can be traced back to the measurements that produced it.  The ledger
 makes that chain durable: each measurement batch, model fit, registry
-publish, serve session, and fired alert appends one schema-versioned
-JSON line to ``ledger.jsonl``, linked by a per-process *run id* and by
-explicit references (measurement result keys, config digests, model
-content digests, registry names).
+publish and serve session appends one schema-versioned JSON line to
+``ledger.jsonl``, linked by a per-process *run id* and by explicit
+references (measurement result-key digests, config digests, model
+content digests, registry names).  Ledgers written before the alert
+monitor was removed also hold ``alert`` events; they are still listed,
+joined by lineage and kept by compact.
 
 ``repro lineage <model-ref>`` walks the chain backwards from a registry
 model: which fit produced it, which measurement batches fed that fit
-(down to the simulator result keys and compiler/microarch config
-digests), and which serve sessions have since exposed it.
+(down to digests of the simulator result keys and the batch's config
+digest), and which serve sessions have since exposed it.
 
 Writes hold the store lock (:func:`repro.store.locked`, an ``flock``
 on a sibling ``.lock`` file), which serializes appenders, and each
@@ -19,8 +21,8 @@ event is a single ``O_APPEND`` write of one line, so concurrent
 processes (pool workers, a serving tier, CI legs sharing a cache
 directory) interleave whole events and never corrupt each other.  The
 file is append-only; the only rewrite is an explicit
-:meth:`Ledger.compact`, which applies the same retention policy as
-``repro trace --gc`` and records itself as a ``compact`` event.
+:meth:`Ledger.compact`, which drops events by age and/or count and
+records itself as a ``compact`` event.
 
 Enable/disable and placement follow the metrics persistence rules:
 events land in ``$REPRO_LEDGER_PATH`` when set, otherwise in
@@ -157,8 +159,8 @@ class Lineage:
         return bool(self.publishes and self.fits and self.batches)
 
     def result_keys(self) -> List[str]:
-        """Every measurement result key feeding this model, deduplicated
-        in first-seen order."""
+        """Every measurement result-key digest feeding this model,
+        deduplicated in first-seen order."""
         seen: Dict[str, None] = {}
         for e in self.batches:
             for key in e.refs.get("result_keys") or []:

@@ -112,11 +112,6 @@ class PredictionServer:
     allow_remote_shutdown:
         Whether the ``shutdown`` op is honoured (on by default: the
         server is a local-loopback tool, and tests/CI need clean stops).
-    metrics_port:
-        When not ``None``, expose a Prometheus ``/metrics`` endpoint on
-        this port (0 picks an ephemeral one; see ``metrics_url``).  The
-        endpoint serves the process-wide metrics registry plus live
-        ``serve.session.*`` gauges from :meth:`stats`.
     """
 
     def __init__(
@@ -127,7 +122,6 @@ class PredictionServer:
         port: int = 0,
         cache_size: int = 65536,
         allow_remote_shutdown: bool = True,
-        metrics_port: Optional[int] = None,
     ):
         self.registry = registry or default_registry()
         self.cache_size = cache_size
@@ -150,20 +144,12 @@ class PredictionServer:
         self._server.app = self
         self._thread: Optional[threading.Thread] = None
         self._session_ended = False
-        self._metrics_server = None
-        if metrics_port is not None:
-            from repro.obs.promexport import MetricsHTTPServer
-
-            self._metrics_server = MetricsHTTPServer(
-                port=metrics_port, host=host, collectors=(self._session_series,)
-            ).start()
         record_event(
             "serve_session",
             attrs={
                 "phase": "start",
                 "address": list(self.address),
                 "preload": list(preload or []),
-                "metrics_url": self.metrics_url,
             },
             refs=self._model_refs(),
         )
@@ -174,13 +160,6 @@ class PredictionServer:
         """The bound ``(host, port)``."""
         return self._server.server_address[:2]
 
-    @property
-    def metrics_url(self) -> Optional[str]:
-        """URL of the attached ``/metrics`` endpoint, if any."""
-        if self._metrics_server is None:
-            return None
-        return self._metrics_server.url
-
     def _model_refs(self) -> Dict[str, Any]:
         """Ledger refs naming every currently loaded model."""
         with self._lock:
@@ -188,17 +167,6 @@ class PredictionServer:
         return {
             "model_ids": sorted({p.model_id for p in preds if p.model_id}),
             "model_names": sorted({p.name for p in preds if p.name}),
-        }
-
-    def _session_series(self) -> Dict[str, Tuple[str, Any]]:
-        """Live serve-session gauges for the /metrics collector."""
-        s = self.stats()
-        return {
-            "serve.session.uptime_s": ("gauge", s["uptime_s"]),
-            "serve.session.requests": ("counter", s["requests"]),
-            "serve.session.errors": ("counter", s["errors"]),
-            "serve.session.error_rate": ("gauge", s["error_rate"]),
-            "serve.session.loaded_models": ("gauge", len(s["loaded"])),
         }
 
     def serve_forever(self) -> None:
@@ -237,9 +205,6 @@ class PredictionServer:
                 },
                 refs=self._model_refs(),
             )
-        if self._metrics_server is not None:
-            self._metrics_server.close()
-            self._metrics_server = None
 
     def __enter__(self) -> "PredictionServer":
         return self.start_background()

@@ -198,6 +198,36 @@ class TestRunScenarios:
         run_scenarios([sc], tmp_path, quick=False, log=lambda _: None)
         assert seen == [True, False]
 
+    def test_failing_scenario_does_not_hide_the_rest(self, tmp_path, capsys):
+        """A scenario that raises (say, a speed floor's assert) writes
+        no file, the scenarios after it still run and write theirs, and
+        `repro bench` exits nonzero naming the failed one."""
+        from repro.cli import main
+
+        bench_dir = tmp_path / "benchmarks"
+        bench_dir.mkdir()
+        (bench_dir / "bench_a_floor.py").write_text(
+            "from repro.obs.bench import BenchScenario\n"
+            "def _run(quick):\n"
+            "    raise AssertionError('only 82x faster')\n"
+            "BENCH_SCENARIO = BenchScenario(\n"
+            "    name='floor', description='d', run=_run, gates={'v': 'lower'})\n"
+        )
+        (bench_dir / "bench_b_good.py").write_text(
+            "from repro.obs.bench import BenchScenario\n"
+            "BENCH_SCENARIO = BenchScenario(\n"
+            "    name='good', description='d',\n"
+            "    run=lambda quick: {'v': 1.0}, gates={'v': 'lower'})\n"
+        )
+        out = tmp_path / "out"
+        rc = main(["bench", "--bench-dir", str(bench_dir), "--out", str(out)])
+        assert rc == 1
+        assert load_bench_json(bench_json_path(out, "good"))["metrics"] == {
+            "v": 1.0
+        }
+        assert not bench_json_path(out, "floor").exists()
+        assert "floor: AssertionError: only 82x faster" in capsys.readouterr().out
+
 
 # ----------------------------------------------------------------------
 # Discovery over the real benchmarks/ directory

@@ -270,6 +270,36 @@ class TestConcurrentWriters:
 
 
 # ----------------------------------------------------------------------
+# measure_batch events reference result keys by digest
+# ----------------------------------------------------------------------
+class TestMeasureBatchEvent:
+    def test_full_batch_line_is_bounded(self, ledger):
+        """A result key carries the full timing key (~400 characters),
+        so 256 whole keys would make a ~100 KB line; digests keep it
+        small."""
+        import hashlib
+
+        from repro.harness.measure import MeasurementEngine
+        from repro.space import full_space
+
+        space = full_space()
+        rng = np.random.default_rng(0)
+        points = [space.random_point(rng) for _ in range(MAX_RESULT_KEYS_PER_EVENT)]
+        engine = MeasurementEngine(mode="static")
+        engine.measure_batch("gzip", points, jobs=1)
+        lines = ledger.path.read_bytes().splitlines()
+        assert len(lines) == 1
+        assert len(lines[0]) <= 8 * 1024
+        digests = ledger.events(kind="measure_batch")[0].refs["result_keys"]
+        cached = {
+            hashlib.md5(key.encode(), usedforsecurity=False).hexdigest()[:16]
+            for key in engine._result_cache
+        }
+        assert len(digests) == len(engine._result_cache) == len(points)
+        assert set(digests) == cached
+
+
+# ----------------------------------------------------------------------
 # End-to-end lineage: train -> publish -> serve, all in-process
 # ----------------------------------------------------------------------
 class TestLineage:
@@ -298,7 +328,7 @@ class TestLineage:
         )
         registry = ModelRegistry(tmp_path / "registry")
         entry = registry.save(result.model, "lin-e2e", space=space)
-        with PredictionServer(registry=registry, metrics_port=None) as srv:
+        with PredictionServer(registry=registry) as srv:
             host, port = srv.address
             with PredictionClient(host, port) as client:
                 client.predict("lin-e2e", np.zeros((1, space.dim)))

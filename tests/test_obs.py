@@ -546,6 +546,31 @@ class TestEvaluateModelZeroGuard:
         assert mean == pytest.approx((10.0 + 45.0) / 2)
 
 
+class TestImportFootprint:
+    def test_pipeline_imports_load_no_http_server(self):
+        """Every measurement, pool worker and prediction server imports
+        these modules; none of them opens an HTTP endpoint."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = (
+            "import sys\n"
+            "import repro.obs, repro.serve, repro.harness.measure\n"
+            "print('http.server' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": "src"},
+            cwd=str(Path(__file__).resolve().parent.parent),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
+
+
 class TestCliSurfacing:
     def test_trace_command_dumps_artifacts(self, tmp_path, monkeypatch, capsys):
         from repro.cli import main
