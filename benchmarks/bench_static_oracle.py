@@ -2,7 +2,7 @@
 
 The ``--oracle static`` path exists to answer design-space queries
 without compiling, tracing or simulating anything.  Its acceptance
-criteria, both gated here:
+criteria, both declared as floors (and gated against the baseline):
 
 * ``speedup_vs_accurate`` -- predicting every workload across the
   seeded design points must be **>= 100x faster cold** than the
@@ -28,7 +28,9 @@ only the timing measurement does, and that always uses fresh stores.
 
 Results land in the committed ``BENCH_static_oracle.json`` via
 ``repro bench``; CI runs the quick variant (2 workloads, 16 points)
-whose floors must hold just the same.
+whose floors must hold just the same.  ``repro bench`` checks the
+floors after it writes the result file, so a miss still records the
+numbers that missed.
 """
 
 import tempfile
@@ -112,18 +114,9 @@ def _bench(quick: bool) -> dict:
 
     total_acc_s = acc_s_per_point * len(workloads) * n_points
     speedup = total_acc_s / max(static_s, 1e-9)
-    min_corr = min(corrs.values())
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"static oracle only {speedup:.0f}x faster than the accurate "
-        f"simulator cold (floor {SPEEDUP_FLOOR:.0f}x)"
-    )
-    assert min_corr >= CORR_FLOOR, (
-        f"static estimates mis-rank the design points: min Spearman "
-        f"{min_corr:.3f} < {CORR_FLOOR} across {corrs}"
-    )
     out = {
         "speedup_vs_accurate": speedup,
-        "min_rank_corr": min_corr,
+        "min_rank_corr": min(corrs.values()),
         "mean_rank_corr": sum(corrs.values()) / len(corrs),
         "static_s_total_cold": static_s,
         "accurate_s_per_point_cold": acc_s_per_point,
@@ -141,4 +134,5 @@ BENCH_SCENARIO = BenchScenario(
     run=_bench,
     gates={"speedup_vs_accurate": "higher", "min_rank_corr": "higher"},
     threshold_pct=50.0,
+    floors={"speedup_vs_accurate": SPEEDUP_FLOOR, "min_rank_corr": CORR_FLOOR},
 )

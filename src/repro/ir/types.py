@@ -15,6 +15,10 @@ class Type(enum.Enum):
     #: Functions with no return value.
     VOID = "void"
 
+    # Members compare by identity, so the identity hash is consistent with
+    # equality and skips Enum's Python-level hash of the member name.
+    __hash__ = object.__hash__
+
 
 #: Size in bytes of every scalar value and array element.
 WORD_SIZE = 8

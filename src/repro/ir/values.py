@@ -15,6 +15,11 @@ class Temp:
     name: str
     type: Type
 
+    def __hash__(self) -> int:
+        # Equal temps have equal names; hashing the name alone skips the
+        # field tuple and the type's hash.
+        return hash(self.name)
+
     def __repr__(self) -> str:
         return f"%{self.name}"
 

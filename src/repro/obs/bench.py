@@ -25,6 +25,11 @@ Ungated metrics are recorded for trend-watching but never fail the run.
 Thresholds are deliberately generous by default -- CI machines vary a
 lot; the gate exists to catch *catastrophic* regressions (an accidental
 O(n^2), a lost cache), not 5% noise.
+
+``floors`` (``{metric: minimum}``) are absolute acceptance bounds that
+hold whatever the baseline says.  They live in the scenario's code, not
+in its result file, and are checked after the file is written, so a
+missed floor still leaves the numbers that missed it on disk.
 """
 
 from __future__ import annotations
@@ -68,6 +73,9 @@ class BenchScenario:
     #: Regression threshold: gate fails when a gated metric worsens by
     #: more than this percentage versus the baseline.
     threshold_pct: float = 50.0
+    #: ``{metric: minimum}`` -- the scenario fails when a metric is below
+    #: its floor (or missing), after its result file is written.
+    floors: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for metric, direction in self.gates.items():
@@ -104,7 +112,7 @@ class GateFinding:
 
 class ScenarioFailures(Exception):
     """Raised by :func:`run_scenarios`, after every scenario has run,
-    when at least one scenario's ``run`` raised.
+    when at least one scenario's ``run`` raised or missed a floor.
 
     Carries what the other scenarios produced, so a caller can still
     report their files and gate findings.
@@ -117,7 +125,8 @@ class ScenarioFailures(Exception):
         regressions: List[GateFinding],
     ):
         super().__init__(f"scenario(s) failed: {', '.join(failed)}")
-        #: ``{scenario name: "ExceptionType: message"}``.
+        #: ``{scenario name: "ExceptionType: message"}``, or the floors
+        #: it missed.
         self.failed = failed
         self.written = written
         self.regressions = regressions
@@ -220,6 +229,20 @@ def compare_against_baseline(
     return findings
 
 
+def floor_misses(
+    scenario: BenchScenario, metrics: Dict[str, float]
+) -> List[str]:
+    """One message per floor of ``scenario`` that ``metrics`` miss."""
+    misses = []
+    for metric, minimum in scenario.floors.items():
+        value = metrics.get(metric)
+        if value is None:
+            misses.append(f"{metric} missing (floor {minimum:g})")
+        elif not value >= minimum:
+            misses.append(f"{metric} = {value:.4g} below its floor {minimum:g}")
+    return misses
+
+
 def discover_scenarios(bench_dir: PathLike) -> List[BenchScenario]:
     """Import ``bench_*.py`` files and collect their ``BENCH_SCENARIO``.
 
@@ -263,9 +286,11 @@ def run_scenarios(
     are still reported but nothing counts as failing.
 
     A scenario whose ``run`` raises writes no file; its traceback is
-    logged and the remaining scenarios still run, so one failing floor
-    cannot hide the others.  :class:`ScenarioFailures` is raised at the
-    end, naming every failed scenario.
+    logged and the remaining scenarios still run, so one failing
+    scenario cannot hide the others.  A scenario whose metrics miss one
+    of its ``floors`` has its file written first and fails the same way.
+    :class:`ScenarioFailures` is raised at the end, naming every failed
+    scenario.
     """
     baseline_dir = Path(baseline_dir) if baseline_dir is not None else Path(out_dir)
     written: List[Path] = []
@@ -297,6 +322,11 @@ def run_scenarios(
             )
         )
         log(f"  wrote {written[-1]} ({elapsed:.2f}s)")
+        misses = floor_misses(scenario, metrics)
+        for miss in misses:
+            log(f"  [FLOOR MISSED] {scenario.name}.{miss}")
+        if misses:
+            failed[scenario.name] = "; ".join(misses)
     if failed:
         raise ScenarioFailures(failed, written, regressions)
     return written, regressions

@@ -3,9 +3,10 @@
 The GA operates on genomes of per-variable *level indices*, which keeps
 every individual on the legal grid.  Selection is by tournament, variation
 by uniform crossover and per-gene mutation to a random level, and the best
-individuals are carried over unchanged (elitism).  Termination follows the
-paper: a generation cap, with early exit when the best predicted response
-has not improved for a number of generations.
+individuals are carried over unchanged (elitism).  Every child of a
+generation is bred at once, in array operations over all of them.
+Termination follows the paper: a generation cap, with early exit when the
+best predicted response has not improved for a number of generations.
 """
 
 from __future__ import annotations
@@ -92,6 +93,8 @@ class GeneticSearch:
             raise ValueError("generations must be >= 1")
         if elite >= population:
             raise ValueError("elite must be smaller than population")
+        if tournament < 1:
+            raise ValueError("tournament must be >= 1")
         self.space = space
         self.population = population
         self.generations = generations
@@ -100,18 +103,18 @@ class GeneticSearch:
         self.crossover_rate = crossover_rate
         self.mutation_rate = mutation_rate
         self.patience = patience
-        self._coded_levels = [
-            np.array(v.coded_levels()) for v in space.variables
-        ]
         self._n_levels = np.array([v.levels for v in space.variables])
+        # Coded value of level i of variable j at [j, i]; rows padded with
+        # NaN past each variable's level count, which no genome indexes.
+        self._level_table = np.full((space.dim, self._n_levels.max()), np.nan)
+        for j, v in enumerate(space.variables):
+            self._level_table[j, : v.levels] = v.coded_levels()
+        self._columns = np.arange(space.dim)
 
     # ------------------------------------------------------------------
     def _decode_genomes(self, genomes: np.ndarray) -> np.ndarray:
         """Level-index genomes (n, k) -> coded matrix (n, k)."""
-        coded = np.empty(genomes.shape, dtype=float)
-        for j, levels in enumerate(self._coded_levels):
-            coded[:, j] = levels[genomes[:, j]]
-        return coded
+        return self._level_table[self._columns, genomes]
 
     def _random_population(self, rng: np.random.Generator) -> np.ndarray:
         return np.column_stack(
@@ -121,11 +124,34 @@ class GeneticSearch:
             ]
         )
 
-    def _select(
-        self, fitness: np.ndarray, rng: np.random.Generator
-    ) -> int:
-        contenders = rng.integers(self.population, size=self.tournament)
-        return int(contenders[np.argmin(fitness[contenders])])
+    def _breed(
+        self,
+        genomes: np.ndarray,
+        fitness: np.ndarray,
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        """The next generation's non-elite genomes, drawn in one step.
+
+        Each child has two parents, each the first minimum of the fitness
+        of its ``tournament`` contenders.  Where the child's crossover
+        flag is set, each gene comes from the second parent where its
+        mask draw is at least 0.5; every other gene comes from the first.
+        A gene whose mutation draw falls under the rate becomes a fresh
+        uniform level.  Five generator calls make every draw.
+        """
+        n, k = self.population - self.elite, genomes.shape[1]
+        contenders = rng.integers(
+            self.population, size=(n, 2, self.tournament)
+        )
+        winner = np.argmin(fitness[contenders], axis=2)[..., None]
+        parents = np.take_along_axis(contenders, winner, axis=2)[..., 0]
+        first, second = genomes[parents[:, 0]], genomes[parents[:, 1]]
+        crossover = rng.random(n) < self.crossover_rate
+        from_second = crossover[:, None] & (rng.random((n, k)) >= 0.5)
+        mutate = rng.random((n, k)) < self.mutation_rate
+        fresh = rng.integers(self._n_levels, size=(n, k))
+        children = np.where(from_second, second, first)
+        return np.where(mutate, fresh, children)
 
     # ------------------------------------------------------------------
     def run(
@@ -191,21 +217,8 @@ class GeneticSearch:
                     break
 
                 # Next generation: elitism + tournament/crossover/mutation.
-                order = np.argsort(fitness)
-                next_genomes = [genomes[i].copy() for i in order[: self.elite]]
-                while len(next_genomes) < self.population:
-                    pa = genomes[self._select(fitness, rng)]
-                    pb = genomes[self._select(fitness, rng)]
-                    if rng.random() < self.crossover_rate:
-                        mask = rng.random(genomes.shape[1]) < 0.5
-                        child = np.where(mask, pa, pb)
-                    else:
-                        child = pa.copy()
-                    mutate = rng.random(genomes.shape[1]) < self.mutation_rate
-                    for j in np.flatnonzero(mutate):
-                        child[j] = rng.integers(self._n_levels[j])
-                    next_genomes.append(child)
-                genomes = np.vstack(next_genomes)
+                elites = genomes[np.argsort(fitness)[: self.elite]]
+                genomes = np.vstack([elites, self._breed(genomes, fitness, rng)])
             top.set_attrs(evaluations=evaluations, best_value=best_value)
 
         best_coded = self._decode_genomes(best_genome[None, :])[0]

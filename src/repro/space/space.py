@@ -86,7 +86,8 @@ class ParameterSpace:
                 f"coded vector has shape {coded.shape}, expected ({self.dim},)"
             )
         return {
-            v.name: v.decode(c) for v, c in zip(self._variables, coded)
+            v.name: v.decode(c)
+            for v, c in zip(self._variables, coded.tolist())
         }
 
     def encode_matrix(self, points: Iterable[Mapping[str, float]]) -> np.ndarray:

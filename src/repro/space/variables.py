@@ -9,10 +9,14 @@ caption).
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass, field
 from typing import List, Sequence
+
+#: Attributes computed from the fields, kept out of pickles.
+_DERIVED = ("_t_low", "_t_high", "_grid")
 
 
 class VariableKind(enum.Enum):
@@ -67,18 +71,24 @@ class Variable:
         if self.kind is VariableKind.LOG2:
             if self.low <= 0:
                 raise ValueError(f"log2 variable {self.name!r}: low must be > 0")
-        # Decoding reads the level grid once per coordinate, so compute it
-        # once.  Not a field: equality and hashing stay on the fields.  The
-        # dataclass is frozen, hence ``object.__setattr__``.
+        self._derive()
+
+    def _derive(self) -> None:
+        # Decoding reads the transformed range and the level grid once per
+        # coordinate, so compute them once.  Not fields: equality and
+        # hashing stay on the fields.  The dataclass is frozen, hence
+        # ``object.__setattr__``.
+        object.__setattr__(self, "_t_low", self._transform(self.low))
+        object.__setattr__(self, "_t_high", self._transform(self.high))
         object.__setattr__(self, "_grid", tuple(self._levels()))
 
     def __getstate__(self) -> dict:
         # Pickle the fields alone, as before the grid was stored.
-        return {k: v for k, v in self.__dict__.items() if k != "_grid"}
+        return {k: v for k, v in self.__dict__.items() if k not in _DERIVED}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        object.__setattr__(self, "_grid", tuple(self._levels()))
+        self._derive()
 
     # ------------------------------------------------------------------
     # Transform helpers
@@ -93,14 +103,6 @@ class Variable:
         if self.kind is VariableKind.LOG2:
             return 2.0 ** t
         return t
-
-    @property
-    def _t_low(self) -> float:
-        return self._transform(self.low)
-
-    @property
-    def _t_high(self) -> float:
-        return self._transform(self.high)
 
     # ------------------------------------------------------------------
     # Levels
@@ -143,7 +145,16 @@ class Variable:
         coded = min(1.0, max(-1.0, coded))
         t = self._t_low + (coded + 1.0) / 2.0 * (self._t_high - self._t_low)
         raw = self._untransform(t)
-        return min(self._grid, key=lambda v: abs(v - raw))
+        # The grid ascends, so the nearest level is one of raw's two
+        # neighbours; a tie goes to the lower, the grid's first minimum.
+        grid = self._grid
+        i = bisect.bisect_left(grid, raw)
+        if i == 0:
+            return grid[0]
+        if i == len(grid):
+            return grid[-1]
+        low, high = grid[i - 1], grid[i]
+        return low if abs(low - raw) <= abs(high - raw) else high
 
     def coded_levels(self) -> List[float]:
         """The coded positions of all levels."""
@@ -151,4 +162,8 @@ class Variable:
 
     def is_level(self, value: float) -> bool:
         """Whether ``value`` is one of this variable's legal levels."""
-        return any(abs(value - v) < 1e-9 for v in self._grid)
+        # Any level within the tolerance has a grid neighbour of ``value``
+        # at least as close.
+        grid = self._grid
+        i = bisect.bisect_left(grid, value)
+        return any(abs(value - v) < 1e-9 for v in grid[max(i - 1, 0) : i + 1])

@@ -228,6 +228,55 @@ class TestRunScenarios:
         assert not bench_json_path(out, "floor").exists()
         assert "floor: AssertionError: only 82x faster" in capsys.readouterr().out
 
+    def test_missed_floor_still_writes_the_file(self, tmp_path, capsys):
+        """A scenario under its floor writes its result file, the next
+        scenario still runs, and `repro bench` exits 1 naming the floor,
+        the metric's value and the scenario.  Floors stay out of the
+        file."""
+        from repro.cli import main
+
+        bench_dir = tmp_path / "benchmarks"
+        bench_dir.mkdir()
+        (bench_dir / "bench_a_floor.py").write_text(
+            "from repro.obs.bench import BenchScenario\n"
+            "BENCH_SCENARIO = BenchScenario(\n"
+            "    name='floor', description='d',\n"
+            "    run=lambda quick: {'speedup': 82.0, 'corr': 0.9},\n"
+            "    gates={'speedup': 'higher'},\n"
+            "    floors={'speedup': 100.0, 'corr': 0.8})\n"
+        )
+        (bench_dir / "bench_b_good.py").write_text(
+            "from repro.obs.bench import BenchScenario\n"
+            "BENCH_SCENARIO = BenchScenario(\n"
+            "    name='good', description='d',\n"
+            "    run=lambda quick: {'v': 1.0}, gates={'v': 'lower'},\n"
+            "    floors={'v': 1.0})\n"
+        )
+        out = tmp_path / "out"
+        rc = main(["bench", "--bench-dir", str(bench_dir), "--out", str(out)])
+        assert rc == 1
+        payload = load_bench_json(bench_json_path(out, "floor"))
+        assert payload["metrics"] == {"speedup": 82.0, "corr": 0.9}
+        assert "floors" not in payload
+        assert load_bench_json(bench_json_path(out, "good"))["metrics"] == {
+            "v": 1.0
+        }
+        printed = capsys.readouterr().out
+        assert "2 result file(s) written" in printed
+        assert "floor: speedup = 82 below its floor 100" in printed
+        assert "corr" not in printed.split("SCENARIOS FAILED")[1]
+        assert "good:" not in printed.split("SCENARIOS FAILED")[1]
+
+    def test_missing_floor_metric_is_a_miss(self):
+        from repro.obs.bench import floor_misses
+
+        sc = _scenario()
+        sc.floors = {"speedup": 100.0}
+        assert floor_misses(sc, {"speedup": 100.0}) == []
+        assert floor_misses(sc, {}) == ["speedup missing (floor 100)"]
+        (nan,) = floor_misses(sc, {"speedup": float("nan")})
+        assert "below its floor" in nan
+
 
 # ----------------------------------------------------------------------
 # Discovery over the real benchmarks/ directory

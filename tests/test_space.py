@@ -129,6 +129,90 @@ class TestLevelGrid:
             v._grid = (1.0,)
 
 
+def _scan_decode(v, coded):
+    """``Variable.decode`` as a scan of every level, the first minimum."""
+    if v.kind is VariableKind.BINARY:
+        return 0.0 if coded < 0 else 1.0
+    coded = min(1.0, max(-1.0, coded))
+    t_low, t_high = v._transform(v.low), v._transform(v.high)
+    t = t_low + (coded + 1.0) / 2.0 * (t_high - t_low)
+    raw = v._untransform(t)
+    return min(v.level_values(), key=lambda level: abs(level - raw))
+
+
+def _scan_is_level(v, value):
+    """``Variable.is_level`` as a scan of every level."""
+    return any(abs(value - level) < 1e-9 for level in v.level_values())
+
+
+def _with_neighbours(values):
+    out = []
+    for x in values:
+        out += [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+    return out
+
+
+_SPECIAL = [-1.0, 1.0, -1.5, 1.5, -1e300, 1e300, math.nan, -math.inf, math.inf]
+
+
+class TestGridNeighbours:
+    """Decoding and the level test look only at the value's two grid
+    neighbours; both must answer exactly as a scan of every level."""
+
+    @staticmethod
+    def _coded_inputs(v):
+        coded = v.coded_levels()
+        levels = v.level_values()
+        midpoints = [(a + b) / 2 for a, b in zip(coded, coded[1:])]
+        # The coded positions of the raw midpoints, where the scan ties.
+        midpoints += [
+            v.encode((a + b) / 2) for a, b in zip(levels, levels[1:])
+        ]
+        return coded + _with_neighbours(midpoints) + _SPECIAL
+
+    @staticmethod
+    def _raw_inputs(v):
+        levels = v.level_values()
+        midpoints = [(a + b) / 2 for a, b in zip(levels, levels[1:])]
+        near = [level + d for level in levels for d in (-1e-9, 1e-9)]
+        return (
+            levels + _with_neighbours(midpoints) + _with_neighbours(near)
+            + _SPECIAL
+        )
+
+    def test_decode_matches_a_scan_of_every_level(self):
+        checked = 0
+        for v in full_space().variables:
+            for x in self._coded_inputs(v):
+                for coded in (x, np.float64(x)):
+                    got, want = v.decode(coded), _scan_decode(v, coded)
+                    assert got == want and type(got) is type(want), (
+                        v.name, coded
+                    )
+                    checked += 1
+        assert checked > 1000
+
+    def test_is_level_matches_a_scan_of_every_level(self):
+        checked = 0
+        for v in full_space().variables:
+            for x in self._raw_inputs(v):
+                for value in (x, np.float64(x)):
+                    assert v.is_level(value) == _scan_is_level(v, value), (
+                        v.name, value
+                    )
+                    checked += 1
+        assert checked > 1000
+
+    def test_space_decode_matches_per_variable_scan(self):
+        space = full_space()
+        rng = np.random.default_rng(7)
+        for row in rng.uniform(-1.2, 1.2, size=(50, space.dim)):
+            assert space.decode(row) == {
+                v.name: _scan_decode(v, c)
+                for v, c in zip(space.variables, row)
+            }
+
+
 class TestParameterSpace:
     def make(self):
         return ParameterSpace(
