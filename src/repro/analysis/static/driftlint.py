@@ -147,12 +147,13 @@ def drift_lint(
         if len(recs) < 3:
             continue
         measured = [float(r["cycles"]) for r in recs]
-        estimated = []
-        for r in recs:
-            compiler, microarch = split_point(r["point"])
-            estimated.append(
-                oracle.estimate(workload, compiler, microarch, input_name).cycles
+        compilers, microarchs = zip(*(split_point(r["point"]) for r in recs))
+        estimated = [
+            est.cycles
+            for est in oracle.estimate_many(
+                workload, compilers, microarchs, input_name
             )
+        ]
         corr = spearman(estimated, measured)
         report.correlations[workload] = corr
         if corr < min_corr:

@@ -3,13 +3,14 @@
 The accurate oracle compiles, traces and simulates every design point
 (hundreds of milliseconds cold).  The static oracle instead analyzes a
 workload **once** -- running the full static analysis stack plus one
-remark-collected reference run of each optimization pass on scratch
-copies of the module -- and then answers every (compiler, microarch)
-point from the cached :class:`StaticCostModel` in microseconds.
+remark-collected reference run of each optimization pass on its own
+copy of the module -- and then answers (compiler, microarch) points
+from the cached :class:`StaticCostModel`, a whole design in one array
+pass (:meth:`StaticOracle.estimate_many`).
 
 The per-pass feature harvest is remark-driven: rather than duplicating
-pass heuristics here, each pass runs on a fresh deep copy of the
-unoptimized module under :func:`remarks.collecting` and its quantitative
+pass heuristics here, the passes run in pipeline order on that copy
+under :func:`remarks.collecting` and their quantitative
 remark details (instructions hoisted, callee sizes, stream counts, loop
 sizes) become the :class:`PassFeatures` the cost model replays per
 configuration.  Config-dependent decisions (unroll factor, inline
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.static import remarks
 from repro.analysis.static.analyses import ModuleSummary, analyze_module
@@ -57,7 +58,7 @@ def harvest_features(module: Module) -> PassFeatures:
     """Distill one remark-collected reference optimization run into
     :class:`PassFeatures`.
 
-    The passes run **in pipeline order on one scratch copy** (licm ->
+    The passes run **in pipeline order on the module** (licm ->
     gcse -> prefetch -> strength -> unroll, each followed by the
     pipeline's interleaved cleanup): strength reduction and unrolling
     only see their induction variables after copy propagation has
@@ -70,8 +71,9 @@ def harvest_features(module: Module) -> PassFeatures:
 
     ``module`` is expected to be the post-``cleanup`` form the real
     pipeline starts from (loop headers keep their labels through all
-    replayed passes, so the keys match a summary of the same module);
-    it is never mutated.
+    replayed passes, so the keys match a summary of the same module).
+    The passes are replayed on ``module`` itself, so the harvest
+    consumes it: pass a copy the caller no longer needs.
     """
     # Imported here: repro.opt modules import the remarks module, so a
     # top-level import would be a cycle.
@@ -99,13 +101,11 @@ def harvest_features(module: Module) -> PassFeatures:
             )
         )
 
-    scratch = copy.deepcopy(module)
-
     def stage(run, tidy: bool = True) -> list:
         with remarks.collecting() as rc:
-            run(scratch)
+            run(module)
         if tidy:
-            cleanup_module(scratch)
+            cleanup_module(module)
         return rc.remarks
 
     for r in stage(loop_optimize):
@@ -159,6 +159,8 @@ class StaticOracle:
 
             # The real pipeline always runs cleanup first (even at O0),
             # so both the summary and the harvest start from that form.
+            # The summary holds only labels and numbers, so the harvest
+            # may then consume this copy.
             module = copy.deepcopy(get_workload(workload).module(input_name))
             cleanup_module(module)
             summary = analyze_module(module)
@@ -184,6 +186,19 @@ class StaticOracle:
         input_name: str = "train",
     ) -> CostBreakdown:
         return self.model(workload, input_name).estimate(compiler, microarch)
+
+    def estimate_many(
+        self,
+        workload: str,
+        compilers: Sequence[CompilerConfig],
+        microarchs: Sequence[MicroarchConfig],
+        input_name: str = "train",
+    ) -> List[CostBreakdown]:
+        """Estimate a whole design of ``workload`` in one array pass
+        (:meth:`StaticCostModel.estimate_many`)."""
+        return self.model(workload, input_name).estimate_many(
+            compilers, microarchs
+        )
 
 
 _DEFAULT: Optional[StaticOracle] = None

@@ -406,11 +406,11 @@ class MeasurementEngine:
         if cached is not None:
             _RESULT_HITS.inc()
             return cached
-        _RESULT_MISSES.inc()
         if self.mode == "static":
             return self._estimate_static(
-                key, workload, compiler, microarch, input_name
-            )
+                [(workload, compiler, microarch, input_name)], {key: [0]}
+            )[key]
+        _RESULT_MISSES.inc()
         t0 = time.perf_counter()
         entry = self._binary(workload, input_name, compiler, microarch.issue_width)
         exe = entry[0]
@@ -452,40 +452,57 @@ class MeasurementEngine:
 
     def _estimate_static(
         self,
-        key: str,
-        workload: str,
-        compiler: CompilerConfig,
-        microarch: MicroarchConfig,
-        input_name: str,
-    ) -> Measurement:
-        """``--oracle static``: answer from the analytical cost model.
+        requests: Sequence[Tuple[str, CompilerConfig, MicroarchConfig, str]],
+        pending: Mapping[str, List[int]],
+    ) -> Dict[str, Measurement]:
+        """``--oracle static``: answer ``pending`` (result key -> indices
+        into ``requests``, all cache misses) from the analytical cost
+        model.
 
         No compilation, execution or simulation happens; the program's
-        static analysis (cached per workload by the oracle) is evaluated
-        in microseconds.  ``checksum=0`` and ``sampling_error=0.0`` mark
-        the result as an estimate, and the mode field in the result key
-        keeps static entries apart from measured ones.
+        static analysis (cached per workload by the oracle) estimates
+        each (workload, input) group of points in one array pass.
+        ``checksum=0`` and ``sampling_error=0.0`` mark the results as
+        estimates, and the mode field in the result key keeps static
+        entries apart from measured ones.
         """
         # Imported lazily: the static-analysis stack is opt-in and the
         # accurate path must not pay for it.
         from repro.analysis.static.oracle import default_static_oracle
 
-        with span(
-            "measure.static", workload=workload, input=input_name
-        ):
-            breakdown = default_static_oracle().estimate(
-                workload, compiler, microarch, input_name
-            )
-        result = Measurement(
-            cycles=breakdown.cycles,
-            checksum=0,
-            instructions=int(breakdown.instructions),
-            sampling_error=0.0,
-            code_size=breakdown.code_size,
-        )
-        self._result_cache[key] = result
+        _RESULT_MISSES.inc(len(pending))
+        groups: Dict[Tuple[str, str], List[str]] = {}
+        for key, indices in pending.items():
+            workload, _, _, input_name = requests[indices[0]]
+            groups.setdefault((workload, input_name), []).append(key)
+        oracle = default_static_oracle()
+        fresh: Dict[str, Measurement] = {}
+        for (workload, input_name), keys in groups.items():
+            points = [requests[pending[key][0]] for key in keys]
+            with span(
+                "measure.static",
+                workload=workload,
+                input=input_name,
+                n_points=len(keys),
+            ):
+                breakdowns = oracle.estimate_many(
+                    workload,
+                    [compiler for _, compiler, _, _ in points],
+                    [microarch for _, _, microarch, _ in points],
+                    input_name,
+                )
+            for key, breakdown in zip(keys, breakdowns):
+                fresh[key] = Measurement(
+                    cycles=breakdown.cycles,
+                    checksum=0,
+                    instructions=int(breakdown.instructions),
+                    sampling_error=0.0,
+                    code_size=breakdown.code_size,
+                )
+        for key in pending:
+            self._result_cache[key] = fresh[key]
         self._dirty = True
-        return result
+        return fresh
 
     def _observe_cost(
         self, workload: str, input_name: str, seconds: float
@@ -543,9 +560,15 @@ class MeasurementEngine:
             else:
                 pending.setdefault(key, []).append(i)
         lost_chunks = 0
-        # Static estimates are microseconds each: the pool's per-worker
-        # startup would dwarf the work, so they always run in-process.
-        if pending and (jobs <= 1 or len(pending) == 1 or self.mode == "static"):
+        if pending and self.mode == "static":
+            # One array pass per (workload, input): far less work than a
+            # pool worker's startup, so static points never leave the
+            # process.
+            fresh = self._estimate_static(requests, pending)
+            for key, indices in pending.items():
+                for i in indices:
+                    results[i] = fresh[key]
+        elif pending and (jobs <= 1 or len(pending) == 1):
             for key, indices in pending.items():
                 workload, comp, micro, input_name = requests[indices[0]]
                 m = self._measure_keyed(key, workload, comp, micro, input_name)
