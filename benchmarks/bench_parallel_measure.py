@@ -22,7 +22,10 @@ Three legs, all bit-identity-checked against each other:
 
 ``repro bench --quick --baseline .`` additionally gates
 ``serial_point_ms`` / ``warm_point_ms`` against the committed
-``BENCH_parallel_measure.json``.
+``BENCH_parallel_measure.json``.  The scenario declares the warm-path
+and (on a host with >= 2 usable cores) the jobs=2 bars as floors, which
+``repro bench`` checks after it writes the result file, so a miss still
+records the numbers that missed.
 """
 
 import os
@@ -168,19 +171,13 @@ def _bench(quick: bool) -> dict:
             assert four == serial, "jobs=4 diverged from serial"
             metrics["jobs4_s"] = t_four
             metrics["speedup_jobs4"] = t_serial / t_four
-    assert metrics["single_point_speedup"] >= SINGLE_POINT_SPEEDUP_FLOOR, (
-        f"warm-cache point cost {metrics['warm_point_ms']:.1f} ms is only "
-        f"{metrics['single_point_speedup']:.1f}x under the "
-        f"{PRE_OPT_SERIAL_POINT_MS:.0f} ms pre-optimization baseline "
-        f"(floor {SINGLE_POINT_SPEEDUP_FLOOR}x)"
-    )
-    if cpus >= 2:
-        assert metrics["speedup_jobs2"] >= POOL_SPEEDUP_FLOOR, (
-            f"cold jobs=2 speedup {metrics['speedup_jobs2']:.2f}x below "
-            f"the {POOL_SPEEDUP_FLOOR}x bar on a {cpus}-core host"
-        )
     return metrics
 
+
+#: A 1-core host cannot show pool speedup, so it gets no jobs=2 floor.
+_FLOORS = {"single_point_speedup": SINGLE_POINT_SPEEDUP_FLOOR}
+if _usable_cpus() >= 2:
+    _FLOORS["speedup_jobs2"] = POOL_SPEEDUP_FLOOR
 
 BENCH_SCENARIO = BenchScenario(
     name="parallel_measure",
@@ -188,4 +185,5 @@ BENCH_SCENARIO = BenchScenario(
     run=_bench,
     gates={"serial_point_ms": "lower", "warm_point_ms": "lower"},
     threshold_pct=50.0,
+    floors=_FLOORS,
 )

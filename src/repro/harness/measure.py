@@ -139,7 +139,12 @@ class MeasurementEngine:
         Directory for the persistent measurement cache; None disables
         persistence (in-memory caching still applies).
     max_cached_traces:
-        Traces are large; only this many binaries+traces stay resident.
+        Binaries with their traces and trace tables kept resident; the
+        least recently used goes first and is freed at once.  One
+        entry costs 16 bytes per trace position for the packed trace
+        and 20-25 more for the tables of one issue width and block size
+        (8 per further issue width, 11-17 per further block size):
+        about 34 MB for mcf at O2, the longest trace at 851k positions.
     jobs:
         Worker processes for :meth:`measure_many` / :meth:`measure_batch`
         (None reads ``REPRO_JOBS``; 1 keeps everything in-process).

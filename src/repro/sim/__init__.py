@@ -19,8 +19,9 @@ Components:
 * :mod:`repro.sim.smarts` -- SMARTS systematic sampling: continuous
   functional warming with detailed timing on periodic windows, and a
   confidence interval on the CPI estimate;
-* :mod:`repro.sim.tracepack` -- flat-array trace tables the hot loops
-  index (built once per binary+trace, shared across configurations);
+* :mod:`repro.sim.tracepack` -- the packed trace, and the op records
+  and event columns the hot loops read (built once per binary, trace
+  and configuration, and freed with the binary);
 * :mod:`repro.sim.memo` -- the timing key and the store of whole timing
   runs that the measurement engine keeps (see ``docs/SIMULATOR.md``).
 

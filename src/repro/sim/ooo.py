@@ -22,22 +22,27 @@ SMARTS warming pass (:mod:`repro.sim.smarts`).
 
 One kernel, one timing loop
 ---------------------------
+:func:`repro.sim.tracepack.tables_for` builds (once per binary, trace
+and configuration) the two tables the model reads: the trace's *event
+list* for the block size (instruction-block changes, memory operations,
+control transfers; :class:`repro.sim.tracepack.EventColumns`) and one op
+record per position for the issue width
+(:meth:`repro.sim.tracepack.TraceTables.ops_for`).
 :meth:`OooTimingModel._walk` is the only code that updates the tag
 arrays, the predictor tables, the BTB and the RAS and their counters.
-It visits only the trace's *event list* (instruction-block changes,
-memory operations, control transfers; see
-:meth:`repro.sim.tracepack.TraceTables.events_for`), and can write one
-outcome code per position: where the IL1 and DL1 accesses were served,
-and whether a control transfer was a correctly predicted redirect or a
-mispredict.  Functional warming (:meth:`~OooTimingModel.warm`) is that
-kernel alone.
+It zips the event columns of its slice -- kind, operand, branch target,
+same-block refetch flag -- and never indexes a per-position table.  It
+can write one outcome code per position: where the IL1 and DL1 accesses
+were served, and whether a control transfer was a correctly predicted
+redirect or a mispredict.  Functional warming
+(:meth:`~OooTimingModel.warm`) is that kernel alone.
 :meth:`~OooTimingModel.simulate_window` runs the kernel over its window
 first, then a timing loop (fetch, RUU, FU pools, store buffer, memory
-bus, commit) that reads only the codes and one op record per
-instruction (:meth:`repro.sim.tracepack.TraceTables.ops_for`).  The loop
-times the window's warm-up and measured segments and stops at
-``measure_to``: an instruction's commit cycle depends only on earlier
-instructions, so the cool-down is walked by the kernel but never timed.
+bus, commit) that reads only the codes, one op record per instruction
+and the window's addresses from the packed trace.  The loop times the
+window's warm-up and measured segments and stops at ``measure_to``: an
+instruction's commit cycle depends only on earlier instructions, so the
+cool-down is walked by the kernel but never timed.
 
 The split is exact because no cache or predictor update depends on the
 clock:
@@ -63,13 +68,13 @@ captured before this split.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from heapq import heapreplace
 from dataclasses import dataclass
+from itertools import repeat
 from typing import List, Optional, Sequence, Tuple
 
-from repro.codegen.linker import Executable
+from repro.codegen.linker import Executable, INSTR_BYTES, TEXT_BASE
 from repro.codegen.machine_desc import MachineDescription
 from repro.obs import counter
 from repro.sim.bpred import BranchTargetBuffer, CombinedPredictor, ReturnAddressStack
@@ -142,9 +147,10 @@ class OooTimingModel:
     ) -> None:
         """Apply trace[start:end] to the caches, predictor, BTB and RAS.
 
-        Visits the event list only; every counter (cache hits/misses,
-        predictor lookups/mispredictions) is updated as the detailed
-        pipeline would.  When ``out`` is given (a zeroed list of
+        Zips the event columns of the slice, so only event positions
+        cost anything; every counter (cache hits/misses, predictor
+        lookups/mispredictions) is updated as the detailed pipeline
+        would.  When ``out`` is given (a zeroed list of
         ``end - start`` ints), ``out[i - start]`` receives position
         ``i``'s outcome code (``IL1_*``, ``DL1_*``, ``REDIRECT``,
         ``MISPREDICT``).
@@ -152,23 +158,22 @@ class OooTimingModel:
         if start >= end:
             return
         block_size = self.config.block_size
-        blocks = tables.blocks_for(block_size)
-        ev_pos, ev_kind = tables.events_for(block_size)
-        lo = bisect_left(ev_pos, start)
-        hi = bisect_left(ev_pos, end)
-        positions = ev_pos[lo:hi]
-        kinds = ev_kind[lo:hi]
-        # A window starts with no current fetch block, so its first
-        # instruction accesses IL1 -- through its own block-change event
-        # if it has one.
-        if not positions or positions[0] != start or kinds[0] != EV_INST:
-            positions = (start,) + positions
-            kinds = (EV_INST,) + kinds
-        eas = tables.eas
-        pcs = tables.pcs
-        taken_pos = tables.taken
-        next_pos = tables.next_pc
-        last = end - 1
+        ev = tables.events_for(block_size)
+        lo, hi = ev.pos.searchsorted((start, end)).tolist()
+        # The walk's first fetch is made before the loop; a block change
+        # at ``start`` is that fetch.
+        if lo < hi and ev.pos.item(lo) == start and ev.kind[lo] == EV_INST:
+            lo += 1
+        kinds = ev.kind[lo:hi]
+        args = ev.arg[lo:hi].tolist()
+        targets = ev.target[lo:hi].tolist()
+        refetch = ev.refetch[lo:hi]
+        # A transfer at the walk's last position is followed by the next
+        # walk, which makes its own first access.
+        if refetch and refetch[-1] and ev.pos.item(hi - 1) == end - 1:
+            refetch = refetch[:-1] + b"\0"
+        # Positions relative to the walk, listed only to write codes.
+        positions = repeat(0) if out is None else (ev.pos[lo:hi] - start).tolist()
 
         # Tag arrays: the MRU-hit fast path is inline; any other access
         # goes through Cache.access_block, which keeps its own counts.
@@ -196,30 +201,39 @@ class OooTimingModel:
         ras_stack = self.ras._stack
         ras_depth = self.ras.depth
 
-        for i, kind in zip(positions, kinds):
+        # A walk starts with no current fetch block, so its first
+        # instruction accesses IL1 whether or not it starts a block.
+        first_pc = tables.trace.pcs.item(start)
+        first_block = (first_pc * INSTR_BYTES + TEXT_BASE) // block_size
+        if not il1.access_block(first_block):
+            level = IL1_L2 if ul2.access_block(first_block) else IL1_MEM
+            if out is not None:
+                out[0] = level
+
+        for i, kind, arg, target, again in zip(
+            positions, kinds, args, targets, refetch
+        ):
             if kind == EV_DATA:
-                blk = eas[i] // block_size
-                ways = d_sets[blk % d_nsets]
-                if ways and ways[-1] == blk // d_nsets:
+                ways = d_sets[arg % d_nsets]
+                if ways and ways[-1] == arg // d_nsets:
                     d_mru += 1
-                elif not dl1.access_block(blk):
-                    level = DL1_L2 if ul2.access_block(blk) else DL1_MEM
+                elif not dl1.access_block(arg):
+                    level = DL1_L2 if ul2.access_block(arg) else DL1_MEM
                     if out is not None:
-                        out[i - start] += level
+                        out[i] += level
                 continue
             if kind == EV_INST:
-                blk = blocks[i]
-                ways = i_sets[blk % i_nsets]
-                if ways and ways[-1] == blk // i_nsets:
+                ways = i_sets[arg % i_nsets]
+                if ways and ways[-1] == arg // i_nsets:
                     i_mru += 1
-                elif not il1.access_block(blk):
-                    level = IL1_L2 if ul2.access_block(blk) else IL1_MEM
+                elif not il1.access_block(arg):
+                    level = IL1_L2 if ul2.access_block(arg) else IL1_MEM
                     if out is not None:
-                        out[i - start] = level
+                        out[i] = level
                 continue
             if kind == EV_BRANCH:
-                pc = pcs[i]
-                taken = taken_pos[i]
+                pc = arg
+                taken = target != pc + 1
                 pcm = pc & bp_mask
                 gsh = (pc ^ history) & bp_mask
                 b = bim_tab[pcm]
@@ -240,7 +254,6 @@ class OooTimingModel:
                     bim_tab[pcm] = b + 1 if b < 3 else 3
                     gsh_tab[gsh] = g + 1 if g < 3 else 3
                     history = ((history << 1) | 1) & h_mask
-                    target = next_pos[i]
                     bi = pc & btb_mask
                     if pred and btb_tags[bi] == pc and btb_targets[bi] == target:
                         code = REDIRECT
@@ -256,21 +269,22 @@ class OooTimingModel:
                         continue  # correctly predicted fall-through
                     code = MISPREDICT
             elif kind == EV_CALL:
-                ras_stack.append(pcs[i] + 1)
+                ras_stack.append(arg + 1)
                 if len(ras_stack) > ras_depth:
                     del ras_stack[0]
                 code = REDIRECT
             elif kind == EV_RET:
                 predicted = ras_stack.pop() if ras_stack else None
-                code = REDIRECT if predicted == next_pos[i] else MISPREDICT
+                code = REDIRECT if predicted == arg else MISPREDICT
             else:  # EV_JUMP
                 code = REDIRECT
-            # Fetch restarts at i + 1.  A new block has its own EV_INST
-            # event; a re-fetch of the same block is an MRU hit.
-            if i < last and blocks[i + 1] == blocks[i]:
+            # Fetch restarts at the next position.  A new block has its
+            # own EV_INST event; a re-fetch of the same block is an MRU
+            # hit.
+            if again:
                 i_mru += 1
             if out is not None:
-                out[i - start] += code
+                out[i] += code
 
         il1.hits += i_mru
         dl1.hits += d_mru
@@ -312,13 +326,13 @@ class OooTimingModel:
                 f"measure_to <= end <= len(trace), got {start}, "
                 f"{measure_from}, {measure_to}, {end}, {len(trace)}"
             )
-        T = tables_for(self.exe, trace)
-        codes = [0] * (end - start)
-        self._walk(T, start, end, codes)
-
         cfg = self.config
         mdesc = self.mdesc
         block_size = cfg.block_size
+        T = tables_for(self.exe, trace, block_size, mdesc)
+        codes = [0] * (end - start)
+        self._walk(T, start, end, codes)
+
         width = cfg.issue_width
         sbuf_size = cfg.store_buffer_size
         penalty = cfg.mispredict_penalty
@@ -329,7 +343,7 @@ class OooTimingModel:
         btc = cfg.bus_transfer_cycles
 
         ops = T.ops_for(mdesc)
-        eas = T.eas
+        eas = T.trace.eas[start:measure_to].tolist()
 
         bus_free = 0
         mem_acc = 0
@@ -381,7 +395,7 @@ class OooTimingModel:
         for lo, hi in ((start, measure_from), (measure_from, measure_to)):
             boundary = last_commit
             for (code, s0, s1, dst, lat), oc, ea in zip(
-                ops[lo:hi], codes[lo - start : hi - start], eas[lo:hi]
+                ops[lo:hi], codes[lo - start : hi - start], eas[lo - start : hi - start]
             ):
                 # ---------------- fetch ----------------
                 if oc & _IL1_MISS:
@@ -524,7 +538,8 @@ class OooTimingModel:
         Only event positions are visited, so straight-line instructions
         inside an already-fetched block cost nothing.
         """
-        self._walk(tables_for(self.exe, trace), start, end, None)
+        tables = tables_for(self.exe, trace, self.config.block_size, self.mdesc)
+        self._walk(tables, start, end, None)
 
     # Inert: perfbench/tracer.py looks replay_window up in every benchmark run.
     replay_window = warm

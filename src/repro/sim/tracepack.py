@@ -1,28 +1,28 @@
-"""Flat-array trace representation and per-executable static tables.
+"""The packed trace and the per-trace tables the timing model reads.
 
-The per-event simulator loops (:mod:`repro.sim.ooo`) used to chase
-attributes per instruction: ``trace[i]`` tuple unpacking, ``cls_tab[pc]``
-table lookups, ``TEXT_BASE + pc * INSTR_BYTES`` arithmetic, block-index
-divisions.  This module hoists all of that into numpy-precomputed flat
-tables built once per (executable, trace) and reused across every SMARTS
-window and every microarchitecture sharing the trace:
+The simulator loops (:mod:`repro.sim.ooo`) index flat tables built once
+per (executable, trace) with numpy and reused by every SMARTS window
+and every microarchitecture that measures the trace:
 
-* :class:`PackedTrace` -- the dynamic trace as two parallel numpy arrays
-  (``pcs``, ``eas``).  :func:`repro.sim.func.execute` returns its trace
-  in this form.  It behaves as a sequence of
-  ``(pc, ea)`` tuples, so existing consumers (``instruction_mix``,
-  ``detailed_statistics``, tests) keep working unchanged.
-* :class:`TraceTables` -- per-position pcs, addresses and branch
-  outcomes, per-``issue_width`` op records (the timing loop's view of
-  each instruction), plus per-``block_size`` instruction-block ids and
-  the merged *event list* (positions where the cache/predictor kernel
-  must touch a cache, the predictor, the BTB or the RAS -- everything
-  else is skipped entirely).
+* :class:`PackedTrace` -- the dynamic trace as two parallel int64
+  arrays (``pcs``, ``eas``).  :func:`repro.sim.func.execute` returns its
+  trace in this form.  It behaves as a sequence of ``(pc, ea)`` tuples,
+  so consumers such as ``instruction_mix`` and the tests read it like a
+  list.
+* :class:`TraceTables` -- per issue width, one op record per position
+  (the timing loop's view of each instruction, shared per pc); per
+  block size, the trace's *event list* as :class:`EventColumns`: the
+  positions where the cache/predictor kernel must touch a cache, the
+  predictor, the BTB or the RAS, and one column per field the kernel
+  reads there.  Every other position is skipped, so nothing per
+  position is kept beside the op records and the packed trace.
 
-Tables are attached to the ``Executable`` object (``_repro_*``
-attributes), so they live and die with the binary+trace cache entry in
-:class:`repro.harness.measure.MeasurementEngine` and are shared by every
-``OooTimingModel`` built on the same binary.
+:func:`tables_for` attaches the tables to the ``Executable``, so they
+are shared by every ``OooTimingModel`` built on the binary and die with
+the binary+trace entry of
+:class:`repro.harness.measure.MeasurementEngine`'s LRU.  They keep the
+binary's instruction list, not the binary: with a reference back, an
+evicted entry would stay resident until a full garbage collection.
 """
 
 from __future__ import annotations
@@ -183,139 +183,131 @@ def _objects(table: Sequence) -> np.ndarray:
     return objects
 
 
-def _gather(objects: np.ndarray, index: np.ndarray) -> Tuple:
-    """``tuple(objects[i] for i in index)``, gathered in C.
+#: The event kind of each class code; -1 for the classes (ALU, NOP)
+#: whose only event is a new instruction block.
+_EVENT_OF_CLASS = np.full(12, -1, dtype=np.int64)
+_EVENT_OF_CLASS[[LOAD, STORE, PF]] = EV_DATA
+_EVENT_OF_CLASS[[BRANCH, CALL, RET, JUMP]] = [EV_BRANCH, EV_CALL, EV_RET, EV_JUMP]
 
-    Equal positions hold the same object, so a position costs one
-    pointer, and a tuple of ints (or of tuples of ints) drops out of the
-    cyclic garbage collector's tracking after the first collection that
-    sees it -- a list is walked by every full collection.
+
+class EventColumns:
+    """One block size's event list, one column per field.
+
+    Event ``e`` happens at trace position ``pos[e]``.  Events are sorted
+    by ``(position, kind)``: an instruction-block change (``EV_INST``)
+    precedes the same position's data or control event, the order a
+    pipeline fetches, then executes.  Position 0 never carries an
+    ``EV_INST`` event: a walk starts with no current fetch block, so
+    the kernel makes its first access itself.
+
+    * ``pos`` -- int64 positions; a walk bounds its slice with
+      ``searchsorted``;
+    * ``kind`` -- one ``EV_*`` code per byte;
+    * ``arg`` -- int64 operand: the block number of an ``EV_INST`` or
+      ``EV_DATA`` event, the pc of a branch, call or jump, the return
+      target of a return;
+    * ``target`` -- int64 next pc of a branch (0 for other kinds);
+    * ``refetch`` -- one byte, 1 where a control transfer's next
+      position is in the same instruction block, so fetching it again
+      is an MRU hit with no ``EV_INST`` event (0 at the trace's last
+      position).
     """
-    return tuple(objects[index].tolist())
+
+    __slots__ = ("pos", "kind", "arg", "target", "refetch")
+
+    def __init__(
+        self, pcs: np.ndarray, eas: np.ndarray, kind_pc: np.ndarray, block_size: int
+    ):
+        n = len(pcs)
+        blocks = (pcs * INSTR_BYTES + TEXT_BASE) // block_size
+        kind_at = kind_pc[pcs]
+        own = np.flatnonzero(kind_at >= 0)
+        change = np.flatnonzero(blocks[1:] != blocks[:-1]) + 1
+        # Both runs are sorted, so the stable sort of (position, kind)
+        # keys is one merge.
+        keys = np.concatenate((change * 8 + EV_INST, own * 8 + kind_at[own]))
+        keys.sort(kind="stable")
+        pos = keys >> 3
+        kind = keys & 7
+        after = np.minimum(pos + 1, n - 1)
+        next_pc = np.where(pos + 1 < n, pcs[after], pcs[pos] + 1)
+        self.pos = pos
+        self.kind = kind.astype(np.uint8).tobytes()
+        self.arg = np.select(
+            (kind == EV_INST, kind == EV_DATA, kind == EV_RET),
+            (blocks[pos], eas[pos] // block_size, next_pc),
+            pcs[pos],
+        )
+        self.target = np.where(kind == EV_BRANCH, next_pc, 0)
+        self.refetch = (
+            ((kind >= EV_BRANCH) & (pos + 1 < n) & (blocks[after] == blocks[pos]))
+            .astype(np.uint8)
+            .tobytes()
+        )
 
 
 class TraceTables:
-    """Per-(executable, trace) flattened lookup tables.
+    """The timing model's tables for one (binary, trace) pair.
 
-    Every per-position table is a tuple (fast scalar indexing) built by
-    one vectorized numpy pass.  Those that hold pcs or pc-derived values
-    (``pcs``, ``next_pc``, block ids, op records) take their items from
-    a pc-indexed object table, so equal values share one object.
-    Per-``block_size`` artifacts (block ids, event lists) and
-    per-``issue_width`` op records are cached in dicts, since those are
-    the only microarchitectural parameters the tables depend on.
+    Per issue width, :meth:`ops_for` holds one op record per position;
+    per block size, :meth:`events_for` holds the event list as
+    :class:`EventColumns`.  Those are the only microarchitectural
+    parameters the tables depend on.  The tables keep the binary's
+    instruction list, never the ``Executable``: the binary holds them
+    (see :func:`tables_for`), and a reference back would make a cycle
+    that outlives the binary until a full garbage collection.
     """
 
-    def __init__(self, exe: Executable, trace: PackedTrace):
-        self.exe = exe
+    def __init__(self, instrs: Sequence, trace: PackedTrace):
+        self.instrs = instrs
         self.trace = trace
-        n = len(trace)
-        self.n = n
-        pcs = trace.pcs
-        self._cls_pc = np.array(
-            [CLASS_CODE[instr.op_class] for instr in exe.instrs], dtype=np.int64
-        )
-        # One int object per pc, and one for the pc past the text.
-        pc_objects = _objects(range(len(exe.instrs) + 1))
-        # Per-position flattening.
-        self.pcs: Tuple[int, ...] = _gather(pc_objects, pcs)
-        self.eas: Tuple[int, ...] = tuple(trace.eas.tolist())
-        # taken[i]: the control transfer at position i changed the pc
-        # stream (next_pc != pc + 1); the final position counts as not
-        # taken, exactly as the per-event loops treated it.
-        if n:
-            nxt = np.empty(n, dtype=np.int64)
-            nxt[:-1] = pcs[1:]
-            nxt[-1] = pcs[-1] + 1
-            self.taken: Tuple[bool, ...] = tuple((nxt != pcs + 1).tolist())
-            self.next_pc: Tuple[int, ...] = _gather(pc_objects, nxt)
-        else:
-            self.taken = ()
-            self.next_pc = ()
         self._ops: Dict[int, Tuple[OpRecord, ...]] = {}
-        self._blocks: Dict[int, Tuple[int, ...]] = {}
-        self._events: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
+        self._events: Dict[int, EventColumns] = {}
 
-    # -- per-issue-width op records -------------------------------------
     def ops_for(self, mdesc) -> Tuple[OpRecord, ...]:
         """Per-position op records for one machine description.
 
         Position ``i`` holds the record of the instruction at pc
-        ``pcs[i]`` (see :func:`op_record`); equal pcs share one record.
+        ``trace.pcs[i]`` (see :func:`op_record`).  Records are built
+        once per pc, so equal pcs share one record and a position costs
+        one pointer.
         """
         width = mdesc.issue_width
-        hit = self._ops.get(width)
-        if hit is not None:
-            return hit
-        records = _objects([op_record(instr, mdesc) for instr in self.exe.instrs])
-        ops = _gather(records, self.trace.pcs)
-        self._ops[width] = ops
+        ops = self._ops.get(width)
+        if ops is None:
+            records = _objects([op_record(instr, mdesc) for instr in self.instrs])
+            # A tuple of shared records: the garbage collector stops
+            # tracking it after one collection; a list it would walk in
+            # every full one.
+            ops = self._ops[width] = tuple(records[self.trace.pcs].tolist())
         return ops
 
-    # -- per-block-size artifacts ---------------------------------------
-    def _block_pc(self, block_size: int) -> np.ndarray:
-        """Instruction-block id per pc."""
-        pcs = np.arange(len(self.exe.instrs), dtype=np.int64)
-        return (pcs * INSTR_BYTES + TEXT_BASE) // block_size
-
-    def blocks_for(self, block_size: int) -> Tuple[int, ...]:
-        """Instruction-block id per position."""
-        hit = self._blocks.get(block_size)
-        if hit is not None:
-            return hit
-        blocks = _gather(
-            _objects(self._block_pc(block_size).tolist()), self.trace.pcs
-        )
-        self._blocks[block_size] = blocks
-        return blocks
-
-    def events_for(self, block_size: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """Merged event list for one block size.
-
-        Returns parallel tuples ``(positions, kinds)`` sorted by
-        ``(position, kind)``: instruction-block-change events
-        (``EV_INST``) precede the same position's data/control event,
-        the order a pipeline fetches, then executes.  Position 0 never
-        carries an ``EV_INST`` entry: a window starts with no current
-        fetch block, so the kernel adds its first access itself.
-        """
-        hit = self._events.get(block_size)
-        if hit is not None:
-            return hit
-        pcs = self.trace.pcs
-        blocks = np.take(self._block_pc(block_size), pcs)
-        cls = np.take(self._cls_pc, pcs)
-        change = np.flatnonzero(blocks[1:] != blocks[:-1]) + 1
-        pos_parts = [change]
-        kind_parts = [np.full(change.shape, EV_INST, dtype=np.int64)]
-        for code, kind in (
-            (LOAD, EV_DATA),
-            (STORE, EV_DATA),
-            (PF, EV_DATA),
-            (BRANCH, EV_BRANCH),
-            (CALL, EV_CALL),
-            (RET, EV_RET),
-            (JUMP, EV_JUMP),
-        ):
-            where = np.flatnonzero(cls == code)
-            pos_parts.append(where)
-            kind_parts.append(np.full(where.shape, kind, dtype=np.int64))
-        pos = np.concatenate(pos_parts)
-        kind = np.concatenate(kind_parts)
-        order = np.lexsort((kind, pos))
-        result = (tuple(pos[order].tolist()), tuple(kind[order].tolist()))
-        self._events[block_size] = result
-        return result
+    def events_for(self, block_size: int) -> EventColumns:
+        """The event list for one block size (see :class:`EventColumns`)."""
+        events = self._events.get(block_size)
+        if events is None:
+            kind_pc = _EVENT_OF_CLASS[
+                [CLASS_CODE[instr.op_class] for instr in self.instrs]
+            ]
+            events = self._events[block_size] = EventColumns(
+                self.trace.pcs, self.trace.eas, kind_pc, block_size
+            )
+        return events
 
 
-def tables_for(exe: Executable, trace: Sequence[Tuple[int, int]]) -> TraceTables:
-    """The (cached) flat tables for one (executable, trace) pair.
+def tables_for(
+    exe: Executable, trace: Sequence[Tuple[int, int]], block_size: int, mdesc
+) -> TraceTables:
+    """The tables for one (binary, trace) pair, with the op records of
+    ``mdesc`` and the events of ``block_size`` built.
 
     Tables are attached to the executable keyed by trace identity, so
     repeated simulations of the same binary across many design points
-    build them exactly once.  The keyed traces are also kept alive by
-    the attachment -- they are the same objects the measurement engine's
-    LRU holds, so nothing outlives the binary+trace cache entry.
+    build each table exactly once.  The keyed traces are also kept alive
+    by the attachment -- they are the same objects the measurement
+    engine's LRU holds -- and the tables hold no reference to the
+    executable, so reference counting frees all of it with the LRU
+    entry.
     """
     registry: Dict[int, Tuple[object, TraceTables]] = getattr(
         exe, "_repro_trace_tables", None
@@ -325,10 +317,13 @@ def tables_for(exe: Executable, trace: Sequence[Tuple[int, int]]) -> TraceTables
         exe._repro_trace_tables = registry  # type: ignore[attr-defined]
     hit = registry.get(id(trace))
     if hit is not None and hit[0] is trace:
-        return hit[1]
-    packed = PackedTrace.from_pairs(trace)
-    tables = TraceTables(exe, packed)
-    registry[id(trace)] = (trace, tables)
-    if packed is not trace:
-        registry[id(packed)] = (packed, tables)
+        tables = hit[1]
+    else:
+        packed = PackedTrace.from_pairs(trace)
+        tables = TraceTables(exe.instrs, packed)
+        registry[id(trace)] = (trace, tables)
+        if packed is not trace:
+            registry[id(packed)] = (packed, tables)
+    tables.ops_for(mdesc)
+    tables.events_for(block_size)
     return tables

@@ -53,6 +53,7 @@ class ReferenceTables:
     the reference loop indexes."""
 
     def __init__(self, exe, pcs: np.ndarray):
+        self.instrs = exe.instrs
         cls_pc: List[int] = []
         dst_pc: List[int] = []
         srcs_pc: List[Tuple[int, ...]] = []
@@ -66,7 +67,6 @@ class ReferenceTables:
             else:
                 dst_pc.append(-1)
             srcs_pc.append(tuple(r for r in instr.srcs if r != ZERO))
-        self.exe = exe
         self.pcs = pcs.tolist()
         self.cls = [cls_pc[pc] for pc in self.pcs]
         self.dst = [dst_pc[pc] for pc in self.pcs]
@@ -76,18 +76,17 @@ class ReferenceTables:
     def lat_for(self, mdesc) -> List[int]:
         lat = self._lat.get(mdesc.issue_width)
         if lat is None:
-            lat_pc = [mdesc.latency(instr.op_class) for instr in self.exe.instrs]
+            lat_pc = [mdesc.latency(instr.op_class) for instr in self.instrs]
             lat = self._lat[mdesc.issue_width] = [lat_pc[pc] for pc in self.pcs]
         return lat
 
 
-def reference_tables(tables) -> ReferenceTables:
-    """The reference tables of one ``TraceTables``, cached on it."""
+def reference_tables(exe, tables) -> ReferenceTables:
+    """The reference tables of ``exe`` on the trace of one
+    ``TraceTables``, cached on the tables."""
     cached = getattr(tables, "_reference_tables", None)
     if cached is None:
-        cached = tables._reference_tables = ReferenceTables(
-            tables.exe, tables.trace.pcs
-        )
+        cached = tables._reference_tables = ReferenceTables(exe, tables.trace.pcs)
     return cached
 
 
@@ -109,14 +108,14 @@ def simulate_window_reference(
     ``measure_from`` are *detailed warming* (removing cold-pipeline
     bias) and instructions after ``measure_to`` are *cooldown*.
     """
-    T = tables_for(self.exe, trace)
-    R = reference_tables(T)
-    codes = [0] * (end - start)
-    self._walk(T, start, end, codes)
-
     cfg = self.config
     mdesc = self.mdesc
     block_size = cfg.block_size
+    T = tables_for(self.exe, trace, block_size, mdesc)
+    R = reference_tables(self.exe, T)
+    codes = [0] * (end - start)
+    self._walk(T, start, end, codes)
+
     width = cfg.issue_width
     ruu_size = cfg.ruu_size
     sbuf_size = cfg.store_buffer_size
@@ -127,7 +126,7 @@ def simulate_window_reference(
     mem_lat = cfg.memory_latency
     btc = cfg.bus_transfer_cycles
 
-    eas = T.eas
+    eas = T.trace.eas[start:end].tolist()
     cls_pos = R.cls
     lat_pos = R.lat_for(mdesc)
     dst_pos = R.dst
@@ -230,7 +229,7 @@ def simulate_window_reference(
 
         # ---------------- execute / complete ----------------
         if code == _LOAD:
-            eb = eas[i] // block_size
+            eb = eas[i - start] // block_size
             for drain, sblock in store_buffer:
                 if sblock == eb and drain > issue:
                     # Forwarded from the store buffer: no bus trip.
@@ -258,7 +257,7 @@ def simulate_window_reference(
                 dlat += l2_lat
                 if oc & DL1_MEM:
                     dlat += memory_fetch(issue + dlat)
-            store_buffer.append((issue + dlat, eas[i] // block_size))
+            store_buffer.append((issue + dlat, eas[i - start] // block_size))
             complete = issue + 1
         elif code == _PF:
             if oc & DL1_MEM:

@@ -3,30 +3,40 @@
 A cold design point compiles, traces and times a new binary.  Every
 container object that survives on that path is one more object the
 cyclic garbage collector counts towards a collection and walks in every
-full one, so the hot structures allocate none per instruction and none
-per cache set:
+full one, and every byte a trace's tables take stays resident as long
+as the measurement engine keeps the binary.  So the hot structures
+allocate no container per instruction and none per cache set:
 
 * ``execute`` keeps no per-instruction container: what it allocates
   grows with the static code, not with the run;
-* the per-position tables of ``TraceTables`` are tuples, equal pcs
-  are one shared int object, and equal pcs share one op record;
+* a trace's tables cost at most 48 bytes per position beside the
+  packed trace itself, and equal pcs share one op record;
+* the tables hold no reference to their binary, so a binary and its
+  trace are freed the moment the measurement engine evicts them, not
+  at the next full collection;
 * a cache set stays the shared empty tuple until its first fill, so a
   timing model over an 8 MB direct-mapped L2 (262,144 sets) is a
   handful of objects.
 
 Counts are ``len(gc.get_objects())`` deltas with the collector off, so
-nothing is collected while they are taken.
+nothing is collected while they are taken.  The eviction test runs with
+the collector off too, so only reference counting can free the binary.
 """
 
 import gc
+import sys
+import weakref
 from contextlib import contextmanager
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from repro.codegen import compile_module
+from repro.codegen.machine_desc import MachineDescription
+from repro.harness.measure import MeasurementEngine
 from repro.opt.flags import O2
-from repro.sim import MicroarchConfig, OooTimingModel
+from repro.sim import MicroarchConfig, OooTimingModel, smarts_simulate
 from repro.sim.cache import Cache
 from repro.sim.func import execute
 from repro.sim.tracepack import PackedTrace, tables_for
@@ -76,35 +86,65 @@ def test_execute_allocates_with_static_not_dynamic_size(collect_trace):
         assert len(result.trace) == result.instruction_count
 
 
-def test_trace_tables_are_tuples_of_shared_ints():
+def _deep_size(root, skip) -> int:
+    """Bytes of ``root`` and everything it reaches, each object once,
+    leaving out the objects in ``skip`` and classes."""
+    seen = {id(obj) for obj in skip}
+    total = 0
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        if isinstance(obj, np.ndarray):
+            # An array counts its data only where it owns it.
+            if obj.base is not None:
+                stack.append(obj.base)
+        else:
+            stack.extend(gc.get_referents(obj))
+    return total
+
+
+def test_trace_tables_cost_at_most_48_bytes_per_position():
     exe = _binary("mcf")
-    tables = tables_for(exe, execute(exe).trace)
-    ops = tables.ops_for(OooTimingModel(exe, MicroarchConfig()).mdesc)
-    per_position = {
-        "pcs": tables.pcs,
-        "eas": tables.eas,
-        "ops": ops,
-        "taken": tables.taken,
-        "next_pc": tables.next_pc,
-        "blocks": tables.blocks_for(32),
-        "event positions": tables.events_for(32)[0],
-        "event kinds": tables.events_for(32)[1],
-    }
-    for name, table in per_position.items():
-        assert type(table) is tuple, name
-    assert len(tables.pcs) == len(tables.next_pc) == tables.n
-    # Equal values are one object (ints above 256 are not interned).
-    for table in (tables.pcs, tables.next_pc, tables.blocks_for(32)):
-        first = {}
-        for value in table:
-            assert first.setdefault(value, value) is value
-    assert max(tables.pcs) > 256
-    seen = {pc: pc for pc in tables.pcs}
-    assert all(seen[pc] is pc for pc in tables.next_pc[:-1])
+    trace = execute(exe).trace
+    config = MicroarchConfig()
+    smarts_simulate(exe, config, trace, interval=3)
+    mdesc = MachineDescription.for_issue_width(config.issue_width)
+    tables = tables_for(exe, trace, config.block_size, mdesc)
+    # The packed trace and the instruction list are the trace's and the
+    # binary's, whatever tables are built on them.
+    size = _deep_size(tables, skip=(trace.pcs, trace.eas, exe.instrs))
+    assert size <= 48 * len(trace)
     # Equal pcs share one op record.
     record = {}
-    for pc, op in zip(tables.pcs, ops):
+    for pc, op in zip(trace.pcs.tolist(), tables.ops_for(mdesc)):
         assert record.setdefault(pc, op) is op
+
+
+def test_an_evicted_binary_and_its_trace_are_freed_at_once():
+    engine = MeasurementEngine(max_cached_traces=1)
+    config = MicroarchConfig()
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        engine.measure_configs("art", O2, config)
+        exe, functional = engine.compile_and_trace(
+            "art", "train", O2, config.issue_width
+        )
+        assert engine.compilations == 1  # the measured binary, from the LRU
+        binary = weakref.ref(exe)
+        pcs = weakref.ref(functional.trace.pcs)
+        del exe, functional
+        engine.measure_configs("gzip", O2, config)
+        assert binary() is None
+        assert pcs() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class TestNeverTouchedSets:

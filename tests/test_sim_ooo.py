@@ -301,8 +301,9 @@ def test_no_sources_own_destination_and_jal():
         ]
     )
     model, trace = _whole_and_split(exe, CONSTRAINED)
-    ops = tables_for(exe, trace).ops_for(model.mdesc)
-    records = {pc: op for pc, op in zip(tables_for(exe, trace).pcs, ops)}
+    tables = tables_for(exe, trace, CONSTRAINED.block_size, model.mdesc)
+    ops = tables.ops_for(model.mdesc)
+    records = {pc: op for pc, op in zip(tables.trace.pcs.tolist(), ops)}
     assert records[0] == (IALU, NO_SRC, NO_SRC, 8, 1)
     assert records[1] == (IALU, 8, NO_SRC, 8, 1)
     assert records[2] == (CALL, NO_SRC, NO_SRC, RA, 1)
@@ -314,7 +315,8 @@ def test_store_reads_base_and_value_and_writes_nothing():
     stores = [ins("st", srcs=(9, 0), imm=0), ins("st", srcs=(9, 9), imm=0)]
     exe = _exe([BASE, *stores, HALT])
     trace = execute(exe).trace
-    ops = tables_for(exe, trace).ops_for(OooTimingModel(exe, TYPICAL).mdesc)
+    mdesc = OooTimingModel(exe, TYPICAL).mdesc
+    ops = tables_for(exe, trace, TYPICAL.block_size, mdesc).ops_for(mdesc)
     assert ops[1] == (STORE, 9, NO_SRC, NO_DST, 1)  # r0 is never waited on
     assert ops[2] == (STORE, 9, 9, NO_DST, 1)
 
