@@ -148,10 +148,9 @@ class StaticOracle:
         self._cache: Dict[Tuple[str, str, str], _Entry] = {}
 
     def _entry(self, workload: str, input_name: str) -> _Entry:
-        from repro.harness.measure import MeasurementEngine
         from repro.workloads import get_workload
 
-        fp = MeasurementEngine._workload_fingerprint(workload, input_name)
+        fp = get_workload(workload).fingerprint(input_name)
         key = (workload, input_name, fp)
         entry = self._cache.get(key)
         if entry is None:

@@ -461,24 +461,22 @@ def _measure_random_points(args) -> int:
     """Batch path of ``repro measure``: seeded random design points fanned
     out over the measurement pool (``--opt``/``--flag`` are unused --
     each random point carries its own compiler settings)."""
+    from repro.harness.measure import worker_count
     from repro.space import full_space
 
     space = full_space()
     rng = np.random.default_rng(args.seed)
     points = [space.random_point(rng) for _ in range(args.random_points)]
     engine = _measure_engine(args)
-    jobs = None
     if args.jobs is not None:
-        jobs = (os.cpu_count() or 1) if args.jobs <= 0 else args.jobs
+        engine.jobs = worker_count(args.jobs)
     print(
         f"measuring {len(points)} random points of {args.workload} "
-        f"({args.input}), seed {args.seed}, jobs {jobs or engine.jobs}, "
+        f"({args.input}), seed {args.seed}, jobs {engine.jobs}, "
         f"oracle {args.oracle}"
     )
     try:
-        measurements = engine.measure_batch(
-            args.workload, points, args.input, jobs=jobs
-        )
+        measurements = engine.measure_batch(args.workload, points, args.input)
     finally:
         engine.save()
     for i, m in enumerate(measurements):
@@ -552,7 +550,7 @@ def cmd_disasm(args) -> int:
 
 
 def cmd_model(args) -> int:
-    from repro.harness.measure import default_engine
+    from repro.harness.measure import default_engine, worker_count
     from repro.harness.model_zoo import standard_factories
     from repro.pipeline import build_model
     from repro.space import full_space
@@ -560,7 +558,7 @@ def cmd_model(args) -> int:
     space = full_space()
     engine = default_engine()
     if args.jobs is not None:
-        engine.jobs = (os.cpu_count() or 1) if args.jobs <= 0 else args.jobs
+        engine.jobs = worker_count(args.jobs)
     factory_key = {"linear": "linear", "mars": "mars", "rbf": "rbf-rt"}[
         args.family
     ]
@@ -607,7 +605,7 @@ def cmd_model(args) -> int:
 
 def cmd_tune(args) -> int:
     from repro.harness.experiments.search import frozen_microarch_objective
-    from repro.harness.measure import default_engine
+    from repro.harness.measure import default_engine, worker_count
     from repro.models import RbfModel
     from repro.opt import O2, O3, CompilerConfig
     from repro.pipeline import build_model
@@ -617,7 +615,7 @@ def cmd_tune(args) -> int:
     space = full_space()
     engine = default_engine()
     if args.jobs is not None:
-        engine.jobs = (os.cpu_count() or 1) if args.jobs <= 0 else args.jobs
+        engine.jobs = worker_count(args.jobs)
     microarch = _microarch(args)
     rng = np.random.default_rng(args.seed)
 
@@ -1829,13 +1827,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
             if _env_truthy(os.environ.get("REPRO_TRACE")):
                 _dump_trace(_trace_out_dir())
-
-
-def stats_main(argv: Optional[List[str]] = None) -> int:
-    """Entry point for the ``repro-stats`` console script."""
-    if argv is None:
-        argv = sys.argv[1:]
-    return main(["stats"] + list(argv))
 
 
 if __name__ == "__main__":

@@ -22,6 +22,10 @@ Layout (under ``<cache_dir>/artifacts/``):
   trace is a pure function of the executable; two inputs whose
   binaries differ only in initialised data do not.
 
+Neither file carries the simulator's tables: they belong to the trace
+object (:func:`repro.sim.tracepack.tables_for`), and only the trace's two
+arrays are stored.
+
 Writes are atomic (:func:`repro.store.write_atomic`) and need no lock:
 files are content-addressed, so concurrent writers of the same key
 write identical bytes and either replacement is correct.  Reads are
@@ -96,17 +100,9 @@ class ArtifactStore:
         return exe
 
     def store_binary(self, key: str, exe: Executable) -> None:
-        # Strip the memoized per-trace tables before pickling: they are
-        # session-local (keyed by object identity) and can be huge.
-        tables = exe.__dict__.pop("_repro_trace_tables", None)
-        try:
-            _write_pickle(
-                self._bin_dir / f"{key}.pkl",
-                {"version": ARTIFACT_VERSION, "exe": exe},
-            )
-        finally:
-            if tables is not None:
-                exe._repro_trace_tables = tables  # type: ignore[attr-defined]
+        _write_pickle(
+            self._bin_dir / f"{key}.pkl", {"version": ARTIFACT_VERSION, "exe": exe}
+        )
 
     # ------------------------------------------------------------------
     def load_trace(self, exe: Executable) -> Optional[FunctionalResult]:

@@ -89,12 +89,19 @@ _BATCH_LOST_CHUNKS = counter("measure.batch.lost_chunks")
 _WORKER_MS = histogram("measure.batch.worker_ms")
 
 
-def default_jobs() -> int:
-    """Worker-process count from ``REPRO_JOBS`` (default 1 = serial).
+def worker_count(jobs: int) -> int:
+    """Worker processes for a requested ``jobs``: ``0`` or a negative
+    value means "all cores"."""
+    jobs = int(jobs)
+    return (os.cpu_count() or 1) if jobs <= 0 else jobs
 
-    ``0`` or a negative value means "all cores"; unparseable values fall
-    back to serial so a stray environment variable can never break a
-    measurement run.
+
+def default_jobs() -> int:
+    """Worker-process count from ``REPRO_JOBS`` (default 1 = serial),
+    read by :func:`worker_count`.
+
+    Unparseable values fall back to serial so a stray environment
+    variable can never break a measurement run.
     """
     raw = os.environ.get("REPRO_JOBS", "").strip()
     if not raw:
@@ -103,9 +110,7 @@ def default_jobs() -> int:
         jobs = int(raw)
     except ValueError:
         return 1
-    if jobs <= 0:
-        return os.cpu_count() or 1
-    return jobs
+    return worker_count(jobs)
 
 
 def _short_md5(text: str) -> str:
@@ -147,7 +152,8 @@ class MeasurementEngine:
         about 34 MB for mcf at O2, the longest trace at 851k positions.
     jobs:
         Worker processes for :meth:`measure_many` / :meth:`measure_batch`
-        (None reads ``REPRO_JOBS``; 1 keeps everything in-process).
+        (None reads ``REPRO_JOBS``; 0 or less means all cores; 1 keeps
+        everything in-process).
     artifact_dir:
         Directory for the on-disk binary+trace artifact store shared
         across engines and pool workers.  Defaults to
@@ -172,7 +178,7 @@ class MeasurementEngine:
         self.mode = mode
         self.smarts_interval = smarts_interval
         self.max_cached_traces = max_cached_traces
-        self.jobs = default_jobs() if jobs is None else max(1, int(jobs))
+        self.jobs = default_jobs() if jobs is None else worker_count(jobs)
         #: LRU of ``[exe, functional or None]`` keyed on (workload, input,
         #: compiler key, issue width); hits move the entry to the MRU end.
         self._trace_cache: "OrderedDict[tuple, list]" = OrderedDict()
@@ -241,23 +247,8 @@ class MeasurementEngine:
         self._dirty = False
 
     # ------------------------------------------------------------------
-    _fingerprints: Dict[Tuple[str, str], str] = {}
-
-    @classmethod
-    def _workload_fingerprint(cls, workload: str, input_name: str) -> str:
-        """Short hash of the workload's source so stale cache entries
-        from an edited workload can never be served."""
-        key = (workload, input_name)
-        if key not in cls._fingerprints:
-            source = get_workload(workload).source(input_name)
-            cls._fingerprints[key] = hashlib.md5(
-                source.encode(), usedforsecurity=False
-            ).hexdigest()[:10]
-        return cls._fingerprints[key]
-
-    @classmethod
+    @staticmethod
     def _result_key(
-        cls,
         workload: str,
         input_name: str,
         compiler: CompilerConfig,
@@ -269,7 +260,7 @@ class MeasurementEngine:
             [
                 workload,
                 input_name,
-                cls._workload_fingerprint(workload, input_name),
+                get_workload(workload).fingerprint(input_name),
                 f"cc{COMPILER_VERSION}",
                 mode,
                 str(interval),
@@ -305,7 +296,7 @@ class MeasurementEngine:
                     [
                         workload,
                         input_name,
-                        self._workload_fingerprint(workload, input_name),
+                        get_workload(workload).fingerprint(input_name),
                         f"cc{COMPILER_VERSION}",
                         str(issue_width),
                     ]
@@ -547,7 +538,7 @@ class MeasurementEngine:
         :meth:`measure_configs` in a loop, for any worker count.
         """
         requests = list(requests)
-        jobs = self.jobs if jobs is None else max(1, int(jobs))
+        jobs = self.jobs if jobs is None else worker_count(jobs)
         results: List[Optional[Measurement]] = [None] * len(requests)
         keys = [
             self._result_key(

@@ -53,7 +53,6 @@ from repro.obs.metrics import (
     histogram,
 )
 from repro.obs.export import (
-    from_jsonl,
     self_timing_report,
     to_chrome_trace,
     to_jsonl,
@@ -67,11 +66,7 @@ from repro.obs.context import (
     install_context,
     merge_worker_telemetry,
 )
-from repro.obs.profile import (
-    SamplingProfiler,
-    spans_to_collapsed,
-    write_spans_collapsed,
-)
+from repro.obs.profile import SamplingProfiler
 from repro.obs.bench import (
     BenchScenario,
     GateFinding,
@@ -103,7 +98,6 @@ __all__ = [
     "histogram",
     "get_registry",
     "to_jsonl",
-    "from_jsonl",
     "to_chrome_trace",
     "self_timing_report",
     "TelemetryContext",
@@ -114,8 +108,6 @@ __all__ = [
     "collect_task",
     "merge_worker_telemetry",
     "SamplingProfiler",
-    "spans_to_collapsed",
-    "write_spans_collapsed",
     "BenchScenario",
     "GateFinding",
     "discover_scenarios",

@@ -3,8 +3,8 @@
 All three consume a list of :class:`~repro.obs.trace.SpanRecord` (from
 ``get_tracer().spans``):
 
-* :func:`to_jsonl` / :func:`from_jsonl` -- one JSON object per line,
-  lossless round-trip; the raw format downstream tooling should parse.
+* :func:`to_jsonl` -- one JSON object per line, every field of every
+  span; the raw format downstream tooling should parse.
 * :func:`to_chrome_trace` -- the Trace Event Format (``"ph": "X"``
   complete events, microsecond timestamps), loadable in
   ``chrome://tracing`` or https://ui.perfetto.dev.
@@ -47,30 +47,6 @@ def to_jsonl(spans: Sequence[SpanRecord], path: PathLike) -> None:
                 )
             )
             f.write("\n")
-
-
-def from_jsonl(path: PathLike) -> List[SpanRecord]:
-    """Parse a :func:`to_jsonl` dump back into span records."""
-    records = []
-    with Path(path).open() as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            records.append(
-                SpanRecord(
-                    name=obj["name"],
-                    span_id=obj["span_id"],
-                    parent_id=obj["parent_id"],
-                    thread_id=obj["thread_id"],
-                    start=obj["start"],
-                    duration=obj["duration"],
-                    attrs=obj.get("attrs", {}),
-                    pid=obj.get("pid", 0),
-                )
-            )
-    return records
 
 
 def to_chrome_trace(

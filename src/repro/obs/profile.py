@@ -19,10 +19,6 @@ Sampling bias to keep in mind: the sampler thread needs the GIL to run,
 so samples land at bytecode boundaries of pure-Python code -- exactly
 the code this project needs profiled.  Time spent inside C extensions
 that release the GIL is attributed to the line that called them.
-
-:func:`spans_to_collapsed` renders an already-collected span list in the
-same format (one "sample" per microsecond of exclusive span time), so
-`repro trace` output feeds the same flamegraph tooling.
 """
 
 from __future__ import annotations
@@ -32,8 +28,6 @@ import threading
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-from repro.obs.trace import SpanRecord
 
 PathLike = Union[str, Path]
 
@@ -177,43 +171,3 @@ class SamplingProfiler:
         for label, count in ranked[:top]:
             lines.append(f"{100.0 * count / total:7.1f} {count:8d}  {label}")
         return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Span-tree -> collapsed stacks (per-span self time)
-# ----------------------------------------------------------------------
-def spans_to_collapsed(spans: Sequence[SpanRecord]) -> List[str]:
-    """Render spans as collapsed stacks weighted by exclusive time.
-
-    Each line is a span *name path* (root span first) whose count is the
-    path's aggregate self time in integer microseconds, so the resulting
-    flamegraph widths are wall-clock-proportional.  Paths with zero
-    aggregate self time are dropped.
-    """
-    from repro.obs.export import _build_tree
-
-    if not spans:
-        return []
-    root = _build_tree(spans)
-    lines: List[Tuple[str, int]] = []
-
-    def walk(node, path: Tuple[str, ...]) -> None:
-        for child in node.children.values():
-            child_path = path + (child.name,)
-            usec = round(child.exclusive * 1e6)
-            if usec > 0:
-                lines.append((";".join(child_path), usec))
-            walk(child, child_path)
-
-    walk(root, ())
-    lines.sort(key=lambda kv: -kv[1])
-    return [f"{path} {usec}" for path, usec in lines]
-
-
-def write_spans_collapsed(
-    spans: Sequence[SpanRecord], path: PathLike
-) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(spans_to_collapsed(spans)) + "\n")
-    return path

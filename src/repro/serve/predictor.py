@@ -47,8 +47,8 @@ class Predictor:
         Optional :class:`ParameterSpace`; enables raw-point prediction
         (:meth:`predict_point`) and stricter input validation.
     cache_size:
-        Maximum cached (point -> prediction) entries; 0 disables the
-        cache entirely.
+        Maximum cached (point -> prediction) entries; 0 or less keeps
+        none.
     name:
         Display name used in ``info()`` (e.g. the registry name).
     input_bound:
@@ -81,7 +81,7 @@ class Predictor:
         #: any -- the link serve-session provenance events record.
         self.model_id = model_id
         self.input_bound = input_bound
-        self.cache_size = int(cache_size)
+        self.cache_size = max(0, int(cache_size))
         self._cache: "OrderedDict[bytes, float]" = OrderedDict()
         self._lock = threading.Lock()
 
@@ -158,12 +158,6 @@ class Predictor:
             sp.set_attr("n", n)
             _REQUESTS.inc()
             _PREDICTIONS.inc(n)
-            if self.cache_size <= 0:
-                y = np.asarray(self.model.predict(x), dtype=float)
-                _CACHE_MISS.inc(n)
-                _PREDICT_MS.observe((time.perf_counter() - t0) * 1e3)
-                return y
-
             keys = [x[i].tobytes() for i in range(n)]
             y = np.empty(n, dtype=float)
             miss_rows = []

@@ -19,16 +19,17 @@ Components:
 * :mod:`repro.sim.smarts` -- SMARTS systematic sampling: continuous
   functional warming with detailed timing on periodic windows, and a
   confidence interval on the CPI estimate;
-* :mod:`repro.sim.tracepack` -- the packed trace, and the op records
-  and event columns the hot loops read (built once per binary, trace
-  and configuration, and freed with the binary);
+* :mod:`repro.sim.tracepack` -- the packed trace, the simulator's only
+  trace type, and the op records and event columns the hot loops read
+  (built once per trace and configuration, kept by the trace and freed
+  with it);
 * :mod:`repro.sim.memo` -- the timing key and the store of whole timing
   runs that the measurement engine keeps (see ``docs/SIMULATOR.md``).
 
-:func:`repro.sim.run.simulate` is the one-call entry point.  Every
-simulator function is pure: the same binary, trace, configuration and
-sampling schedule give the same cycles.  Reusing a run across design
-points is the measurement engine's job
+:func:`repro.sim.run.simulate` is the one-call entry point over a
+functional run.  Every simulator function is pure: the same binary,
+trace, configuration and sampling schedule give the same cycles.
+Reusing a run across design points is the measurement engine's job
 (:meth:`repro.harness.measure.MeasurementEngine.measure_configs`).
 """
 

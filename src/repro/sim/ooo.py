@@ -22,11 +22,12 @@ SMARTS warming pass (:mod:`repro.sim.smarts`).
 
 One kernel, one timing loop
 ---------------------------
-:func:`repro.sim.tracepack.tables_for` builds (once per binary, trace
-and configuration) the two tables the model reads: the trace's *event
-list* for the block size (instruction-block changes, memory operations,
-control transfers; :class:`repro.sim.tracepack.EventColumns`) and one op
-record per position for the issue width
+:func:`repro.sim.tracepack.tables_for` builds (once per trace and
+configuration, kept by the trace) the two tables the model reads: the
+trace's *event list* for the block size (instruction-block changes,
+memory operations, control transfers;
+:class:`repro.sim.tracepack.EventColumns`) and one op record per
+position for the issue width
 (:meth:`repro.sim.tracepack.TraceTables.ops_for`).
 :meth:`OooTimingModel._walk` is the only code that updates the tag
 arrays, the predictor tables, the BTB and the RAS and their counters.
@@ -72,7 +73,7 @@ from collections import deque
 from heapq import heapreplace
 from dataclasses import dataclass
 from itertools import repeat
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from repro.codegen.linker import Executable, INSTR_BYTES, TEXT_BASE
 from repro.codegen.machine_desc import MachineDescription
@@ -95,6 +96,7 @@ from repro.sim.tracepack import (
     NOP as _NOP,
     RET as _RET,
     STORE as _STORE,
+    PackedTrace,
     TraceTables,
     tables_for,
 )
@@ -203,7 +205,7 @@ class OooTimingModel:
 
         # A walk starts with no current fetch block, so its first
         # instruction accesses IL1 whether or not it starts a block.
-        first_pc = tables.trace.pcs.item(start)
+        first_pc = tables.pcs.item(start)
         first_block = (first_pc * INSTR_BYTES + TEXT_BASE) // block_size
         if not il1.access_block(first_block):
             level = IL1_L2 if ul2.access_block(first_block) else IL1_MEM
@@ -295,7 +297,7 @@ class OooTimingModel:
     # ------------------------------------------------------------------
     def simulate_window(
         self,
-        trace: Sequence[Tuple[int, int]],
+        trace: PackedTrace,
         start: int,
         end: int,
         measure_from: Optional[int] = None,
@@ -343,7 +345,7 @@ class OooTimingModel:
         btc = cfg.bus_transfer_cycles
 
         ops = T.ops_for(mdesc)
-        eas = T.trace.eas[start:measure_to].tolist()
+        eas = T.eas[start:measure_to].tolist()
 
         bus_free = 0
         mem_acc = 0
@@ -524,14 +526,12 @@ class OooTimingModel:
             instructions=measure_to - measure_from,
         )
 
-    def simulate_trace(
-        self, trace: Sequence[Tuple[int, int]]
-    ) -> TimingResult:
+    def simulate_trace(self, trace: PackedTrace) -> TimingResult:
         """Detailed timing for the whole trace (the reference simulator)."""
         return self.simulate_window(trace, 0, len(trace))
 
     # ------------------------------------------------------------------
-    def warm(self, trace: Sequence[Tuple[int, int]], start: int, end: int) -> None:
+    def warm(self, trace: PackedTrace, start: int, end: int) -> None:
         """Functional warming only: update caches and predictors.
 
         Used by SMARTS between detailed windows; no timing state changes.

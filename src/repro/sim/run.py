@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.codegen.linker import Executable
 from repro.obs import counter, span
 from repro.sim.config import MicroarchConfig
-from repro.sim.func import FunctionalResult, execute
+from repro.sim.func import FunctionalResult
 from repro.sim.ooo import OooTimingModel
 from repro.sim.smarts import smarts_simulate
 
@@ -35,25 +34,22 @@ class SimulationOutcome:
 def simulate(
     exe: Executable,
     config: MicroarchConfig,
+    functional: FunctionalResult,
     mode: str = "smarts",
     unit_size: int = 1000,
     interval: int = 10,
-    functional: Optional[FunctionalResult] = None,
 ) -> SimulationOutcome:
     """Measure the execution time of ``exe`` on ``config``.
 
-    ``mode="smarts"`` uses statistical sampling (the paper's
-    methodology); ``mode="detailed"`` simulates every instruction.  A
-    pre-computed functional result may be passed to amortize the
-    functional run across microarchitectures.  The result is a pure
-    function of the binary, ``config``, ``mode`` and the sampling
-    schedule; reusing it across design points is the measurement
-    engine's job (:mod:`repro.sim.memo`).
+    ``functional`` is the binary's traced functional run
+    (``execute(exe, collect_trace=True)``), computed once and shared by
+    every microarchitecture.  ``mode="smarts"`` uses statistical
+    sampling (the paper's methodology); ``mode="detailed"`` simulates
+    every instruction.  The result is a pure function of the binary,
+    ``config``, ``mode`` and the sampling schedule; reusing it across
+    design points is the measurement engine's job
+    (:mod:`repro.sim.memo`).
     """
-    if functional is None:
-        with span("sim.functional") as sp:
-            functional = execute(exe, collect_trace=True)
-            sp.set_attrs(instructions=functional.instruction_count)
     trace = functional.trace
     if mode == "detailed":
         _DETAILED_RUNS.inc()

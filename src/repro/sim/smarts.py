@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List
 
 from repro.codegen.linker import Executable
 from repro.obs import counter, span
@@ -77,7 +77,7 @@ class SmartsResult:
 def smarts_simulate(
     exe: Executable,
     config: MicroarchConfig,
-    trace: Sequence[Tuple[int, int]],
+    trace: PackedTrace,
     unit_size: int = 1000,
     interval: int = 10,
 ) -> SmartsResult:
@@ -160,7 +160,7 @@ def smarts_simulate(
 def smarts_with_target_error(
     exe: Executable,
     config: MicroarchConfig,
-    trace: Sequence[Tuple[int, int]],
+    trace: PackedTrace,
     target_relative_error: float = 0.01,
     unit_size: int = 1000,
     initial_interval: int = 20,

@@ -8,12 +8,14 @@ user would read from ``sim-outorder``'s summary output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict
 
-from repro.codegen.isa import OpClass
+import numpy as np
+
 from repro.codegen.linker import Executable
 from repro.sim.config import MicroarchConfig
 from repro.sim.ooo import OooTimingModel, TimingResult
+from repro.sim.tracepack import PackedTrace
 
 
 @dataclass
@@ -43,18 +45,15 @@ class InstructionMix:
         )
 
 
-def instruction_mix(
-    exe: Executable, trace: Sequence[Tuple[int, int]]
-) -> InstructionMix:
+def instruction_mix(exe: Executable, trace: PackedTrace) -> InstructionMix:
     """Classify every dynamic instruction of a trace."""
-    mix = InstructionMix()
+    per_pc = np.bincount(trace.pcs, minlength=len(exe.instrs)).tolist()
     counts: Dict[str, int] = {}
-    for pc, _ea in trace:
-        name = exe.instrs[pc].op_class.value
-        counts[name] = counts.get(name, 0) + 1
-    mix.counts = counts
-    mix.total = len(trace)
-    return mix
+    for instr, n in zip(exe.instrs, per_pc):
+        if n:
+            name = instr.op_class.value
+            counts[name] = counts.get(name, 0) + n
+    return InstructionMix(counts=counts, total=len(trace))
 
 
 @dataclass
@@ -89,7 +88,7 @@ class RunStatistics:
 def detailed_statistics(
     exe: Executable,
     config: MicroarchConfig,
-    trace: Sequence[Tuple[int, int]],
+    trace: PackedTrace,
 ) -> RunStatistics:
     """Run a detailed simulation and collect the full counter set."""
     model = OooTimingModel(exe, config)

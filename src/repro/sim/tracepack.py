@@ -1,14 +1,14 @@
 """The packed trace and the per-trace tables the timing model reads.
 
 The simulator loops (:mod:`repro.sim.ooo`) index flat tables built once
-per (executable, trace) with numpy and reused by every SMARTS window
-and every microarchitecture that measures the trace:
+per trace with numpy and reused by every SMARTS window and every
+microarchitecture that measures the trace:
 
 * :class:`PackedTrace` -- the dynamic trace as two parallel int64
   arrays (``pcs``, ``eas``).  :func:`repro.sim.func.execute` returns its
-  trace in this form.  It behaves as a sequence of ``(pc, ea)`` tuples,
-  so consumers such as ``instruction_mix`` and the tests read it like a
-  list.
+  trace in this form, and it is the only form the simulator takes;
+  :meth:`PackedTrace.from_pairs` packs a hand-built list of ``(pc, ea)``
+  pairs.
 * :class:`TraceTables` -- per issue width, one op record per position
   (the timing loop's view of each instruction, shared per pc); per
   block size, the trace's *event list* as :class:`EventColumns`: the
@@ -17,19 +17,20 @@ and every microarchitecture that measures the trace:
   reads there.  Every other position is skipped, so nothing per
   position is kept beside the op records and the packed trace.
 
-:func:`tables_for` attaches the tables to the ``Executable``, so they
-are shared by every ``OooTimingModel`` built on the binary and die with
-the binary+trace entry of
-:class:`repro.harness.measure.MeasurementEngine`'s LRU.  They keep the
-binary's instruction list, not the binary: with a reference back, an
-evicted entry would stay resident until a full garbage collection.
+The trace owns its tables (:func:`tables_for`), so they are shared by
+every ``OooTimingModel`` that simulates the trace and die with it, that
+is with the binary+trace entry of
+:class:`repro.harness.measure.MeasurementEngine`'s LRU.  The tables keep
+the trace's arrays and the binary's instruction list, never the trace or
+the binary: with a reference back, an evicted entry would stay resident
+until a full garbage collection.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -99,26 +100,21 @@ def op_record(instr, mdesc) -> OpRecord:
 
 
 class PackedTrace:
-    """A dynamic trace as two parallel flat arrays.
+    """A dynamic trace as two parallel flat arrays, and the owner of the
+    timing model's tables for it (``tables``; see :func:`tables_for`)."""
 
-    Duck-types as a ``Sequence[Tuple[int, int]]`` so it can replace the
-    list-of-tuples trace everywhere, while exposing the numpy arrays
-    :class:`TraceTables` is built from.
-    """
-
-    __slots__ = ("pcs", "eas")
+    __slots__ = ("pcs", "eas", "tables")
 
     def __init__(self, pcs: np.ndarray, eas: np.ndarray):
         self.pcs = np.ascontiguousarray(pcs, dtype=np.int64)
         self.eas = np.ascontiguousarray(eas, dtype=np.int64)
         if self.pcs.shape != self.eas.shape:
             raise ValueError("pcs and eas must have the same length")
+        self.tables: Optional[TraceTables] = None
 
-    # -- construction ---------------------------------------------------
     @classmethod
     def from_pairs(cls, trace: Sequence[Tuple[int, int]]) -> "PackedTrace":
-        if isinstance(trace, PackedTrace):
-            return trace
+        """Pack a sequence of ``(pc, ea)`` pairs."""
         n = len(trace)
         # fromiter over a flattened chain is ~3x faster than assigning a
         # list of tuples into a 2-D array.
@@ -127,17 +123,8 @@ class PackedTrace:
         )
         return cls(flat[0::2].copy(), flat[1::2].copy())
 
-    # -- sequence protocol (compat with list-of-tuples consumers) -------
     def __len__(self) -> int:
         return int(self.pcs.shape[0])
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(zip(self.pcs[i].tolist(), self.eas[i].tolist()))
-        return (self.pcs.item(i), self.eas.item(i))
-
-    def __iter__(self) -> Iterator[Tuple[int, int]]:
-        return iter(zip(self.pcs.tolist(), self.eas.tolist()))
 
 
 def static_digest(exe: Executable) -> str:
@@ -247,20 +234,22 @@ class EventColumns:
 
 
 class TraceTables:
-    """The timing model's tables for one (binary, trace) pair.
+    """The timing model's tables for one trace of one binary.
 
     Per issue width, :meth:`ops_for` holds one op record per position;
     per block size, :meth:`events_for` holds the event list as
     :class:`EventColumns`.  Those are the only microarchitectural
-    parameters the tables depend on.  The tables keep the binary's
-    instruction list, never the ``Executable``: the binary holds them
+    parameters the tables depend on.  The tables keep the trace's
+    arrays and the binary's instruction list, never the
+    :class:`PackedTrace` or the ``Executable``: the trace holds them
     (see :func:`tables_for`), and a reference back would make a cycle
-    that outlives the binary until a full garbage collection.
+    that outlives the trace until a full garbage collection.
     """
 
-    def __init__(self, instrs: Sequence, trace: PackedTrace):
+    def __init__(self, instrs: Sequence, pcs: np.ndarray, eas: np.ndarray):
         self.instrs = instrs
-        self.trace = trace
+        self.pcs = pcs
+        self.eas = eas
         self._ops: Dict[int, Tuple[OpRecord, ...]] = {}
         self._events: Dict[int, EventColumns] = {}
 
@@ -268,9 +257,9 @@ class TraceTables:
         """Per-position op records for one machine description.
 
         Position ``i`` holds the record of the instruction at pc
-        ``trace.pcs[i]`` (see :func:`op_record`).  Records are built
-        once per pc, so equal pcs share one record and a position costs
-        one pointer.
+        ``pcs[i]`` (see :func:`op_record`).  Records are built once per
+        pc, so equal pcs share one record and a position costs one
+        pointer.
         """
         width = mdesc.issue_width
         ops = self._ops.get(width)
@@ -279,7 +268,7 @@ class TraceTables:
             # A tuple of shared records: the garbage collector stops
             # tracking it after one collection; a list it would walk in
             # every full one.
-            ops = self._ops[width] = tuple(records[self.trace.pcs].tolist())
+            ops = self._ops[width] = tuple(records[self.pcs].tolist())
         return ops
 
     def events_for(self, block_size: int) -> EventColumns:
@@ -290,40 +279,25 @@ class TraceTables:
                 [CLASS_CODE[instr.op_class] for instr in self.instrs]
             ]
             events = self._events[block_size] = EventColumns(
-                self.trace.pcs, self.trace.eas, kind_pc, block_size
+                self.pcs, self.eas, kind_pc, block_size
             )
         return events
 
 
 def tables_for(
-    exe: Executable, trace: Sequence[Tuple[int, int]], block_size: int, mdesc
+    exe: Executable, trace: PackedTrace, block_size: int, mdesc
 ) -> TraceTables:
-    """The tables for one (binary, trace) pair, with the op records of
+    """The tables of ``trace`` run by ``exe``, with the op records of
     ``mdesc`` and the events of ``block_size`` built.
 
-    Tables are attached to the executable keyed by trace identity, so
-    repeated simulations of the same binary across many design points
-    build each table exactly once.  The keyed traces are also kept alive
-    by the attachment -- they are the same objects the measurement
-    engine's LRU holds -- and the tables hold no reference to the
-    executable, so reference counting frees all of it with the LRU
-    entry.
+    The trace keeps its tables, so repeated simulations of it across
+    many design points build each table exactly once; they are rebuilt
+    only when the trace is handed with another binary's instruction
+    list.
     """
-    registry: Dict[int, Tuple[object, TraceTables]] = getattr(
-        exe, "_repro_trace_tables", None
-    )
-    if registry is None:
-        registry = {}
-        exe._repro_trace_tables = registry  # type: ignore[attr-defined]
-    hit = registry.get(id(trace))
-    if hit is not None and hit[0] is trace:
-        tables = hit[1]
-    else:
-        packed = PackedTrace.from_pairs(trace)
-        tables = TraceTables(exe.instrs, packed)
-        registry[id(trace)] = (trace, tables)
-        if packed is not trace:
-            registry[id(packed)] = (packed, tables)
+    tables = trace.tables
+    if tables is None or tables.instrs is not exe.instrs:
+        tables = trace.tables = TraceTables(exe.instrs, trace.pcs, trace.eas)
     tables.ops_for(mdesc)
     tables.events_for(block_size)
     return tables

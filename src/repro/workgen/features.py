@@ -168,26 +168,20 @@ def dynamic_features(exe, functional) -> Dict[str, float]:
 
     feats = {name: 0.0 for name in PROGRAM_FEATURE_NAMES if name.startswith("dy_")}
     feats["dy_log_instrs"] = math.log1p(functional.instruction_count)
-    trace = functional.trace or []
+    trace = functional.trace
     if not trace:
         return feats
-    events = trace[:TRACE_EVENT_CAP]
-    n_mem = 0
-    n_branch = 0
-    addrs = set()
-    instrs = exe.instrs
-    for pc, ea in events:
-        cls = instrs[pc].op_class
-        if cls is OpClass.LOAD or cls is OpClass.STORE:
-            n_mem += 1
-            if ea >= 0:
-                addrs.add(ea)
-        elif cls is OpClass.BRANCH:
-            n_branch += 1
-    n = len(events)
-    feats["dy_mem_frac"] = n_mem / n
-    feats["dy_branch_frac"] = n_branch / n
-    feats["dy_log_working_set"] = math.log1p(len(addrs))
+    pcs = trace.pcs[:TRACE_EVENT_CAP]
+    classes = [instr.op_class for instr in exe.instrs]
+    is_mem = np.array(
+        [cls is OpClass.LOAD or cls is OpClass.STORE for cls in classes], dtype=bool
+    )[pcs]
+    is_branch = np.array([cls is OpClass.BRANCH for cls in classes], dtype=bool)[pcs]
+    eas = trace.eas[:TRACE_EVENT_CAP][is_mem]
+    n = len(pcs)
+    feats["dy_mem_frac"] = int(is_mem.sum()) / n
+    feats["dy_branch_frac"] = int(is_branch.sum()) / n
+    feats["dy_log_working_set"] = math.log1p(np.unique(eas[eas >= 0]).size)
     return feats
 
 

@@ -10,6 +10,7 @@ workload without any shared state beyond the name.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -42,6 +43,7 @@ class Workload:
     #: "builtin" for the SPEC stand-ins, "generated" for grammar output.
     origin: str = "builtin"
     _module_cache: Dict[str, Module] = field(default_factory=dict, repr=False)
+    _fingerprints: Dict[str, str] = field(default_factory=dict, repr=False)
 
     def source_tag(self) -> str:
         """Provenance tag shown by ``repro workloads``."""
@@ -73,6 +75,17 @@ class Workload:
                 f"{leftover!r}"
             )
         return text
+
+    def fingerprint(self, input_name: str = "train") -> str:
+        """Short md5 of one input's source (cached): keys of stored
+        measurements and artifacts include it, so none from an edited
+        workload is ever served."""
+        fp = self._fingerprints.get(input_name)
+        if fp is None:
+            fp = self._fingerprints[input_name] = hashlib.md5(
+                self.source(input_name).encode(), usedforsecurity=False
+            ).hexdigest()[:10]
+        return fp
 
     def module(self, input_name: str = "train") -> Module:
         """Parsed+lowered IR module (cached; callers must deep-copy if

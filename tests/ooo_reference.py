@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heapreplace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from repro.sim.tracepack import (
     PF as _PF,
     RET as _RET,
     STORE as _STORE,
+    PackedTrace,
 )
 
 
@@ -86,13 +87,13 @@ def reference_tables(exe, tables) -> ReferenceTables:
     ``TraceTables``, cached on the tables."""
     cached = getattr(tables, "_reference_tables", None)
     if cached is None:
-        cached = tables._reference_tables = ReferenceTables(exe, tables.trace.pcs)
+        cached = tables._reference_tables = ReferenceTables(exe, tables.pcs)
     return cached
 
 
 def simulate_window_reference(
     self,
-    trace: Sequence[Tuple[int, int]],
+    trace: PackedTrace,
     start: int,
     end: int,
     measure_from: Optional[int] = None,
@@ -126,7 +127,7 @@ def simulate_window_reference(
     mem_lat = cfg.memory_latency
     btc = cfg.bus_transfer_cycles
 
-    eas = T.trace.eas[start:end].tolist()
+    eas = T.eas[start:end].tolist()
     cls_pos = R.cls
     lat_pos = R.lat_for(mdesc)
     dst_pos = R.dst

@@ -26,6 +26,14 @@ class TestStats:
         mix = instruction_mix(exe, fr.trace)
         assert sum(mix.counts.values()) == mix.total == len(fr.trace)
 
+    def test_mix_counts_every_position(self):
+        exe, fr = self.build(ALL_PROGRAMS["float_kernel"])
+        counts = {}
+        for pc in fr.trace.pcs.tolist():
+            name = exe.instrs[pc].op_class.value
+            counts[name] = counts.get(name, 0) + 1
+        assert instruction_mix(exe, fr.trace).counts == counts
+
     def test_fp_program_has_fp_mix(self):
         exe, fr = self.build(ALL_PROGRAMS["float_kernel"])
         mix = instruction_mix(exe, fr.trace)

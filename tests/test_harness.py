@@ -17,6 +17,7 @@ from repro.harness.measure import MeasurementEngine
 from repro.opt import CompilerConfig, O2, O3
 from repro.sim.config import MicroarchConfig
 from repro.space import full_space
+from repro.workloads import get_workload
 
 
 class TestConfigs:
@@ -128,7 +129,7 @@ class TestMeasurementEngine:
             [
                 "mcf",
                 "ref",
-                MeasurementEngine._workload_fingerprint("mcf", "ref"),
+                get_workload("mcf").fingerprint("ref"),
                 f"cc{COMPILER_VERSION}",
                 "smarts",
                 "3",

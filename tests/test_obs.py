@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.obs import (
-    from_jsonl,
     get_registry,
     get_tracer,
     self_timing_report,
@@ -31,7 +30,7 @@ from repro.obs.metrics import (
     format_report,
     summarize_histogram_entry,
 )
-from repro.obs.trace import Tracer, _NullSpan
+from repro.obs.trace import SpanRecord, Tracer, _NullSpan
 
 
 @pytest.fixture()
@@ -271,7 +270,8 @@ class TestExport:
         spans = self._make_spans(tracer)
         path = tmp_path / "trace.jsonl"
         to_jsonl(spans, path)
-        back = from_jsonl(path)
+        lines = path.read_text().splitlines()
+        back = [SpanRecord(**json.loads(line)) for line in lines]
         assert back == spans
 
     def test_chrome_trace_structure(self, tracer, tmp_path):
@@ -580,8 +580,8 @@ class TestCliSurfacing:
         assert main(["trace", "disasm", "art", "--opt", "O0"]) == 0
         out = capsys.readouterr().out
         assert "[trace]" in out and "codegen.compile" in out
-        spans = from_jsonl(tmp_path / "tr" / "trace.jsonl")
-        assert any(s.name == "codegen.isel" for s in spans)
+        with (tmp_path / "tr" / "trace.jsonl").open() as f:
+            assert any(json.loads(line)["name"] == "codegen.isel" for line in f)
         chrome = json.loads((tmp_path / "tr" / "trace.chrome.json").read_text())
         assert chrome["traceEvents"]
         assert (tmp_path / "tr" / "report.txt").exists()

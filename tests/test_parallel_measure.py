@@ -25,6 +25,7 @@ from repro.opt import O2, O3
 from repro.pipeline import measure_points
 from repro.sim.config import TYPICAL
 from repro.space import full_space
+from repro.workloads import get_workload
 
 
 def _random_points(n, seed=0):
@@ -98,6 +99,15 @@ class TestMeasureBatch:
         assert default_jobs() == 1
         monkeypatch.setenv("REPRO_JOBS", "0")
         assert default_jobs() >= 1
+
+    def test_zero_jobs_means_all_cores(self, monkeypatch):
+        """``--jobs 0`` and ``REPRO_JOBS=0`` read the same: all cores."""
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        cores = os.cpu_count() or 1
+        assert MeasurementEngine(jobs=0).jobs == cores
+        assert MeasurementEngine(jobs=-1).jobs == cores
+        monkeypatch.setenv("REPRO_JOBS", "0")
+        assert default_jobs() == cores
 
 
 class TestDeadWorker:
@@ -407,10 +417,16 @@ class TestCrossProcessDeterminism:
 
 class TestFingerprintFips:
     def test_fingerprint_stable(self):
-        a = MeasurementEngine._workload_fingerprint("art", "train")
-        MeasurementEngine._fingerprints.pop(("art", "train"))
-        b = MeasurementEngine._workload_fingerprint("art", "train")
+        import hashlib
+
+        art = get_workload("art")
+        a = art.fingerprint("train")
+        art._fingerprints.pop("train")
+        b = art.fingerprint("train")
         assert a == b and len(a) == 10
+        # The spelling every stored measurement and artifact key holds.
+        source = art.source("train").encode()
+        assert a == hashlib.md5(source, usedforsecurity=False).hexdigest()[:10]
 
     def test_md5_digests_are_fips_safe(self, monkeypatch):
         """FIPS-mode OpenSSL refuses md5 unless the caller declares a
@@ -433,11 +449,11 @@ class TestFingerprintFips:
         model = LinearModel().fit(x, x.sum(axis=1))
 
         def digests():
-            MeasurementEngine._fingerprints.pop(("art", "train"), None)
+            get_workload("art")._fingerprints.pop("train", None)
             exe.__dict__.pop("_repro_static_digest", None)
             program = default_grammar().generate("chase", 3)
             return (
-                MeasurementEngine._workload_fingerprint("art", "train"),
+                get_workload("art").fingerprint("train"),
                 program.source,
                 program.digest(),
                 corpus_digest([program]),

@@ -1,4 +1,4 @@
-"""Sampling profiler and span-based collapsed-stack export."""
+"""Sampling profiler and its collapsed-stack export."""
 
 import re
 import threading
@@ -6,12 +6,7 @@ import time
 
 import pytest
 
-from repro.obs import (
-    SamplingProfiler,
-    get_tracer,
-    spans_to_collapsed,
-    write_spans_collapsed,
-)
+from repro.obs import SamplingProfiler
 from repro.obs.profile import _frame_label
 
 COLLAPSED_LINE = re.compile(r"^\S.* \d+$")
@@ -24,17 +19,6 @@ def _busy_loop_for_profiler(seconds: float) -> int:
     while time.perf_counter() < deadline:
         acc += sum(range(200))
     return acc
-
-
-@pytest.fixture()
-def tracer():
-    t = get_tracer()
-    was_enabled = t.enabled
-    t.reset()
-    t.enable()
-    yield t
-    t.reset()
-    t.enabled = was_enabled
 
 
 class TestSamplingProfiler:
@@ -112,33 +96,3 @@ class TestSamplingProfiler:
         frame = sys._getframe()
         label = _frame_label(frame)
         assert label == f"{__name__}:test_frame_label_format"
-
-
-class TestSpansToCollapsed:
-    def test_weights_paths_by_exclusive_microseconds(self, tracer):
-        with tracer.span("outer"):
-            time.sleep(0.02)
-            with tracer.span("inner"):
-                time.sleep(0.01)
-        lines = spans_to_collapsed(tracer.spans)
-        assert all(COLLAPSED_LINE.match(line) for line in lines)
-        weights = {
-            line.rsplit(" ", 1)[0]: int(line.rsplit(" ", 1)[1])
-            for line in lines
-        }
-        assert set(weights) == {"outer", "outer;inner"}
-        # Self time: outer excludes inner's 10ms; both at least their sleeps.
-        assert weights["outer"] >= 15_000
-        assert weights["outer;inner"] >= 8_000
-
-    def test_empty_spans(self):
-        assert spans_to_collapsed([]) == []
-
-    def test_write_spans_collapsed(self, tracer, tmp_path):
-        with tracer.span("root"):
-            time.sleep(0.005)
-        path = write_spans_collapsed(
-            tracer.spans, tmp_path / "spans.collapsed"
-        )
-        content = path.read_text()
-        assert content.startswith("root ")

@@ -11,9 +11,10 @@ allocate no container per instruction and none per cache set:
   grows with the static code, not with the run;
 * a trace's tables cost at most 48 bytes per position beside the
   packed trace itself, and equal pcs share one op record;
-* the tables hold no reference to their binary, so a binary and its
-  trace are freed the moment the measurement engine evicts them, not
-  at the next full collection;
+* the trace owns its tables, and they hold no reference to the trace
+  or its binary, so a binary and its trace are freed the moment the
+  measurement engine evicts them, not at the next full collection, and
+  simulating a trace leaves its binary as it was;
 * a cache set stays the shared empty tuple until its first fill, so a
   timing model over an 8 MB direct-mapped L2 (262,144 sets) is a
   handful of objects.
@@ -24,9 +25,11 @@ the collector off too, so only reference counting can free the binary.
 """
 
 import gc
+import pickle
 import sys
 import weakref
 from contextlib import contextmanager
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -38,6 +41,7 @@ from repro.harness.measure import MeasurementEngine
 from repro.opt.flags import O2
 from repro.sim import MicroarchConfig, OooTimingModel, smarts_simulate
 from repro.sim.cache import Cache
+from repro.sim.config import TYPICAL
 from repro.sim.func import execute
 from repro.sim.tracepack import PackedTrace, tables_for
 from repro.workloads import get_workload
@@ -145,6 +149,27 @@ def test_an_evicted_binary_and_its_trace_are_freed_at_once():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_simulating_a_trace_leaves_its_binary_unchanged():
+    exe = _binary("art")
+    trace = execute(exe).trace
+    before = pickle.dumps(exe)
+    smarts_simulate(exe, TYPICAL, trace, interval=3)
+    assert pickle.dumps(exe) == before
+    assert trace.tables.instrs is exe.instrs
+
+
+def test_a_trace_rebuilds_its_tables_only_for_another_binary():
+    exe = _binary("art")
+    trace = execute(exe).trace
+    mdesc = MachineDescription.for_issue_width(TYPICAL.issue_width)
+    tables = tables_for(exe, trace, TYPICAL.block_size, mdesc)
+    assert tables_for(exe, trace, TYPICAL.block_size, mdesc) is tables
+    twin = replace(exe, instrs=list(exe.instrs))
+    rebuilt = tables_for(twin, trace, TYPICAL.block_size, mdesc)
+    assert rebuilt is not tables and trace.tables is rebuilt
+    assert rebuilt.ops_for(mdesc) == tables.ops_for(mdesc)
 
 
 class TestNeverTouchedSets:

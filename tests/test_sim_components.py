@@ -12,6 +12,7 @@ from repro.sim import Cache, CombinedPredictor, MicroarchConfig, OooTimingModel
 from repro.sim.bpred import BranchTargetBuffer, ReturnAddressStack
 from repro.sim.func import SimulationError, execute
 from repro.sim.ooo import FRONT_DEPTH
+from repro.sim.tracepack import PackedTrace
 from tests.util import ALL_PROGRAMS
 
 
@@ -99,6 +100,11 @@ int main() {
 """
 
 
+def _trace(*pairs):
+    """A hand-built trace of ``(pc, ea)`` pairs."""
+    return PackedTrace.from_pairs(pairs)
+
+
 def _probe(**microarch):
     """A timing model, plus the pcs of a load and a prefetch in its binary."""
     exe = compile_module(
@@ -119,26 +125,26 @@ class TestHierarchy:
     def test_latency_composition(self):
         model, load, _ = _probe()
         cfg = model.config
-        model.warm([(load, 0)], 0, 1)
+        model.warm(_trace((load, 0)), 0, 1)
         hit = FRONT_DEPTH + cfg.dcache_latency
-        cold = model.simulate_trace([(load, 1 << 20)]).cycles
+        cold = model.simulate_trace(_trace((load, 1 << 20))).cycles
         assert cold == hit + cfg.l2_latency + cfg.memory_latency
-        assert model.simulate_trace([(load, 1 << 20)]).cycles == hit
+        assert model.simulate_trace(_trace((load, 1 << 20))).cycles == hit
 
     def test_l2_hit_path(self):
         model, load, _ = _probe(dcache_size=8 * 1024, dcache_assoc=1)
         cfg = model.config
-        model.warm([(load, 0)], 0, 1)
+        model.warm(_trace((load, 0)), 0, 1)
         # Evict from dl1 but not from l2: a conflicting dl1 address.
-        model.warm([(load, 8 * 1024)], 0, 1)
-        lat = model.simulate_trace([(load, 0)]).cycles
+        model.warm(_trace((load, 8 * 1024)), 0, 1)
+        lat = model.simulate_trace(_trace((load, 0))).cycles
         assert lat == FRONT_DEPTH + cfg.dcache_latency + cfg.l2_latency
 
     def test_prefetch_fills_quietly(self):
         model, load, prefetch = _probe()
-        model.warm([(prefetch, 0), (load, 0)], 0, 2)
+        model.warm(_trace((prefetch, 0), (load, 0)), 0, 2)
         # The prefetch goes to memory; the load right behind it hits.
-        result = model.simulate_trace([(prefetch, 64), (load, 64)])
+        result = model.simulate_trace(_trace((prefetch, 64), (load, 64)))
         assert result.cycles == FRONT_DEPTH + model.config.dcache_latency
         assert model.hierarchy.memory_accesses == 1
 
@@ -214,7 +220,7 @@ class TestFunctionalSim:
     def test_trace_memory_addresses(self):
         src = "int a[4]; int main() { a[1] = 5; return a[1]; }"
         r = self.run(src, CompilerConfig(omit_frame_pointer=True))
-        mem_addrs = [ea for _pc, ea in r.trace if ea >= 0]
+        mem_addrs = [ea for ea in r.trace.eas.tolist() if ea >= 0]
         assert len(mem_addrs) >= 2
         assert mem_addrs[-1] == mem_addrs[-2]  # store then load same addr
 

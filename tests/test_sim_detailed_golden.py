@@ -29,6 +29,7 @@ from repro.opt.flags import O3
 from repro.sim.config import AGGRESSIVE, CONSTRAINED, TYPICAL
 from repro.sim.func import execute
 from repro.sim.stats import detailed_statistics
+from repro.sim.tracepack import PackedTrace
 from repro.workloads import get_workload
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_detailed.json"
@@ -52,7 +53,9 @@ def _prefix_trace(workload: str):
     exe = compile_module(
         get_workload(workload).module("train"), COMPILER, issue_width=4
     )
-    return exe, execute(exe, collect_trace=True).trace[: PREFIXES[workload]]
+    trace = execute(exe, collect_trace=True).trace
+    n = PREFIXES[workload]
+    return exe, PackedTrace(trace.pcs[:n].copy(), trace.eas[:n].copy())
 
 
 def observe(exe, trace, config) -> dict:

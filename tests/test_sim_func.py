@@ -43,12 +43,10 @@ def _outcome(run, exe, **kwargs):
     except Exception as exc:  # the comparison is the point
         return ("raised", type(exc), str(exc))
     trace = result.trace
+    if isinstance(trace, list):  # the reference's (pc, ea) pairs
+        trace = PackedTrace.from_pairs(trace)
     if trace is not None:
-        pairs = list(trace)
-        trace = (
-            np.array([pc for pc, _ in pairs], dtype=np.int64),
-            np.array([ea for _, ea in pairs], dtype=np.int64),
-        )
+        trace = (trace.pcs, trace.eas)
     return ("ok", result.return_value, result.instruction_count, trace)
 
 

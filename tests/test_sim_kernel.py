@@ -71,15 +71,16 @@ def _reference_walk(model, exe, trace, start, end):
     """Per-instruction walk through the component classes."""
     hierarchy, bpred, btb, ras = model.hierarchy, model.bpred, model.btb, model.ras
     block_size = model.config.block_size
+    pcs, eas = trace.pcs.tolist(), trace.eas.tolist()
     refetch = True
     prev_block = None
     for i in range(start, end):
-        pc, ea = trace[i]
+        pc, ea = pcs[i], eas[i]
         addr = exe.pc_to_byte_addr(pc)
         if refetch or addr // block_size != prev_block:
             hierarchy.warm_inst(addr)
         prev_block = addr // block_size
-        next_pc = trace[i + 1][0] if i + 1 < len(trace) else pc + 1
+        next_pc = pcs[i + 1] if i + 1 < len(pcs) else pc + 1
         taken = next_pc != pc + 1
         op = exe.instrs[pc].op_class
         refetch = op in (OpClass.JUMP, OpClass.CALL, OpClass.RET)

@@ -303,7 +303,7 @@ def test_no_sources_own_destination_and_jal():
     model, trace = _whole_and_split(exe, CONSTRAINED)
     tables = tables_for(exe, trace, CONSTRAINED.block_size, model.mdesc)
     ops = tables.ops_for(model.mdesc)
-    records = {pc: op for pc, op in zip(tables.trace.pcs.tolist(), ops)}
+    records = {pc: op for pc, op in zip(tables.pcs.tolist(), ops)}
     assert records[0] == (IALU, NO_SRC, NO_SRC, 8, 1)
     assert records[1] == (IALU, 8, NO_SRC, 8, 1)
     assert records[2] == (CALL, NO_SRC, NO_SRC, RA, 1)

@@ -214,6 +214,42 @@ class TestManifest:
 # ----------------------------------------------------------------------
 # Registry integration
 # ----------------------------------------------------------------------
+class TestDynamicFeatures:
+    def test_features_match_a_scan_of_the_capped_trace(self, monkeypatch):
+        import math
+
+        from repro.codegen import compile_module
+        from repro.codegen.isa import OpClass
+        from repro.opt import CompilerConfig
+        from repro.sim.func import execute
+        from repro.workgen import features
+        from repro.workloads import get_workload
+
+        monkeypatch.setattr(features, "TRACE_EVENT_CAP", 5000)
+        module = get_workload("gen-chase-3").module("train")
+        exe = compile_module(module, CompilerConfig(), issue_width=4)
+        functional = execute(exe)
+        assert functional.instruction_count > 5000
+        pcs = functional.trace.pcs[:5000].tolist()
+        eas = functional.trace.eas[:5000].tolist()
+        n_mem = n_branch = 0
+        addrs = set()
+        for pc, ea in zip(pcs, eas):
+            cls = exe.instrs[pc].op_class
+            if cls is OpClass.LOAD or cls is OpClass.STORE:
+                n_mem += 1
+                if ea >= 0:
+                    addrs.add(ea)
+            elif cls is OpClass.BRANCH:
+                n_branch += 1
+        assert features.dynamic_features(exe, functional) == {
+            "dy_log_instrs": math.log1p(functional.instruction_count),
+            "dy_mem_frac": n_mem / 5000,
+            "dy_log_working_set": math.log1p(len(addrs)),
+            "dy_branch_frac": n_branch / 5000,
+        }
+
+
 class TestRegistryIntegration:
     def test_get_workload_resolves_generated_names(self):
         from repro.workloads import get_workload

@@ -83,7 +83,7 @@ class TestWorkloadDiversity:
 
             fp = sum(
                 1
-                for pc, _ in fr.trace
+                for pc in fr.trace.pcs.tolist()
                 if exe.instrs[pc].op_class
                 in (OpClass.FPALU, OpClass.FPMULT)
             )
