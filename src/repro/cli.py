@@ -83,7 +83,7 @@ Commands
     (``compact``) the provenance ledger (see docs/OBSERVABILITY.md).
 ``lineage``
     Reconstruct a registry model's provenance chain from the ledger:
-    publish -> fit -> measurement batches -> serve sessions -> alerts.
+    publish -> fit -> measurement batches -> serve sessions.
 """
 
 from __future__ import annotations
@@ -1194,7 +1194,6 @@ def cmd_ledger(args) -> int:
                 f"[{a.get('phase')}] {a.get('address')} "
                 + (f"{a.get('requests')} req" if a.get("phase") == "end" else "")
             ),
-            "alert": lambda a, r: f"{a.get('rule')}: {a.get('message')}",
             "compact": lambda a, r: (
                 f"dropped {a.get('dropped')}, kept {a.get('kept')}"
             ),
@@ -1731,7 +1730,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="KIND",
         help="list: only events of this kind (measure_batch, model_fit, "
-        "registry_publish, serve_session, alert, compact)",
+        "registry_publish, serve_session, compact)",
     )
     p.add_argument(
         "--run",
@@ -1755,8 +1754,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-age",
         default=None,
         metavar="AGE",
-        help="compact: drop events older than AGE (e.g. 30d); "
-        "alert events are always kept",
+        help="compact: drop events older than AGE (e.g. 30d)",
     )
     p.add_argument(
         "--max-events",

@@ -17,6 +17,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.harness.corpus import Corpus
+from repro.harness.experiments.search import _frozen_objective
 from repro.harness.model_zoo import standard_factories
 from repro.models.base import RegressionModel
 from repro.opt.flags import CompilerConfig, O2
@@ -36,23 +37,7 @@ def frozen_compiler_objective(
     compiler: CompilerConfig,
 ):
     """Objective over the microarch subspace with Table 1 vars frozen."""
-    comp_point = compiler.to_point()
-    comp_indices = []
-    comp_values = []
-    for i, name in enumerate(space.names):
-        if name in comp_point:
-            comp_indices.append(i)
-            comp_values.append(space[name].encode(comp_point[name]))
-    micro_indices = [space.index_of(n) for n in microarch_subspace.names]
-
-    def objective(micro_coded: np.ndarray) -> np.ndarray:
-        micro_coded = np.atleast_2d(micro_coded)
-        joint = np.empty((micro_coded.shape[0], space.dim))
-        joint[:, micro_indices] = micro_coded
-        joint[:, comp_indices] = comp_values
-        return model.predict(joint)
-
-    return objective
+    return _frozen_objective(model, space, microarch_subspace, compiler.to_point())
 
 
 @dataclass

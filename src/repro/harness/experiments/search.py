@@ -25,6 +25,32 @@ from repro.sim.config import MicroarchConfig
 from repro.space import COMPILER_VARIABLE_NAMES, ParameterSpace
 
 
+def _frozen_objective(
+    model: RegressionModel,
+    space: ParameterSpace,
+    subspace: ParameterSpace,
+    frozen: Mapping[str, float],
+):
+    """Objective over ``subspace``'s coded variables, with the variables
+    of ``space`` that ``frozen`` names held at its values."""
+    frozen_indices = []
+    frozen_values = []
+    for i, name in enumerate(space.names):
+        if name in frozen:
+            frozen_indices.append(i)
+            frozen_values.append(space[name].encode(frozen[name]))
+    free_indices = [space.index_of(n) for n in subspace.names]
+
+    def objective(coded: np.ndarray) -> np.ndarray:
+        coded = np.atleast_2d(coded)
+        joint = np.empty((coded.shape[0], space.dim))
+        joint[:, free_indices] = coded
+        joint[:, frozen_indices] = frozen_values
+        return model.predict(joint)
+
+    return objective
+
+
 def frozen_microarch_objective(
     model: RegressionModel,
     space: ParameterSpace,
@@ -32,23 +58,7 @@ def frozen_microarch_objective(
     microarch: MicroarchConfig,
 ):
     """Objective over the compiler subspace with Table 2 vars frozen."""
-    micro_point = microarch.to_point()
-    micro_indices = []
-    micro_values = []
-    for i, name in enumerate(space.names):
-        if name in micro_point:
-            micro_indices.append(i)
-            micro_values.append(space[name].encode(micro_point[name]))
-    comp_indices = [space.index_of(n) for n in compiler_subspace.names]
-
-    def objective(comp_coded: np.ndarray) -> np.ndarray:
-        comp_coded = np.atleast_2d(comp_coded)
-        joint = np.empty((comp_coded.shape[0], space.dim))
-        joint[:, comp_indices] = comp_coded
-        joint[:, micro_indices] = micro_values
-        return model.predict(joint)
-
-    return objective
+    return _frozen_objective(model, space, compiler_subspace, microarch.to_point())
 
 
 @dataclass

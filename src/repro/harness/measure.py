@@ -8,12 +8,14 @@ execution time with SMARTS sampling (or exhaustive detailed simulation).
 
 Caching layers (see ``docs/SIMULATOR.md`` for keys and invalidation):
 
-* binaries + traces are memoized in-process on (workload, input,
-  compiler key, issue width) and *on disk* in the content-addressed
+* binaries + traces are stored *on disk* in the content-addressed
   artifact store (:mod:`repro.harness.artifacts`), shared across
   engines and pool workers, since the trace does not depend on the rest
-  of the microarchitecture.  A binary's trace is loaded only when a
-  point needs the simulator;
+  of the microarchitecture.  In memory the engine holds one binary, the
+  one it last built or loaded, keyed on (workload, input, compiler key,
+  issue width), and releases it with its trace as soon as it moves to
+  another.  A binary's trace is loaded only when a point needs the
+  simulator;
 * whole timing runs are memoized on md5(static binary digest | full
   timing key | mode | interval) (:mod:`repro.sim.memo`).  The lookup
   happens as soon as the binary is built or loaded: a hit needs
@@ -27,12 +29,13 @@ Design points are independent of one another, so batches of them are
 embarrassingly parallel: :meth:`MeasurementEngine.measure_many` /
 :meth:`MeasurementEngine.measure_batch` fan cache misses out to a
 process pool (``jobs`` workers, default from ``REPRO_JOBS``).  Misses
-are grouped by shared binary, partitioned into one cost-balanced chunk
-per worker (a measured per-point cost model sizes the chunks), and
-workers share compiles, traces and timing runs through the on-disk
-stores.  Since a point's measurement is a pure function of its cache
-key, the results are bit-identical to the serial path regardless of
-worker count.
+are put in binary order, so the points of one binary run back to back
+while the engine holds it, and partitioned into one cost-balanced chunk
+per worker (a measured per-point cost model sizes the chunks); a serial
+batch measures them as one chunk.  Workers share compiles, traces and
+timing runs through the on-disk stores.  Since a point's measurement is
+a pure function of its cache key, the results are bit-identical to the
+serial path regardless of worker count.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ import hashlib
 import multiprocessing
 import os
 import time
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -74,7 +76,6 @@ from repro.workloads import get_workload
 
 _TRACE_HITS = counter("measure.trace_cache.hits")
 _TRACE_MISSES = counter("measure.trace_cache.misses")
-_TRACE_EVICTIONS = counter("measure.trace_cache.evictions")
 _RESULT_HITS = counter("measure.result_cache.hits")
 _RESULT_MISSES = counter("measure.result_cache.misses")
 _COMPILATIONS = counter("measure.compilations")
@@ -143,13 +144,6 @@ class MeasurementEngine:
     cache_dir:
         Directory for the persistent measurement cache; None disables
         persistence (in-memory caching still applies).
-    max_cached_traces:
-        Binaries with their traces and trace tables kept resident; the
-        least recently used goes first and is freed at once.  One
-        entry costs 16 bytes per trace position for the packed trace
-        and 20-25 more for the tables of one issue width and block size
-        (8 per further issue width, 11-17 per further block size):
-        about 34 MB for mcf at O2, the longest trace at 851k positions.
     jobs:
         Worker processes for :meth:`measure_many` / :meth:`measure_batch`
         (None reads ``REPRO_JOBS``; 0 or less means all cores; 1 keeps
@@ -163,6 +157,13 @@ class MeasurementEngine:
         File for the persistent SMARTS timing memo
         (:class:`repro.sim.memo.TimingMemo`).  Defaults to
         ``<cache_dir>/sim_memo.json`` when ``cache_dir`` is set.
+
+    The engine holds one binary at a time: the one it last built or
+    loaded, with its trace once a point needed it.  That costs 16 bytes
+    per trace position for the packed trace and 20-25 more for the
+    tables of one issue width and block size (8 per further issue
+    width, 11-17 per further block size): about 34 MB for mcf at O2,
+    the longest trace at 851k positions.
     """
 
     def __init__(
@@ -170,18 +171,17 @@ class MeasurementEngine:
         mode: str = "smarts",
         smarts_interval: int = 3,
         cache_dir: Optional[str] = None,
-        max_cached_traces: int = 6,
         jobs: Optional[int] = None,
         artifact_dir: Optional[str] = None,
         memo_path: Optional[str] = None,
     ):
         self.mode = mode
         self.smarts_interval = smarts_interval
-        self.max_cached_traces = max_cached_traces
         self.jobs = default_jobs() if jobs is None else worker_count(jobs)
-        #: LRU of ``[exe, functional or None]`` keyed on (workload, input,
-        #: compiler key, issue width); hits move the entry to the MRU end.
-        self._trace_cache: "OrderedDict[tuple, list]" = OrderedDict()
+        #: The binary last built or loaded, as ``[key, exe, functional or
+        #: None]`` with ``key`` (workload, input, compiler key, issue
+        #: width); moving to another binary releases it.
+        self._resident: Optional[list] = None
         self._result_cache: Dict[str, Measurement] = {}
         self._dirty = False
         self.simulations = 0
@@ -273,21 +273,20 @@ class MeasurementEngine:
     def _binary(
         self, workload: str, input_name: str, compiler: CompilerConfig, issue_width: int
     ) -> list:
-        """The LRU entry ``[exe, functional]`` for one binary.
+        """The resident entry ``[key, exe, functional]`` for one binary.
 
-        The binary comes from the LRU, the artifact store or the
-        compiler; the functional run stays None until
-        :meth:`_functional` first needs it.
+        The binary is the resident one or comes from the artifact store
+        or the compiler; the functional run stays None until
+        :meth:`_functional` first needs it.  The previous entry is
+        released before another binary is loaded or built, so it is
+        freed, trace and tables with it, unless a caller still holds it.
         """
         key = (workload, input_name, compiler.cache_key(), issue_width)
-        hit = self._trace_cache.get(key)
-        if hit is not None:
-            # True LRU: refresh recency on hit so a hot trace is never
-            # evicted just because it was inserted first.
-            self._trace_cache.move_to_end(key)
+        if self._resident is not None and self._resident[0] == key:
             _TRACE_HITS.inc()
-            return hit
+            return self._resident
         _TRACE_MISSES.inc()
+        self._resident = None
         art_key = None
         exe = None
         if self.artifacts is not None:
@@ -318,19 +317,15 @@ class MeasurementEngine:
             _COMPILATIONS.inc()
             if self.artifacts is not None:
                 self.artifacts.store_binary(art_key, exe)
-        if len(self._trace_cache) >= self.max_cached_traces:
-            self._trace_cache.popitem(last=False)  # evict the LRU entry
-            _TRACE_EVICTIONS.inc()
-        entry = [exe, None]
-        self._trace_cache[key] = entry
-        return entry
+        self._resident = [key, exe, None]
+        return self._resident
 
     def _functional(
         self, entry: list, workload: str, input_name: str
     ) -> FunctionalResult:
-        """The functional run of an LRU entry's binary, loaded once."""
-        if entry[1] is None:
-            exe = entry[0]
+        """The functional run of a resident entry's binary, loaded once."""
+        if entry[2] is None:
+            exe = entry[1]
             functional = None
             if self.artifacts is not None:
                 # Keyed on the binary's content digest: flag settings that
@@ -344,15 +339,15 @@ class MeasurementEngine:
                     sp.set_attrs(instructions=functional.instruction_count)
                 if self.artifacts is not None:
                     self.artifacts.store_trace(exe, functional)
-            entry[1] = functional
-        return entry[1]
+            entry[2] = functional
+        return entry[2]
 
     def compile_and_trace(
         self, workload: str, input_name: str, compiler: CompilerConfig, issue_width: int
     ) -> Tuple[Executable, FunctionalResult]:
         """Public cached access to a workload's (binary, functional run)."""
         entry = self._binary(workload, input_name, compiler, issue_width)
-        return entry[0], self._functional(entry, workload, input_name)
+        return entry[1], self._functional(entry, workload, input_name)
 
     def _run_key(self, exe: Executable, microarch: MicroarchConfig) -> str:
         """The timing memo's key for ``exe`` on ``microarch``.
@@ -409,7 +404,7 @@ class MeasurementEngine:
         _RESULT_MISSES.inc()
         t0 = time.perf_counter()
         entry = self._binary(workload, input_name, compiler, microarch.issue_width)
-        exe = entry[0]
+        exe = entry[1]
         stored = None
         if self.memo is not None:
             run_key = self._run_key(exe, microarch)
@@ -532,9 +527,10 @@ class MeasurementEngine:
         """Measure many ``(workload, compiler, microarch, input)`` tuples.
 
         Cache hits are served from this engine; misses are deduplicated
-        by cache key and, with ``jobs > 1``, fanned out to a process
-        pool.  Results land back in this engine's caches, so a following
-        :meth:`save` persists them.  Guaranteed identical to calling
+        by cache key, put in binary order and measured as one chunk or,
+        with ``jobs > 1``, fanned out to a process pool.  Results land
+        back in this engine's caches, so a following :meth:`save`
+        persists them.  Guaranteed identical to calling
         :meth:`measure_configs` in a loop, for any worker count.
         """
         requests = list(requests)
@@ -547,7 +543,7 @@ class MeasurementEngine:
             for workload, comp, micro, input_name in requests
         ]
         #: cache key -> indices into `requests` still needing measurement.
-        pending: "OrderedDict[str, List[int]]" = OrderedDict()
+        pending: Dict[str, List[int]] = {}
         for i, key in enumerate(keys):
             cached = self._result_cache.get(key)
             if cached is not None:
@@ -560,20 +556,16 @@ class MeasurementEngine:
             # One array pass per (workload, input): far less work than a
             # pool worker's startup, so static points never leave the
             # process.
-            fresh = self._estimate_static(requests, pending)
-            for key, indices in pending.items():
-                for i in indices:
-                    results[i] = fresh[key]
+            self._estimate_static(requests, pending)
         elif pending and (jobs <= 1 or len(pending) == 1):
-            for key, indices in pending.items():
-                workload, comp, micro, input_name = requests[indices[0]]
-                m = self._measure_keyed(key, workload, comp, micro, input_name)
-                for i in indices:
-                    results[i] = m
+            (chunk,) = self._plan_chunks(requests, pending, 1)
+            self._measure_tasks(chunk)
         elif pending:
-            lost_chunks = self._measure_pending_parallel(
-                requests, pending, results, jobs
-            )
+            lost_chunks = self._measure_pending_parallel(requests, pending, jobs)
+        # Every miss has landed in the result cache by now.
+        for key, indices in pending.items():
+            for i in indices:
+                results[i] = self._result_cache[key]
         if requests:
             self._record_batch_provenance(
                 requests, keys, pending, jobs, lost_chunks
@@ -584,7 +576,7 @@ class MeasurementEngine:
         self,
         requests: Sequence[Tuple[str, CompilerConfig, MicroarchConfig, str]],
         keys: Sequence[str],
-        pending: "OrderedDict[str, List[int]]",
+        pending: Mapping[str, List[int]],
         jobs: int,
         lost_chunks: int,
     ) -> None:
@@ -627,19 +619,20 @@ class MeasurementEngine:
     def _plan_chunks(
         self,
         requests: Sequence[Tuple[str, CompilerConfig, MicroarchConfig, str]],
-        pending: "OrderedDict[str, List[int]]",
+        pending: Mapping[str, List[int]],
         n_chunks: int,
     ) -> List[List[Tuple[str, str, CompilerConfig, MicroarchConfig, str]]]:
         """Partition pending work into at most ``n_chunks`` task chunks.
 
         Points are ordered so that points sharing a binary (same
         workload, input, compiler key and issue width) are contiguous --
-        a worker measuring such a run pays one compile+trace for all of
-        them via its LRU -- and the ordered list is split at cumulative
-        cost boundaries from the per-point cost model, so each chunk
-        carries roughly equal work.  One chunk per worker replaces the
-        old one-future-per-point submission, whose per-task pickling and
-        telemetry overhead dominated small batches.
+        an engine measuring such a run pays one compile+trace for all
+        of them while it holds the binary -- and the ordered list is
+        split at cumulative cost boundaries from the per-point cost
+        model, so each chunk carries roughly equal work.  One chunk per
+        worker replaces the old one-future-per-point submission, whose
+        per-task pickling and telemetry overhead dominated small
+        batches.
         """
         tasks = []
         for key, indices in pending.items():
@@ -670,15 +663,32 @@ class MeasurementEngine:
             cum += cost
         return [c for c in chunks if c]
 
+    def _measure_tasks(
+        self, chunk: Sequence[Tuple[str, str, CompilerConfig, MicroarchConfig, str]]
+    ) -> List[Tuple[str, Measurement]]:
+        """Measure one planned chunk of ``(key, workload, compiler,
+        microarch, input)`` tasks, in order and under the planner's
+        result keys.
+
+        The one loop of every batch: the serial branch of
+        :meth:`measure_many`, each pool worker and the re-measurement of
+        a dead worker's chunks all run their chunk through it.
+        """
+        out: List[Tuple[str, Measurement]] = []
+        for key, workload, compiler, microarch, input_name in chunk:
+            with span("measure.task", workload=workload, input=input_name, key=key):
+                m = self._measure_keyed(key, workload, compiler, microarch, input_name)
+            out.append((key, m))
+        return out
+
     def _measure_pending_parallel(
         self,
         requests: Sequence[Tuple[str, CompilerConfig, MicroarchConfig, str]],
-        pending: "OrderedDict[str, List[int]]",
-        results: List[Optional[Measurement]],
+        pending: Mapping[str, List[int]],
         jobs: int,
     ) -> int:
-        """Measure ``pending`` on a process pool; returns the number of
-        chunks lost to a dead worker.
+        """Measure ``pending`` on a process pool into the result cache;
+        returns the number of chunks lost to a dead worker.
 
         A worker that dies (OOM kill, crash) breaks the whole pool, so
         every chunk not yet finished fails with ``BrokenProcessPool``.
@@ -707,7 +717,6 @@ class MeasurementEngine:
                 initargs=(
                     self.mode,
                     self.smarts_interval,
-                    self.max_cached_traces,
                     self._artifact_dir,
                     self._memo_path,
                     ctx,
@@ -729,11 +738,8 @@ class MeasurementEngine:
                         self.simulations += 1
                         self._result_cache[key] = m
                         self._dirty = True
-                        for i in pending[key]:
-                            results[i] = m
                     if items:
-                        workload = requests[pending[items[0][0]][0]][0]
-                        input_name = requests[pending[items[0][0]][0]][3]
+                        _, workload, _, _, input_name = futures[fut][0]
                         self._observe_cost(
                             workload, input_name, worker_ms / 1e3 / len(items)
                         )
@@ -743,12 +749,7 @@ class MeasurementEngine:
             self.memo.load()
         _BATCH_LOST_CHUNKS.inc(len(lost))
         for chunk in lost:
-            for key, workload, compiler, microarch, input_name in chunk:
-                m = self._measure_keyed(
-                    key, workload, compiler, microarch, input_name
-                )
-                for i in pending[key]:
-                    results[i] = m
+            self._measure_tasks(chunk)
         return len(lost)
 
     def measure_batch(
@@ -806,13 +807,11 @@ class EngineOracle:
         workload: str,
         input_name: str = "train",
         response: str = "cycles",
-        jobs: Optional[int] = None,
     ):
         self.engine = engine
         self.workload = workload
         self.input_name = input_name
         self.response = response
-        self.jobs = jobs
 
     def _value(self, m: Measurement) -> float:
         return float(getattr(m, self.response))
@@ -827,18 +826,15 @@ class EngineOracle:
     ) -> List[float]:
         return [
             self._value(m)
-            for m in self.engine.measure_batch(
-                self.workload, points, self.input_name, jobs=self.jobs
-            )
+            for m in self.engine.measure_batch(self.workload, points, self.input_name)
         ]
 
 
 # ----------------------------------------------------------------------
 # Worker-process side of the pool.  Each worker holds one engine (fresh
-# in-memory caches, no measurement-file persistence) alive across tasks,
-# so repeated (compiler key, issue width) pairs amortize their
-# compilations; the on-disk artifact store and timing memo are shared
-# with the parent and the other workers.
+# in-memory caches, no measurement-file persistence) alive across tasks;
+# the on-disk artifact store and timing memo are shared with the parent
+# and the other workers.
 # ----------------------------------------------------------------------
 _WORKER_ENGINE: Optional[MeasurementEngine] = None
 
@@ -846,7 +842,6 @@ _WORKER_ENGINE: Optional[MeasurementEngine] = None
 def _init_worker(
     mode: str,
     smarts_interval: int,
-    max_cached_traces: int,
     artifact_dir: Optional[str] = None,
     memo_path: Optional[str] = None,
     ctx: Optional[TelemetryContext] = None,
@@ -856,7 +851,6 @@ def _init_worker(
         mode=mode,
         smarts_interval=smarts_interval,
         cache_dir=None,
-        max_cached_traces=max_cached_traces,
         jobs=1,
         artifact_dir=artifact_dir,
         memo_path=memo_path,
@@ -869,20 +863,14 @@ def _measure_chunk(
 ) -> Tuple[List[Tuple[str, Measurement]], float, WorkerTelemetry]:
     """Measure one planned chunk of (key, request) tasks in a worker.
 
-    The chunk is measured sequentially on the worker's engine -- its
-    binary LRU serves the shared-binary runs the planner grouped -- and
-    the timing memo is flushed once at the end so sibling workers and
-    future processes reuse the runs this chunk simulated.
+    The chunk runs through the worker engine's
+    :meth:`MeasurementEngine._measure_tasks`, and the timing memo is
+    flushed once at the end so sibling workers and future processes
+    reuse the runs this chunk simulated.
     """
     begin_task()
     t0 = time.perf_counter()
-    out: List[Tuple[str, Measurement]] = []
-    for key, workload, compiler, microarch, input_name in chunk:
-        with span("measure.task", workload=workload, input=input_name, key=key):
-            m = _WORKER_ENGINE.measure_configs(
-                workload, compiler, microarch, input_name
-            )
-        out.append((key, m))
+    out = _WORKER_ENGINE._measure_tasks(chunk)
     if _WORKER_ENGINE.memo is not None:
         _WORKER_ENGINE.memo.save()
     worker_ms = (time.perf_counter() - t0) * 1e3

@@ -35,6 +35,7 @@ missed floor still leaves the numbers that missed it on disk.
 from __future__ import annotations
 
 import importlib.util
+import math
 import os
 import platform
 import sys
@@ -194,7 +195,11 @@ def compare_against_baseline(
     Metrics missing on either side are skipped (a new metric cannot
     regress; a deleted one no longer gates).  ``change_pct`` is
     normalized so positive always means *worse*, regardless of the
-    gate direction.
+    gate direction: a lower-is-better metric by its relative rise, a
+    higher-is-better one by the factor it fell by, so a rate 5x below
+    its baseline reads +400% like a time 5x above it.  A rate that
+    falls to zero or below from a positive baseline reads +inf; a
+    negative baseline keeps the relative drop.
     """
     if baseline is None:
         return []
@@ -212,8 +217,14 @@ def compare_against_baseline(
         cur = float(metrics[metric])
         if base == 0.0:
             continue  # no meaningful relative change
-        raw_pct = (cur - base) / abs(base) * 100.0
-        change_pct = raw_pct if direction == "lower" else -raw_pct
+        if direction == "lower":
+            change_pct = (cur - base) / abs(base) * 100.0
+        elif base < 0:
+            change_pct = (base - cur) / abs(base) * 100.0
+        elif cur > 0:
+            change_pct = (base / cur - 1.0) * 100.0
+        else:
+            change_pct = math.inf
         findings.append(
             GateFinding(
                 scenario=scenario.name,

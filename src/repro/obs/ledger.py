@@ -6,9 +6,7 @@ makes that chain durable: each measurement batch, model fit, registry
 publish and serve session appends one schema-versioned JSON line to
 ``ledger.jsonl``, linked by a per-process *run id* and by explicit
 references (measurement result-key digests, config digests, model
-content digests, registry names).  Ledgers written before the alert
-monitor was removed also hold ``alert`` events; they are still listed,
-joined by lineage and kept by compact.
+content digests, registry names).
 
 ``repro lineage <model-ref>`` walks the chain backwards from a registry
 model: which fit produced it, which measurement batches fed that fit
@@ -55,7 +53,6 @@ KNOWN_KINDS = (
     "model_fit",
     "registry_publish",
     "serve_session",
-    "alert",
     "compact",
 )
 
@@ -151,7 +148,6 @@ class Lineage:
     fits: List[LedgerEvent] = field(default_factory=list)
     batches: List[LedgerEvent] = field(default_factory=list)
     serves: List[LedgerEvent] = field(default_factory=list)
-    alerts: List[LedgerEvent] = field(default_factory=list)
 
     @property
     def complete(self) -> bool:
@@ -179,7 +175,6 @@ class Lineage:
             "fits": dump(self.fits),
             "measure_batches": dump(self.batches),
             "serve_sessions": dump(self.serves),
-            "alerts": dump(self.alerts),
             "result_keys": self.result_keys(),
         }
 
@@ -236,11 +231,6 @@ class Lineage:
                 )
         else:
             lines.append("  no serve sessions recorded")
-        for e in self.alerts:
-            lines.append(
-                f"  ALERT     {_when(e.ts)}  {e.attrs.get('rule')}: "
-                f"{e.attrs.get('message')}"
-            )
         lines.append(f"  chain {'COMPLETE' if self.complete else 'INCOMPLETE'}")
         return "\n".join(lines)
 
@@ -390,27 +380,18 @@ class Ledger:
     ) -> Dict[str, int]:
         """Drop events older than ``max_age_s`` and/or beyond the newest
         ``max_events``, atomically rewriting the file under the append
-        lock.  ``alert`` events are always kept (they are the record an
-        operator audits after the fact).  Appends a ``compact`` event
-        describing what was dropped; returns ``{"kept": n, "dropped": m}``.
+        lock.  Appends a ``compact`` event describing what was dropped;
+        returns ``{"kept": n, "dropped": m}``.
         """
         with self._lock, store.locked(self.path):
             events = [e for _, e, _ in self._scan() if e is not None]
-            cutoff = time.time() - max_age_s if max_age_s is not None else None
-            keep: List[LedgerEvent] = []
-            dropped = 0
-            for e in events:
-                if e.kind != "alert" and cutoff is not None and e.ts < cutoff:
-                    dropped += 1
-                    continue
-                keep.append(e)
+            keep = events
+            if max_age_s is not None:
+                cutoff = time.time() - max_age_s
+                keep = [e for e in keep if e.ts >= cutoff]
             if max_events is not None and max_events >= 0:
-                droppable = [i for i, e in enumerate(keep) if e.kind != "alert"]
-                excess = len(keep) - max_events
-                if excess > 0:
-                    to_drop = set(droppable[:excess])
-                    dropped += len(to_drop)
-                    keep = [e for i, e in enumerate(keep) if i not in to_drop]
+                keep = keep[max(0, len(keep) - max_events):]
+            dropped = len(events) - len(keep)
             store.write_atomic(
                 self.path, lambda f: f.writelines(e.to_json() + "\n" for e in keep)
             )
@@ -480,16 +461,6 @@ class Ledger:
                 or ref in (e.refs.get("model_names") or [])
             )
         ]
-        alerts = [
-            e
-            for e in events
-            if e.kind == "alert"
-            and (
-                e.refs.get("model_id") == model_id
-                or e.run in runs
-                or e.run in {s.run for s in serves}
-            )
-        ]
         return Lineage(
             ref=ref,
             model_id=model_id,
@@ -497,7 +468,6 @@ class Ledger:
             fits=fits,
             batches=batches,
             serves=serves,
-            alerts=alerts,
         )
 
 

@@ -19,11 +19,10 @@ microarchitecture that measures the trace:
 
 The trace owns its tables (:func:`tables_for`), so they are shared by
 every ``OooTimingModel`` that simulates the trace and die with it, that
-is with the binary+trace entry of
-:class:`repro.harness.measure.MeasurementEngine`'s LRU.  The tables keep
-the trace's arrays and the binary's instruction list, never the trace or
-the binary: with a reference back, an evicted entry would stay resident
-until a full garbage collection.
+is when :class:`repro.harness.measure.MeasurementEngine` moves to
+another binary.  The tables keep the trace's arrays and the binary's
+instruction list, never the trace or the binary: with a reference back,
+a released binary would stay resident until a full garbage collection.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ reports a regression while improvements and sub-threshold drift pass.
 """
 
 import json
+import math
 
 import pytest
 
@@ -111,12 +112,32 @@ class TestGate:
             tmp_path, sc, {"preds_per_s": 1000.0}, quick=False, elapsed_s=0.1
         )
         base = load_bench_json(bench_json_path(tmp_path, sc.name))
-        # Throughput dropped 60%: that's +60% in the bad direction.
+        # Throughput fell 2.5x: that's +150% in the bad direction.
         (f,) = compare_against_baseline(sc, {"preds_per_s": 400.0}, base)
-        assert f.regressed and f.change_pct == pytest.approx(60.0)
+        assert f.regressed and f.change_pct == pytest.approx(150.0)
         # Throughput doubled: improvement.
         (g,) = compare_against_baseline(sc, {"preds_per_s": 2000.0}, base)
-        assert not g.regressed and g.change_pct == pytest.approx(-100.0)
+        assert not g.regressed and g.change_pct == pytest.approx(-50.0)
+
+    def test_a_rate_can_fail_a_threshold_above_100_pct(self, tmp_path):
+        """A rate 5x below its baseline must trip CI's 300% threshold,
+        as a time 5x above its baseline does."""
+        sc = _scenario(gates={"preds_per_s": "higher", "elapsed_ms": "lower"})
+        base = self._baseline(tmp_path, {"preds_per_s": 1000.0, "elapsed_ms": 100.0})
+        rate, time_ = compare_against_baseline(
+            sc, {"preds_per_s": 200.0, "elapsed_ms": 500.0}, base, threshold_pct=300.0
+        )
+        assert rate.regressed and rate.change_pct == pytest.approx(400.0)
+        assert time_.change_pct == pytest.approx(rate.change_pct)
+        (zero,) = compare_against_baseline(
+            _scenario(gates={"preds_per_s": "higher"}), {"preds_per_s": 0.0}, base
+        )
+        assert zero.regressed and zero.change_pct == math.inf
+        negative = self._baseline(tmp_path, {"preds_per_s": -0.5})
+        (drop,) = compare_against_baseline(
+            _scenario(gates={"preds_per_s": "higher"}), {"preds_per_s": -1.0}, negative
+        )
+        assert drop.change_pct == pytest.approx(100.0)
 
     def test_missing_metrics_and_zero_baseline_skipped(self, tmp_path):
         base = self._baseline(tmp_path, {"other": 1.0, "zeroed": 0.0})

@@ -70,14 +70,16 @@ class TestMeasurementEngine:
         assert a.cycles == b.cycles
 
     def test_trace_shared_across_microarch(self):
-        engine = MeasurementEngine()
-        o2 = O2
-        m1 = engine.measure_configs("art", o2, TABLE5_CONFIGS["typical"])
-        compilations = engine.compilations
-        m2 = engine.measure_configs("art", o2, TABLE5_CONFIGS["constrained"])
-        # Different issue width -> new binary; same width -> reuse.
-        m3 = engine.measure_configs("art", o2, TABLE5_CONFIGS["aggressive"])
-        assert engine.compilations == compilations + 1  # constrained only
+        engine = MeasurementEngine(jobs=1)
+        m1, m2, m3 = engine.measure_many(
+            [
+                ("art", O2, TABLE5_CONFIGS[name], "train")
+                for name in ("typical", "constrained", "aggressive")
+            ]
+        )
+        # Different issue width -> new binary; same width -> reuse, even
+        # though constrained comes between them in request order.
+        assert engine.compilations == 2
         assert m1.checksum == m2.checksum == m3.checksum
 
     def test_checksum_invariant_across_points(self):

@@ -160,16 +160,16 @@ class TestCompact:
                 obj["ts"] = time.time() - age_s
                 f.write(json.dumps(obj) + "\n")
 
-    def test_compact_by_age_keeps_alerts(self, ledger):
+    def test_compact_by_age(self, ledger):
         for _ in range(3):
             ledger.append("measure_batch")
-        ledger.append("alert", attrs={"rule": "r"})
         self._backdate(ledger, 3600)
+        ledger.append("model_fit")
         result = ledger.compact(max_age_s=60)
         assert result == {"kept": 1, "dropped": 3}
         kinds = [e.kind for e in ledger.events()]
-        # The surviving alert plus the compact event recording the sweep.
-        assert kinds == ["alert", "compact"]
+        # The surviving new event plus the compact event recording the sweep.
+        assert kinds == ["model_fit", "compact"]
 
     def test_compact_by_count(self, ledger):
         for i in range(6):

@@ -53,6 +53,22 @@ class TestMeasureBatch:
         assert engine.simulations == 3
         assert got == [engine.measure("art", p) for p in points]
 
+    def test_serial_batch_measures_in_binary_order(self):
+        """The engine holds one binary, so a serial batch measures its
+        misses in binary order: a last point that comes back to the first
+        point's binary after six others reuses it instead of compiling it
+        again."""
+        compilers = [replace(O2, max_inline_insns_auto=100 + k) for k in range(7)]
+        requests = [("gen-branchy-3", c, TYPICAL, "train") for c in compilers]
+        slow = replace(TYPICAL, mispredict_penalty=12)
+        requests.append(("gen-branchy-3", compilers[0], slow, "train"))
+        engine = MeasurementEngine(jobs=1)
+        got = engine.measure_many(requests)
+        assert engine.compilations == 7
+        assert engine.simulations == 8
+        one_by_one = MeasurementEngine(jobs=1)
+        assert got == [one_by_one.measure_configs(*r) for r in requests]
+
     def test_batch_dedups_and_serves_cache(self):
         _, points = _random_points(2, seed=2)
         engine = MeasurementEngine()
@@ -126,14 +142,14 @@ class TestDeadWorker:
         ]
         expected = MeasurementEngine().measure_many(requests, jobs=1)
         parent = os.getpid()
-        real = MeasurementEngine.measure_configs
+        real = MeasurementEngine._measure_keyed
 
-        def dying(self, workload, *args, **kwargs):
+        def dying(self, key, workload, *args, **kwargs):
             if os.getpid() != parent and workload == "gen-chase-3":
                 os._exit(1)
-            return real(self, workload, *args, **kwargs)
+            return real(self, key, workload, *args, **kwargs)
 
-        monkeypatch.setattr(MeasurementEngine, "measure_configs", dying)
+        monkeypatch.setattr(MeasurementEngine, "_measure_keyed", dying)
         ledger = Ledger(tmp_path / "ledger.jsonl")
         set_default_ledger(ledger)
         try:

@@ -13,15 +13,16 @@ allocate no container per instruction and none per cache set:
   packed trace itself, and equal pcs share one op record;
 * the trace owns its tables, and they hold no reference to the trace
   or its binary, so a binary and its trace are freed the moment the
-  measurement engine evicts them, not at the next full collection, and
-  simulating a trace leaves its binary as it was;
+  measurement engine moves to another binary, not at the next full
+  collection, and simulating a trace leaves its binary as it was;
+* the measurement engine holds one binary at a time;
 * a cache set stays the shared empty tuple until its first fill, so a
   timing model over an 8 MB direct-mapped L2 (262,144 sets) is a
   handful of objects.
 
 Counts are ``len(gc.get_objects())`` deltas with the collector off, so
-nothing is collected while they are taken.  The eviction test runs with
-the collector off too, so only reference counting can free the binary.
+nothing is collected while they are taken.  The eviction tests run with
+the collector off too, so only reference counting can free a binary.
 """
 
 import gc
@@ -58,6 +59,18 @@ def tracked_growth():
         before = len(gc.get_objects())
         yield growth
         growth.append(len(gc.get_objects()) - before)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@contextmanager
+def collector_off():
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
     finally:
         if was_enabled:
             gc.enable()
@@ -129,26 +142,38 @@ def test_trace_tables_cost_at_most_48_bytes_per_position():
 
 
 def test_an_evicted_binary_and_its_trace_are_freed_at_once():
-    engine = MeasurementEngine(max_cached_traces=1)
+    engine = MeasurementEngine()
     config = MicroarchConfig()
-    was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
+    with collector_off():
         engine.measure_configs("art", O2, config)
         exe, functional = engine.compile_and_trace(
             "art", "train", O2, config.issue_width
         )
-        assert engine.compilations == 1  # the measured binary, from the LRU
+        assert engine.compilations == 1  # the measured binary, still held
         binary = weakref.ref(exe)
         pcs = weakref.ref(functional.trace.pcs)
         del exe, functional
         engine.measure_configs("gzip", O2, config)
         assert binary() is None
         assert pcs() is None
-    finally:
-        if was_enabled:
-            gc.enable()
+
+
+def test_an_engine_holds_only_the_binary_it_measured_last():
+    engine = MeasurementEngine()
+    config = MicroarchConfig()
+    refs = {}
+    with collector_off():
+        for name in ("art", "gzip", "mcf"):
+            engine.measure_configs(name, O2, config)
+            exe, functional = engine.compile_and_trace(
+                name, "train", O2, config.issue_width
+            )
+            refs[name] = (weakref.ref(exe), weakref.ref(functional.trace.pcs))
+            del exe, functional
+        assert engine.compilations == 3
+        for name in ("art", "gzip"):
+            assert [ref() for ref in refs[name]] == [None, None], name
+        assert all(ref() is not None for ref in refs["mcf"])
 
 
 def test_simulating_a_trace_leaves_its_binary_unchanged():
