@@ -9,7 +9,7 @@ interaction, a square and a sine, plus noise):
 
 * ``fit_ms_<family>_n<rows>`` -- the median wall time of one fit of each
   family as ``standard_factories`` builds it (linear, MARS, RBF-RT), at
-  100 rows, and also at 400 rows outside ``--quick``;
+  100 and at 400 rows;
 * ``linear_predict_us_60rows`` -- one ``LinearModel.predict`` of a
   60-row batch (the size of a GA generation and of a served batch) by
   the 100-row linear model;
@@ -84,9 +84,9 @@ def _calls(module, name: str, factory, x, y) -> int:
     return calls[0]
 
 
-def _bench(quick: bool) -> dict:
+def _bench() -> dict:
     out = {}
-    for n in (100,) if quick else (100, 400):
+    for n in (100, 400):
         space, x, y = _data(n)
         factories = standard_factories(space.names, n)
         for family, key in FAMILIES.items():
@@ -106,7 +106,7 @@ def _bench(quick: bool) -> dict:
     batch = random_candidates(space, 60, np.random.default_rng(SEED))
     model.predict(batch)
     out["linear_predict_us_60rows"] = (
-        _median_ms(lambda: model.predict(batch), 200 if quick else 1000) * 1e3
+        _median_ms(lambda: model.predict(batch), 1000) * 1e3
     )
     return out
 

@@ -3,9 +3,12 @@
 The obs layer's contract is that disabled instrumentation is free (the
 unit suite bounds it at <5% of a build_model run); this benchmark
 records the actual enabled-vs-disabled wall time of a full measurement
-(compile + functional run + SMARTS simulation) into the BENCH
-trajectory, so any future instrumentation creep shows up in
-``results/obs_overhead.txt``.
+(compile + functional run + SMARTS simulation of art at O2 on the
+typical machine, best of two) into the committed
+``BENCH_obs_overhead.json``, so any future instrumentation creep shows
+up in the BENCH trajectory.  ``disabled_ms`` is gated; the floor on
+``disabled_over_enabled`` says that enabled tracing, which spans
+per-SMARTS-unit work, at most doubles a measurement.
 """
 
 import time
@@ -15,23 +18,26 @@ from repro.harness.measure import MeasurementEngine
 from repro.obs import BenchScenario, get_tracer
 from repro.opt import O2
 
+WORKLOAD = "art"
+REPEATS = 2
 
-def _one_measurement(workload: str = "gzip") -> None:
+
+def _one_measurement() -> None:
     # A fresh engine each time: every run pays compile + trace + simulate.
     engine = MeasurementEngine(cache_dir=None)
-    engine.measure_configs(workload, O2, TABLE5_CONFIGS["typical"])
+    engine.measure_configs(WORKLOAD, O2, TABLE5_CONFIGS["typical"])
 
 
-def _timed(repeats: int = 3, workload: str = "gzip") -> float:
+def _timed() -> float:
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
-        _one_measurement(workload)
+        _one_measurement()
         best = min(best, time.perf_counter() - t0)
     return best
 
 
-def test_obs_overhead(report_sink):
+def _bench() -> dict:
     tracer = get_tracer()
     was_enabled = tracer.enabled
     tracer.disable()
@@ -44,44 +50,11 @@ def test_obs_overhead(report_sink):
     finally:
         tracer.reset()
         tracer.enabled = was_enabled
-
-    overhead_pct = (enabled / disabled - 1.0) * 100.0
-    text = (
-        "telemetry overhead on the measure path (gzip, O2, typical, SMARTS)\n"
-        f"  tracing disabled   {disabled * 1e3:9.1f} ms\n"
-        f"  tracing enabled    {enabled * 1e3:9.1f} ms "
-        f"({n_spans} spans over 3 runs)\n"
-        f"  enabled overhead   {overhead_pct:+9.1f} %"
-    )
-    report_sink("obs_overhead", text)
-
-    # Loose sanity bound -- enabled tracing spans per-SMARTS-unit work,
-    # it must still stay within 2x of the untraced run.
-    assert enabled < disabled * 2.0
-
-
-# ----------------------------------------------------------------------
-# `repro bench` scenario
-# ----------------------------------------------------------------------
-def _bench(quick: bool) -> dict:
-    workload = "art" if quick else "gzip"
-    repeats = 2 if quick else 3
-    tracer = get_tracer()
-    was_enabled = tracer.enabled
-    tracer.disable()
-    tracer.reset()
-    try:
-        disabled = _timed(repeats, workload)
-        tracer.enable()
-        enabled = _timed(repeats, workload)
-        n_spans = len(tracer.spans)
-    finally:
-        tracer.reset()
-        tracer.enabled = was_enabled
     return {
         "disabled_ms": disabled * 1e3,
         "enabled_ms": enabled * 1e3,
         "overhead_pct": (enabled / disabled - 1.0) * 100.0,
+        "disabled_over_enabled": disabled / enabled,
         "spans_recorded": float(n_spans),
     }
 
@@ -92,4 +65,5 @@ BENCH_SCENARIO = BenchScenario(
     run=_bench,
     gates={"disabled_ms": "lower"},
     threshold_pct=50.0,
+    floors={"disabled_over_enabled": 0.5},
 )

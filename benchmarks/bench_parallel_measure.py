@@ -1,30 +1,30 @@
 """Wall-clock of the measurement stack: serial, pooled, and warm-cache.
 
-Three legs, all bit-identity-checked against each other:
+Three legs over one ``N_POINTS`` random design of art, all
+bit-identity-checked against each other:
 
 * **cold serial** -- a fresh engine with empty artifact/memo stores
-  measures an ``N_POINTS`` random design point-at-a-time, paying full
-  compile + trace + simulate cost (and populating the stores).
+  measures the design point-at-a-time, paying full compile + trace +
+  simulate cost (and populating the stores).
 * **warm single-point** -- a *fresh engine* re-measures the same design
   against the now-populated on-disk artifact store and timing memo.
   This is the cross-worker/cross-engine reuse scenario the caching
   layers exist for (see ``docs/SIMULATOR.md``): the binary and trace
   load from the content-addressed store and the simulation collapses to
-  a run-level memo hit.  The headline gate lives here: the warm path
+  a run-level memo hit.  The headline floor lives here: the warm path
   must be >= ``SINGLE_POINT_SPEEDUP_FLOOR`` times cheaper than the
   committed pre-optimization serial baseline
   (``PRE_OPT_SERIAL_POINT_MS``).
-* **cold pool** -- ``jobs=2`` (and ``jobs=4`` in full mode) on fresh
-  stores.  On a host with >= 2 usable cores the pool must beat the
-  serial path by ``POOL_SPEEDUP_FLOOR``; on starved runners the numbers
-  are still recorded for trend tracking but not asserted (a 1-core
-  host cannot show pool speedup by construction).
+* **cold pool** -- ``jobs=2`` and ``jobs=4`` on fresh stores.  On a
+  host with >= 2 usable cores the jobs=2 pool must beat the serial path
+  by ``POOL_SPEEDUP_FLOOR``, and on one with >= 4 the jobs=4 pool by
+  ``POOL4_SPEEDUP_FLOOR``; on starved runners the numbers are still
+  recorded for trend tracking but have no floor (a 1-core host cannot
+  show pool speedup by construction).
 
-``repro bench --quick --baseline .`` additionally gates
-``serial_point_ms`` / ``warm_point_ms`` against the committed
-``BENCH_parallel_measure.json``.  The scenario declares the warm-path
-and (on a host with >= 2 usable cores) the jobs=2 bars as floors, which
-``repro bench`` checks after it writes the result file, so a miss still
+``repro bench --baseline .`` gates ``serial_point_ms`` /
+``warm_point_ms`` against the committed ``BENCH_parallel_measure.json``
+and checks the floors after it writes the result file, so a miss still
 records the numbers that missed.
 """
 
@@ -44,9 +44,8 @@ WORKLOAD = "art"
 
 #: Per-point serial wall-clock (ms) recorded in the committed
 #: ``BENCH_parallel_measure.json`` before the caching/hot-loop
-#: optimization work (quick mode, this host class).  The absolute
-#: floor below divides by it, so the gate survives baseline
-#: regeneration.
+#: optimization work, on this host class.  The absolute floor below
+#: divides by it, so the floor survives baseline regeneration.
 PRE_OPT_SERIAL_POINT_MS = 938.7
 
 #: The warm-cache path must be at least this many times cheaper than
@@ -56,6 +55,9 @@ SINGLE_POINT_SPEEDUP_FLOOR = 10.0
 #: Cold-store pool floor at jobs=2 on a multi-core host.
 POOL_SPEEDUP_FLOOR = 1.5
 
+#: Cold-store pool floor at jobs=4 on a host with 4 or more cores.
+POOL4_SPEEDUP_FLOOR = 1.8
+
 
 def _usable_cpus() -> int:
     try:
@@ -64,13 +66,13 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _points(n_points: int):
+def _points():
     space = full_space()
     rng = np.random.default_rng(20070313)
-    return [space.random_point(rng) for _ in range(n_points)]
+    return [space.random_point(rng) for _ in range(N_POINTS)]
 
 
-def _measure(jobs: int, n_points: int, store_dir: Path):
+def _measure(jobs: int, store_dir: Path):
     """Measure the design with on-disk stores rooted at ``store_dir``.
 
     The engine is always fresh (no in-memory reuse across legs); only
@@ -78,7 +80,7 @@ def _measure(jobs: int, n_points: int, store_dir: Path):
     a leg is "cold" or "warm" purely by whether the directory was
     populated before.
     """
-    points = _points(n_points)
+    points = _points()
     engine = MeasurementEngine(
         cache_dir=None,
         artifact_dir=str(store_dir / "artifacts"),
@@ -94,90 +96,41 @@ def _measure(jobs: int, n_points: int, store_dir: Path):
     return results, elapsed
 
 
-def test_parallel_measure(report_sink):
+def _bench() -> dict:
     cpus = _usable_cpus()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        serial, t_serial = _measure(1, N_POINTS, tmp / "serial")
-        warm, t_warm = _measure(1, N_POINTS, tmp / "serial")
-        two, t_two = _measure(2, N_POINTS, tmp / "pool2")
-        four, t_four = _measure(4, N_POINTS, tmp / "pool4")
-
+        serial, t_serial = _measure(1, tmp / "serial")
+        warm, t_warm = _measure(1, tmp / "serial")
+        two, t_two = _measure(2, tmp / "pool2")
+        four, t_four = _measure(4, tmp / "pool4")
     assert warm == serial, "warm-cache run diverged from the cold run"
     assert two == serial, "jobs=2 diverged from the serial measurements"
     assert four == serial, "jobs=4 diverged from the serial measurements"
-
-    speedup2 = t_serial / t_two
-    speedup4 = t_serial / t_four
-    warm_speedup = PRE_OPT_SERIAL_POINT_MS / (t_warm / N_POINTS * 1e3)
-    text = (
-        f"measurement backend ({WORKLOAD}, {N_POINTS}-point design, "
-        f"{cpus} usable cores)\n"
-        f"  cold serial {t_serial:7.2f} s\n"
-        f"  warm serial {t_warm:7.2f} s   "
-        f"({warm_speedup:5.1f}x vs {PRE_OPT_SERIAL_POINT_MS:.0f} ms/pt "
-        f"pre-opt baseline)\n"
-        f"  jobs=2      {t_two:7.2f} s   ({speedup2:4.2f}x)\n"
-        f"  jobs=4      {t_four:7.2f} s   ({speedup4:4.2f}x)\n"
-        f"  results identical across all legs: yes"
-    )
-    report_sink("parallel_measure", text)
-
-    assert warm_speedup >= SINGLE_POINT_SPEEDUP_FLOOR, (
-        f"warm-cache point cost {t_warm / N_POINTS * 1e3:.1f} ms is only "
-        f"{warm_speedup:.1f}x under the {PRE_OPT_SERIAL_POINT_MS:.0f} ms "
-        f"pre-optimization baseline (floor {SINGLE_POINT_SPEEDUP_FLOOR}x)"
-    )
-    if cpus >= 2:
-        assert speedup2 >= POOL_SPEEDUP_FLOOR, (
-            f"jobs=2 speedup {speedup2:.2f}x below the "
-            f"{POOL_SPEEDUP_FLOOR}x bar on a {cpus}-core host"
-        )
-    if cpus >= 4:
-        assert speedup4 >= 1.8, (
-            f"jobs=4 speedup {speedup4:.2f}x below the 1.8x bar "
-            f"on a {cpus}-core host"
-        )
+    return {
+        # Per-point costs are the gated numbers: they track simulator
+        # and cache speed independently of the point count.
+        "serial_point_ms": t_serial / N_POINTS * 1e3,
+        "warm_point_ms": t_warm / N_POINTS * 1e3,
+        "single_point_speedup": PRE_OPT_SERIAL_POINT_MS
+        / (t_warm / N_POINTS * 1e3),
+        "serial_s": t_serial,
+        "warm_s": t_warm,
+        "jobs2_s": t_two,
+        "speedup_jobs2": t_serial / t_two,
+        "jobs4_s": t_four,
+        "speedup_jobs4": t_serial / t_four,
+        "usable_cpus": float(cpus),
+    }
 
 
-# ----------------------------------------------------------------------
-# `repro bench` scenario
-# ----------------------------------------------------------------------
-def _bench(quick: bool) -> dict:
-    n_points = 6 if quick else N_POINTS
-    cpus = _usable_cpus()
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        serial, t_serial = _measure(1, n_points, tmp / "serial")
-        warm, t_warm = _measure(1, n_points, tmp / "serial")
-        two, t_two = _measure(2, n_points, tmp / "pool2")
-        assert warm == serial, "warm-cache run diverged from the cold run"
-        assert two == serial, "jobs=2 diverged from the serial measurements"
-        metrics = {
-            # Per-point costs are the gated numbers: they track simulator
-            # and cache speed independently of the point count.
-            "serial_point_ms": t_serial / n_points * 1e3,
-            "warm_point_ms": t_warm / n_points * 1e3,
-            "single_point_speedup": PRE_OPT_SERIAL_POINT_MS
-            / (t_warm / n_points * 1e3),
-            "serial_s": t_serial,
-            "warm_s": t_warm,
-            "jobs2_s": t_two,
-            "speedup_jobs2": t_serial / t_two,
-            "usable_cpus": float(cpus),
-        }
-        if not quick:
-            four, t_four = _measure(4, n_points, tmp / "pool4")
-            assert four == serial, "jobs=4 diverged from serial"
-            metrics["jobs4_s"] = t_four
-            metrics["speedup_jobs4"] = t_serial / t_four
-    return metrics
-
-
-#: A 1-core host cannot show pool speedup, so it gets no jobs=2 floor.
+#: A pool floor holds only on a host with as many usable cores as
+#: workers: a 1-core host cannot show pool speedup.
 _FLOORS = {"single_point_speedup": SINGLE_POINT_SPEEDUP_FLOOR}
 if _usable_cpus() >= 2:
     _FLOORS["speedup_jobs2"] = POOL_SPEEDUP_FLOOR
+if _usable_cpus() >= 4:
+    _FLOORS["speedup_jobs4"] = POOL4_SPEEDUP_FLOOR
 
 BENCH_SCENARIO = BenchScenario(
     name="parallel_measure",

@@ -7,8 +7,8 @@ scenario runs that search (population 60, 40 generations, no early
 exit) on a fixed, seeded quadratic-plus-interaction objective, so the
 time it reports is the GA's own and not a model's:
 
-* ``ms_per_generation`` -- the median wall time of one run, divided by
-  its generations;
+* ``ms_per_generation`` -- the median wall time of one run over 20
+  runs, divided by its generations;
 * ``evaluations`` -- objective evaluations in one run (population x
   generations, since patience is off);
 * ``rng_calls_per_generation`` -- calls into the random generator per
@@ -18,7 +18,7 @@ time it reports is the GA's own and not a model's:
 
 The call count does not depend on the host, so it catches a return to
 per-child breeding under any wall-clock threshold.  Both it and the
-time are gated.  Results land in the committed ``BENCH_search.json``
+time are gated.  Results land in the committed ``BENCH_ga_search.json``
 via ``repro bench``.
 """
 
@@ -67,7 +67,7 @@ def _objective(dim: int):
     return objective
 
 
-def _bench(quick: bool) -> dict:
+def _bench() -> dict:
     space = compiler_space()
     objective = _objective(space.dim)
     ga = GeneticSearch(
@@ -78,7 +78,7 @@ def _bench(quick: bool) -> dict:
     result = ga.run(objective, counting)
 
     times = []
-    for _ in range(5 if quick else 20):
+    for _ in range(20):
         rng = np.random.default_rng(SEED)
         t0 = time.perf_counter()
         ga.run(objective, rng)

@@ -4,17 +4,18 @@ The ``--oracle static`` path exists to answer design-space queries
 without compiling, tracing or simulating anything.  Its acceptance
 criteria, both declared as floors (and gated against the baseline):
 
-* ``speedup_vs_accurate`` -- predicting every workload across the
-  seeded design points must be **>= 100x faster cold** than the
+* ``speedup_vs_accurate`` -- predicting art and gzip across the first
+  16 seeded design points must be **>= 100x faster cold** than the
   accurate simulator.  "Cold" means fresh state on both sides: the
   static side pays its full analyze + remark-harvest + model build per
   workload; the accurate side runs compile + trace + simulate into a
-  fresh artifact store (timed on a sample of points, then scaled --
-  simulating every point just to time it would make the benchmark
+  fresh artifact store (timed on one point per workload, then scaled
+  -- simulating every point just to time it would make the benchmark
   slower than the thing it guards).
 * ``min_rank_corr`` -- the estimates must *rank* the design points the
-  way the accurate simulator does, Spearman >= 0.8 on every workload
-  (per-workload values are recorded as ``rank_corr_<workload>``).
+  way the accurate simulator does, Spearman >= 0.8 on every one of the
+  seven programs over the whole 32-point design (per-workload values
+  are recorded as ``rank_corr_<workload>``).
   Pointwise cycle error is explicitly not gated: the analytical model
   is for steering searches and screening candidates, and for that the
   ordering is what matters (the paper's own empirical models are
@@ -31,7 +32,7 @@ Two more gated metrics, lower is better, watch the batched path
   repeats).  It does not depend on the host;
 * ``static_us_per_estimate`` -- the warm batched cost per point: the
   median time of one ``StaticOracle.estimate_many`` over the 32-point
-  design, per point, averaged over the workloads.
+  design, per point, averaged over art and gzip.
 
 The design points come from ``full_space().random_point`` under a fixed
 seed, so the committed baseline, the drift lint and re-runs all see the
@@ -40,10 +41,10 @@ the default (cached) engine: fidelity does not depend on cache state,
 only the timing measurement does, and that always uses fresh stores.
 
 Results land in the committed ``BENCH_static_oracle.json`` via
-``repro bench``; CI runs the quick variant (2 workloads, 16 points)
-whose floors must hold just the same.  ``repro bench`` checks the
-floors after it writes the result file, so a miss still records the
-numbers that missed.
+``repro bench``, which checks the floors after it writes the result
+file, so a miss still records the numbers that missed.  Most of the
+run is the 224 accurate reference points, about two minutes on a
+2-vCPU VM.
 """
 
 import statistics
@@ -60,6 +61,12 @@ from repro.obs import BenchScenario
 SEED = 20260807
 SPEEDUP_FLOOR = 100.0
 CORR_FLOOR = 0.8
+N_DESIGN = 32
+#: The speedup is timed on these workloads over the first
+#: ``N_TIMED_POINTS`` design points, the accurate side on ``N_TIMED``.
+TIMED_WORKLOADS = ("art", "gzip")
+N_TIMED_POINTS = 16
+N_TIMED = 1
 
 
 def _rank_corr(est, ref):
@@ -72,11 +79,8 @@ def _static_cold_seconds(oracle, workload, splits):
     """Analyze + build + estimate every point from a cold start."""
     compilers, microarchs = zip(*splits)
     t0 = time.perf_counter()
-    est = [
-        e.cycles
-        for e in oracle.estimate_many(workload, compilers, microarchs)
-    ]
-    return est, time.perf_counter() - t0
+    oracle.estimate_many(workload, compilers, microarchs)
+    return time.perf_counter() - t0
 
 
 def _warm_seconds_per_estimate(oracle, workload, splits, repeats=20):
@@ -144,22 +148,17 @@ def _accurate_cold_seconds_per_point(workload, points, store):
     return (time.perf_counter() - t0) / len(points)
 
 
-def _bench(quick: bool) -> dict:
+def _bench() -> dict:
     from repro.analysis.static.oracle import StaticOracle
     from repro.harness.configs import split_point
     from repro.harness.measure import default_engine
     from repro.space import full_space
     from repro.workloads import workload_names
 
-    workloads = ["art", "gzip"] if quick else sorted(workload_names())
-    n_points = 16 if quick else 32
-    n_timed = 1 if quick else 2
-
     space = full_space()
     rng = np.random.default_rng(SEED)
-    design = [space.random_point(rng) for _ in range(32)]
-    points = design[:n_points]
-    splits = [split_point(p) for p in points]
+    design = [space.random_point(rng) for _ in range(N_DESIGN)]
+    splits = [split_point(p) for p in design]
 
     engine = default_engine()
     corrs = {}
@@ -167,34 +166,38 @@ def _bench(quick: bool) -> dict:
     warm_s_per_estimate = 0.0
     acc_s_per_point = 0.0
     with tempfile.TemporaryDirectory(prefix="repro-bench-oracle-") as d:
-        for i, w in enumerate(workloads):
+        for w in sorted(workload_names()):
             oracle = StaticOracle()  # private instance: no shared warm cache
-            est, t_static = _static_cold_seconds(oracle, w, splits)
-            static_s += t_static
-            warm_s_per_estimate += _warm_seconds_per_estimate(
-                oracle, w, [split_point(p) for p in design]
-            )
-            ref = [engine.measure(w, p).cycles for p in points]
+            timed = w in TIMED_WORKLOADS
+            if timed:
+                static_s += _static_cold_seconds(
+                    oracle, w, splits[:N_TIMED_POINTS]
+                )
+                warm_s_per_estimate += _warm_seconds_per_estimate(
+                    oracle, w, splits
+                )
+            est = [e.cycles for e in oracle.estimate_many(w, *zip(*splits))]
+            ref = [engine.measure(w, p).cycles for p in design]
             corrs[w] = _rank_corr(est, ref)
-            acc_s_per_point += _accurate_cold_seconds_per_point(
-                w, points[:n_timed], Path(d) / f"store{i}"
-            )
-    acc_s_per_point /= len(workloads)
+            if timed:
+                acc_s_per_point += _accurate_cold_seconds_per_point(
+                    w, design[:N_TIMED], Path(d) / w
+                )
+    n_timed_workloads = len(TIMED_WORKLOADS)
+    acc_s_per_point /= n_timed_workloads
 
-    total_acc_s = acc_s_per_point * len(workloads) * n_points
+    total_acc_s = acc_s_per_point * n_timed_workloads * N_TIMED_POINTS
     speedup = total_acc_s / max(static_s, 1e-9)
     out = {
         "speedup_vs_accurate": speedup,
         "cost_model_passes_per_build": float(
-            _cost_model_passes_per_build(workloads[0])
+            _cost_model_passes_per_build(TIMED_WORKLOADS[0])
         ),
-        "static_us_per_estimate": warm_s_per_estimate / len(workloads) * 1e6,
+        "static_us_per_estimate": warm_s_per_estimate / n_timed_workloads * 1e6,
         "min_rank_corr": min(corrs.values()),
         "mean_rank_corr": sum(corrs.values()) / len(corrs),
         "static_s_total_cold": static_s,
         "accurate_s_per_point_cold": acc_s_per_point,
-        "n_workloads": float(len(workloads)),
-        "n_points": float(n_points),
     }
     for w, c in corrs.items():
         out[f"rank_corr_{w}"] = c

@@ -16,9 +16,10 @@ higher-is-better rates:
   (module summary -> 23 features) on cold caches; the pooled-model
   fitting path pays this once per workload.
 
-Seeded corpora make every run see identical programs, so the committed
-``BENCH_workgen.json`` baseline, CI's quick variant and re-runs are
-comparing like with like.
+Seeded corpora make every run see identical programs: 256 emitted, the
+first 32 of them gated and feature-extracted.  So the committed
+``BENCH_workgen.json`` baseline, CI's run and re-runs are comparing
+like with like.
 """
 
 import time
@@ -28,12 +29,12 @@ from repro.obs import BenchScenario
 SEED = 20260807
 
 
-def _bench(quick: bool) -> dict:
+def _bench() -> dict:
     from repro.workgen import CorpusSpec, check_corpus, generate_corpus
     from repro.workgen.features import static_features
 
-    n_generate = 64 if quick else 256
-    n_gate = 8 if quick else 32
+    n_generate = 256
+    n_gate = 32
 
     # Emission throughput (includes name/param derivation + rendering).
     t0 = time.perf_counter()

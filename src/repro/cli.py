@@ -28,9 +28,11 @@ Commands
     pool with ``--jobs``); ``--profile`` wraps either path in the
     sampling profiler and writes a collapsed-stack hotspot profile.
 ``bench``
-    Run the ``benchmarks/bench_*.py`` scenarios, write schema-versioned
+    Run the ``benchmarks/bench_*.py`` scenarios, each at the one size
+    its committed baseline was measured at, write schema-versioned
     ``BENCH_<name>.json`` result files, and fail on regressions against
-    the previous results (see docs/OBSERVABILITY.md).
+    the previous results or on a missed floor (see
+    docs/OBSERVABILITY.md).
 ``disasm``
     Disassemble a workload's binary at given compiler settings.
 ``model``
@@ -518,10 +520,8 @@ def cmd_bench(args) -> int:
         written, regressions = run_scenarios(
             scenarios,
             args.out,
-            quick=args.quick,
             baseline_dir=args.baseline,
             threshold_pct=args.threshold,
-            gate=not args.no_gate,
         )
     except ScenarioFailures as exc:
         written, regressions, failed = exc.written, exc.regressions, exc.failed
@@ -1464,11 +1464,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="scenario names to run (default: all discovered)",
     )
     p.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI-sized variants: smaller workloads, fewer repeats",
-    )
-    p.add_argument(
         "--bench-dir",
         default="benchmarks",
         metavar="DIR",
@@ -1493,11 +1488,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PCT",
         help="override every scenario's regression threshold percentage",
-    )
-    p.add_argument(
-        "--no-gate",
-        action="store_true",
-        help="report comparisons but never fail the run",
     )
     p.add_argument(
         "--list", action="store_true", help="list scenarios and exit"

@@ -70,7 +70,7 @@ from repro.opt.flags import CompilerConfig
 from repro.sim import simulate
 from repro.sim.config import MicroarchConfig
 from repro.sim.func import FunctionalResult, execute
-from repro.sim.memo import TimingMemo, timing_key
+from repro.sim.memo import RUN_FIELDS, TimingMemo, timing_key
 from repro.sim.tracepack import static_digest
 from repro.workloads import get_workload
 
@@ -213,10 +213,14 @@ class MeasurementEngine:
         self._absorb(store.read_json(self._cache_path) or {})
 
     def _absorb(self, raw: Dict[str, dict]) -> None:
-        """Take in stored entries this engine does not hold."""
-        for key, value in raw.items():
+        """Take in well-formed stored entries this engine does not hold.
+
+        An entry without the fields of a :class:`Measurement` is
+        skipped and counted (:func:`repro.store.entries`); it stays on
+        disk, since a save merges into what it did not absorb.
+        """
+        for key, value in store.entries(raw, RUN_FIELDS, ("code_size",)):
             if key not in self._result_cache:
-                value.setdefault("code_size", 0)
                 self._result_cache[key] = Measurement(**value)
 
     def _merge_into(self, payload: Dict[str, dict]) -> Dict[str, dict]:

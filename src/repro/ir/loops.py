@@ -129,6 +129,15 @@ def natural_loops(func: Function) -> List[Loop]:
     return loops
 
 
+def loop_depths(func: Function) -> Dict[str, int]:
+    """Each block's loop nesting depth (0 outside every loop)."""
+    depth = {b.label: 0 for b in func.blocks}
+    for loop in natural_loops(func):
+        for label in loop.body:
+            depth[label] = max(depth[label], loop.depth)
+    return depth
+
+
 def ensure_preheader(func: Function, loop: Loop) -> str:
     """Guarantee the loop has a dedicated preheader block; return its label.
 

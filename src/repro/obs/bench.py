@@ -9,17 +9,20 @@ compares against the previous JSON and the gate fails on metrics that
 moved more than the scenario's threshold in the bad direction.
 
 A benchmark module opts in by defining a module-level ``BENCH_SCENARIO``
-(a :class:`BenchScenario`); its ``run(quick)`` callable returns a flat
+(a :class:`BenchScenario`); its ``run()`` callable returns a flat
 ``{metric_name: float}`` dict.  ``gates`` names the metrics the
 regression gate watches and which direction is good::
 
     BENCH_SCENARIO = BenchScenario(
         name="serve_throughput",
         description="predictions/s through the serve tier",
-        run=_bench,                      # (quick: bool) -> {"warm_preds_per_s": ...}
+        run=_bench,                      # () -> {"warm_preds_per_s": ...}
         gates={"warm_preds_per_s": "higher"},
         threshold_pct=50.0,
     )
+
+A scenario runs at one size: the size its committed baseline was
+measured at, so the gate always compares like with like.
 
 Ungated metrics are recorded for trend-watching but never fail the run.
 Thresholds are deliberately generous by default -- CI machines vary a
@@ -60,15 +63,12 @@ _DIRECTIONS = ("lower", "higher")
 class BenchScenario:
     """One runnable benchmark scenario.
 
-    ``run(quick)`` must return a flat ``{metric: float}`` dict.  The
-    ``quick`` flag asks for a CI-sized variant (smaller workload, fewer
-    repeats); results from quick and full runs are still written to the
-    same file, distinguished by the ``"quick"`` field.
+    ``run()`` must return a flat ``{metric: float}`` dict.
     """
 
     name: str
     description: str
-    run: Callable[[bool], Dict[str, float]]
+    run: Callable[[], Dict[str, float]]
     #: ``{metric: "lower"|"higher"}`` -- which direction is good.
     gates: Dict[str, str] = field(default_factory=dict)
     #: Regression threshold: gate fails when a gated metric worsens by
@@ -155,7 +155,6 @@ def write_bench_json(
     scenario: BenchScenario,
     metrics: Dict[str, float],
     *,
-    quick: bool,
     elapsed_s: float,
 ) -> Path:
     """Write (atomically) the schema-versioned result file for one run."""
@@ -163,7 +162,6 @@ def write_bench_json(
         "schema_version": SCHEMA_VERSION,
         "name": scenario.name,
         "description": scenario.description,
-        "quick": quick,
         "created_unix": time.time(),
         "elapsed_s": elapsed_s,
         "env": bench_environment(),
@@ -282,10 +280,8 @@ def run_scenarios(
     scenarios: Sequence[BenchScenario],
     out_dir: PathLike,
     *,
-    quick: bool = False,
     baseline_dir: Optional[PathLike] = None,
     threshold_pct: Optional[float] = None,
-    gate: bool = True,
     log: Callable[[str], None] = print,
 ) -> Tuple[List[Path], List[GateFinding]]:
     """Run scenarios, write their JSON, and apply the regression gate.
@@ -293,8 +289,7 @@ def run_scenarios(
     Baselines are read from ``baseline_dir`` (default: ``out_dir``,
     i.e. the previous committed result) *before* the new file
     overwrites them.  Returns the written paths and the regressed
-    findings (empty = gate passed).  With ``gate=False`` comparisons
-    are still reported but nothing counts as failing.
+    findings (empty = gate passed).
 
     A scenario whose ``run`` raises writes no file; its traceback is
     logged and the remaining scenarios still run, so one failing
@@ -312,7 +307,7 @@ def run_scenarios(
         baseline = load_bench_json(bench_json_path(baseline_dir, scenario.name))
         t0 = time.perf_counter()
         try:
-            metrics = scenario.run(quick)
+            metrics = scenario.run()
         except Exception as exc:  # noqa: BLE001 - logged, raised after the rest
             log(traceback.format_exc().rstrip())
             failed[scenario.name] = f"{type(exc).__name__}: {exc}"
@@ -325,12 +320,10 @@ def run_scenarios(
         )
         for finding in findings:
             log("  " + finding.describe())
-            if gate and finding.regressed:
+            if finding.regressed:
                 regressions.append(finding)
         written.append(
-            write_bench_json(
-                out_dir, scenario, metrics, quick=quick, elapsed_s=elapsed
-            )
+            write_bench_json(out_dir, scenario, metrics, elapsed_s=elapsed)
         )
         log(f"  wrote {written[-1]} ({elapsed:.2f}s)")
         misses = floor_misses(scenario, metrics)

@@ -33,7 +33,7 @@ from repro.ir import (
 )
 from repro.analysis.static import remarks
 from repro.ir.callgraph import build_callgraph
-from repro.ir.loops import natural_loops
+from repro.ir.loops import loop_depths
 from repro.opt.flags import CompilerConfig
 
 
@@ -47,19 +47,11 @@ class _Site:
     callee_size: int
 
 
-def _loop_depth_map(func: Function) -> Dict[str, int]:
-    depth: Dict[str, int] = {b.label: 0 for b in func.blocks}
-    for loop in natural_loops(func):
-        for label in loop.body:
-            depth[label] = max(depth[label], loop.depth)
-    return depth
-
-
 def _collect_sites(module: Module, config: CompilerConfig) -> List[_Site]:
     graph = build_callgraph(module)
     sites: List[_Site] = []
     for func in module.functions.values():
-        depths = _loop_depth_map(func)
+        depths = loop_depths(func)
         for block in func.blocks:
             for i, instr in enumerate(block.instrs):
                 if not isinstance(instr, Call):

@@ -26,17 +26,9 @@ from repro.analysis.static import remarks
 from repro.ir import Branch, Cmp, Function, Jump, Module, Temp
 from repro.ir.cfg import predecessors, successors
 from repro.ir.dataflow import def_use_counts
-from repro.ir.loops import natural_loops
+from repro.ir.loops import loop_depths
 
 _INVERSE_CMP = {"eq": "ne", "ne": "eq", "lt": "ge", "ge": "lt", "gt": "le", "le": "gt"}
-
-
-def _loop_depths(func: Function) -> Dict[str, int]:
-    depth = {b.label: 0 for b in func.blocks}
-    for loop in natural_loops(func):
-        for label in loop.body:
-            depth[label] = max(depth[label], loop.depth)
-    return depth
 
 
 def _likely_successor(
@@ -85,7 +77,7 @@ def reorder_blocks(module: Module, config=None, profile=None) -> int:
 
 def _reorder_function(func: Function, edge_weight=None) -> int:
     succ = successors(func)
-    depth = _loop_depths(func)
+    depth = loop_depths(func)
     placed: Set[str] = set()
     order: List[str] = []
 

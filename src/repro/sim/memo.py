@@ -27,10 +27,12 @@ Persistence follows the measurement cache's discipline: one JSON file,
 locked read-merge-replace through :func:`repro.store.update_json`.
 Workers load at pool init and save after each chunk, so N workers
 simulate each distinct (binary, microarch, schedule) run once instead
-of N times.  Entries live under ``binary_runs``.  Older files keep
-theirs under ``runs`` (keyed on a trace digest too, in another payload
-format) and may hold a ``units`` map: both are never read and are
-dropped on the next save.
+of N times.  Entries live under ``binary_runs``; one that lacks a field
+of :data:`RUN_FIELDS` or has another is skipped on every read, counted
+in ``store.skipped_entries`` and dropped on the next save.  Older files
+keep theirs under ``runs`` (keyed on a trace digest too, in another
+payload format) and may hold a ``units`` map: both are never read and
+are dropped on the next save.
 """
 
 from __future__ import annotations
@@ -50,6 +52,10 @@ SIM_MEMO_VERSION = 1
 
 RUN_HITS = counter("sim.memo.run.hits")
 RUN_MISSES = counter("sim.memo.run.misses")
+
+#: The fields of one stored run; a stored entry without exactly these
+#: is never served.
+RUN_FIELDS = ("cycles", "checksum", "instructions", "sampling_error")
 
 
 def timing_key(config: MicroarchConfig) -> str:
@@ -102,10 +108,10 @@ class TimingMemo:
 
     # -- persistence ----------------------------------------------------
     def _absorb(self, raw: dict) -> None:
-        """Take in stored entries this memo does not hold."""
+        """Take in well-formed stored entries this memo does not hold."""
         if raw.get("version") != SIM_MEMO_VERSION:
             return
-        for key, value in raw.get("binary_runs", {}).items():
+        for key, value in store.entries(raw.get("binary_runs", {}), RUN_FIELDS):
             self._runs.setdefault(key, value)
 
     def _merge_into(self, raw: dict) -> dict:

@@ -26,7 +26,9 @@ read as empty and then overwritten: :func:`update_json` moves it aside
 to a uniquely named ``<file>.corrupt-*`` and counts it in the
 ``store.quarantined`` counter before writing the merge of nothing.  A
 file that parses is the store's to judge: one with another version
-field is simply replaced.
+field is simply replaced, and :func:`entries` skips each entry that
+does not have the store's fields and counts it in
+``store.skipped_entries``.
 
 :mod:`repro.obs` persists through this module, so it imports nothing
 from the package at module level.
@@ -39,7 +41,17 @@ import json
 import os
 import uuid
 from pathlib import Path
-from typing import IO, Any, Callable, Dict, Iterator, Optional, Union
+from typing import (
+    IO,
+    Any,
+    Callable,
+    Collection,
+    Dict,
+    Iterator,
+    Optional,
+    Tuple,
+    Union,
+)
 
 try:
     import fcntl
@@ -121,6 +133,30 @@ def read_json(path: PathLike) -> Optional[Dict[str, Any]]:
     except OSError:
         return None
     return _parse_object(data)
+
+
+def entries(
+    raw: Any, required: Collection[str], optional: Collection[str] = ()
+) -> Iterator[Tuple[str, Dict[str, Any]]]:
+    """The ``(key, value)`` pairs of the stored map ``raw`` whose value
+    is a JSON object with every ``required`` field and no field outside
+    ``required`` and ``optional``.
+
+    Every other entry counts once in ``store.skipped_entries``, and so
+    does ``raw`` itself when it is not a JSON object.
+    """
+    from repro.obs.metrics import counter
+
+    if not isinstance(raw, dict):
+        counter("store.skipped_entries").inc()
+        return
+    required = set(required)
+    allowed = required | set(optional)
+    for key, value in raw.items():
+        if isinstance(value, dict) and required <= value.keys() <= allowed:
+            yield key, value
+        else:
+            counter("store.skipped_entries").inc()
 
 
 def _quarantine(path: Path) -> None:

@@ -6,8 +6,10 @@ re-runs the same scenario 3x slower, and asserts the second run
 reports a regression while improvements and sub-threshold drift pass.
 """
 
+import inspect
 import json
 import math
+import os
 
 import pytest
 
@@ -29,7 +31,7 @@ def _scenario(run=None, gates=None, threshold_pct=50.0, name="toy"):
     return BenchScenario(
         name=name,
         description="toy scenario for tests",
-        run=run or (lambda quick: {"elapsed_ms": 10.0}),
+        run=run or (lambda: {"elapsed_ms": 10.0}),
         gates=gates if gates is not None else {"elapsed_ms": "lower"},
         threshold_pct=threshold_pct,
     )
@@ -41,15 +43,13 @@ def _scenario(run=None, gates=None, threshold_pct=50.0, name="toy"):
 class TestSchema:
     def test_write_then_load_round_trips(self, tmp_path):
         sc = _scenario()
-        path = write_bench_json(
-            tmp_path, sc, {"elapsed_ms": 12.5}, quick=True, elapsed_s=0.3
-        )
+        path = write_bench_json(tmp_path, sc, {"elapsed_ms": 12.5}, elapsed_s=0.3)
         assert path == bench_json_path(tmp_path, "toy")
         assert path.name == "BENCH_toy.json"
         payload = load_bench_json(path)
         assert payload["schema_version"] == SCHEMA_VERSION
         assert payload["name"] == "toy"
-        assert payload["quick"] is True
+        assert "quick" not in payload
         assert payload["metrics"] == {"elapsed_ms": 12.5}
         assert payload["gates"] == {"elapsed_ms": "lower"}
         assert payload["threshold_pct"] == 50.0
@@ -69,9 +69,7 @@ class TestSchema:
 
     def test_load_wrong_schema_version_is_none(self, tmp_path):
         sc = _scenario()
-        path = write_bench_json(
-            tmp_path, sc, {"elapsed_ms": 1.0}, quick=False, elapsed_s=0.1
-        )
+        path = write_bench_json(tmp_path, sc, {"elapsed_ms": 1.0}, elapsed_s=0.1)
         payload = json.loads(path.read_text())
         payload["schema_version"] = SCHEMA_VERSION + 1
         path.write_text(json.dumps(payload))
@@ -88,7 +86,7 @@ class TestSchema:
 class TestGate:
     def _baseline(self, tmp_path, metrics):
         sc = _scenario()
-        write_bench_json(tmp_path, sc, metrics, quick=False, elapsed_s=0.1)
+        write_bench_json(tmp_path, sc, metrics, elapsed_s=0.1)
         return load_bench_json(bench_json_path(tmp_path, sc.name))
 
     def test_lower_direction_regression_and_improvement(self, tmp_path):
@@ -108,9 +106,7 @@ class TestGate:
 
     def test_higher_direction_flips_the_sign(self, tmp_path):
         sc = _scenario(gates={"preds_per_s": "higher"})
-        write_bench_json(
-            tmp_path, sc, {"preds_per_s": 1000.0}, quick=False, elapsed_s=0.1
-        )
+        write_bench_json(tmp_path, sc, {"preds_per_s": 1000.0}, elapsed_s=0.1)
         base = load_bench_json(bench_json_path(tmp_path, sc.name))
         # Throughput fell 2.5x: that's +150% in the bad direction.
         (f,) = compare_against_baseline(sc, {"preds_per_s": 400.0}, base)
@@ -163,46 +159,28 @@ class TestGate:
 class TestRunScenarios:
     def test_injected_slowdown_fails_the_gate(self, tmp_path):
         logs = []
-        fast = _scenario(run=lambda quick: {"elapsed_ms": 100.0})
-        written, regressions = run_scenarios(
-            [fast], tmp_path, quick=True, log=logs.append
-        )
+        fast = _scenario(run=lambda: {"elapsed_ms": 100.0})
+        written, regressions = run_scenarios([fast], tmp_path, log=logs.append)
         assert len(written) == 1 and regressions == []  # first run: no baseline
 
-        slow = _scenario(run=lambda quick: {"elapsed_ms": 300.0})
-        written, regressions = run_scenarios(
-            [slow], tmp_path, quick=True, log=logs.append
-        )
+        slow = _scenario(run=lambda: {"elapsed_ms": 300.0})
+        written, regressions = run_scenarios([slow], tmp_path, log=logs.append)
         assert len(regressions) == 1
         assert regressions[0].metric == "elapsed_ms"
         assert regressions[0].regressed
         # The slow result still replaced the baseline on disk.
         assert load_bench_json(written[0])["metrics"]["elapsed_ms"] == 300.0
 
-    def test_gate_false_reports_but_never_fails(self, tmp_path):
-        run_scenarios(
-            [_scenario(run=lambda quick: {"elapsed_ms": 100.0})],
-            tmp_path,
-            log=lambda _: None,
-        )
-        _, regressions = run_scenarios(
-            [_scenario(run=lambda quick: {"elapsed_ms": 10_000.0})],
-            tmp_path,
-            gate=False,
-            log=lambda _: None,
-        )
-        assert regressions == []
-
     def test_separate_baseline_dir(self, tmp_path):
         baseline_dir = tmp_path / "committed"
         out_dir = tmp_path / "fresh"
         run_scenarios(
-            [_scenario(run=lambda quick: {"elapsed_ms": 100.0})],
+            [_scenario(run=lambda: {"elapsed_ms": 100.0})],
             baseline_dir,
             log=lambda _: None,
         )
         _, regressions = run_scenarios(
-            [_scenario(run=lambda quick: {"elapsed_ms": 300.0})],
+            [_scenario(run=lambda: {"elapsed_ms": 300.0})],
             out_dir,
             baseline_dir=baseline_dir,
             log=lambda _: None,
@@ -211,13 +189,6 @@ class TestRunScenarios:
         # Baseline dir untouched by the new run.
         base = load_bench_json(bench_json_path(baseline_dir, "toy"))
         assert base["metrics"]["elapsed_ms"] == 100.0
-
-    def test_quick_flag_reaches_the_scenario(self, tmp_path):
-        seen = []
-        sc = _scenario(run=lambda quick: seen.append(quick) or {"x": 1.0})
-        run_scenarios([sc], tmp_path, quick=True, log=lambda _: None)
-        run_scenarios([sc], tmp_path, quick=False, log=lambda _: None)
-        assert seen == [True, False]
 
     def test_failing_scenario_does_not_hide_the_rest(self, tmp_path, capsys):
         """A scenario that raises (say, a speed floor's assert) writes
@@ -229,7 +200,7 @@ class TestRunScenarios:
         bench_dir.mkdir()
         (bench_dir / "bench_a_floor.py").write_text(
             "from repro.obs.bench import BenchScenario\n"
-            "def _run(quick):\n"
+            "def _run():\n"
             "    raise AssertionError('only 82x faster')\n"
             "BENCH_SCENARIO = BenchScenario(\n"
             "    name='floor', description='d', run=_run, gates={'v': 'lower'})\n"
@@ -238,7 +209,7 @@ class TestRunScenarios:
             "from repro.obs.bench import BenchScenario\n"
             "BENCH_SCENARIO = BenchScenario(\n"
             "    name='good', description='d',\n"
-            "    run=lambda quick: {'v': 1.0}, gates={'v': 'lower'})\n"
+            "    run=lambda: {'v': 1.0}, gates={'v': 'lower'})\n"
         )
         out = tmp_path / "out"
         rc = main(["bench", "--bench-dir", str(bench_dir), "--out", str(out)])
@@ -262,7 +233,7 @@ class TestRunScenarios:
             "from repro.obs.bench import BenchScenario\n"
             "BENCH_SCENARIO = BenchScenario(\n"
             "    name='floor', description='d',\n"
-            "    run=lambda quick: {'speedup': 82.0, 'corr': 0.9},\n"
+            "    run=lambda: {'speedup': 82.0, 'corr': 0.9},\n"
             "    gates={'speedup': 'higher'},\n"
             "    floors={'speedup': 100.0, 'corr': 0.8})\n"
         )
@@ -270,7 +241,7 @@ class TestRunScenarios:
             "from repro.obs.bench import BenchScenario\n"
             "BENCH_SCENARIO = BenchScenario(\n"
             "    name='good', description='d',\n"
-            "    run=lambda quick: {'v': 1.0}, gates={'v': 'lower'},\n"
+            "    run=lambda: {'v': 1.0}, gates={'v': 'lower'},\n"
             "    floors={'v': 1.0})\n"
         )
         out = tmp_path / "out"
@@ -287,6 +258,16 @@ class TestRunScenarios:
         assert "floor: speedup = 82 below its floor 100" in printed
         assert "corr" not in printed.split("SCENARIOS FAILED")[1]
         assert "good:" not in printed.split("SCENARIOS FAILED")[1]
+
+    @pytest.mark.parametrize("option", ["--quick", "--no-gate"])
+    def test_removed_options_are_usage_errors(self, tmp_path, option):
+        """Every scenario runs at one size and every run is gated, so
+        neither option exists."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", option, "--bench-dir", str(tmp_path)])
+        assert exc.value.code == 2
 
     def test_missing_floor_metric_is_a_miss(self):
         from repro.obs.bench import floor_misses
@@ -310,6 +291,36 @@ class TestDiscovery:
         for s in scenarios:
             assert s.gates, f"{s.name} has no gated metric"
             assert all(d in ("lower", "higher") for d in s.gates.values())
+
+    def test_every_scenario_runs_at_one_size(self):
+        """A scenario's ``run`` takes no argument: it runs at the size
+        its committed baseline was measured at, and nothing picks
+        another."""
+        for s in discover_scenarios(REPO_ROOT / "benchmarks"):
+            assert not inspect.signature(s.run).parameters, s.name
+
+    def test_acceptance_bounds_are_floors(self):
+        """The bounds that the benchmarks' own pytest functions and CI
+        used to assert are each scenario's floors.  Floors are minimums,
+        so an upper bound is a floor on a ratio."""
+        scenarios = {
+            s.name: s for s in discover_scenarios(REPO_ROOT / "benchmarks")
+        }
+        serve = scenarios["serve_throughput"].floors
+        assert serve["cold_preds_per_s"] >= 10_000
+        assert serve["warm_over_cold"] >= 0.5
+        # Tracing at most doubles a measurement.
+        assert scenarios["obs_overhead"].floors["disabled_over_enabled"] >= 0.5
+        pool = scenarios["parallel_measure"].floors
+        assert pool["single_point_speedup"] >= 10.0
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        if cpus >= 2:
+            assert pool["speedup_jobs2"] >= 1.5
+        if cpus >= 4:
+            assert pool["speedup_jobs4"] >= 1.8
 
     def test_committed_baselines_carry_every_declared_gate(self):
         """``compare_against_baseline`` skips a gated metric the baseline
@@ -335,7 +346,7 @@ class TestDiscovery:
             "from repro.obs.bench import BenchScenario\n"
             "BENCH_SCENARIO = BenchScenario(\n"
             "    name='good', description='d',\n"
-            "    run=lambda quick: {'v': 1.0}, gates={'v': 'lower'})\n"
+            "    run=lambda: {'v': 1.0}, gates={'v': 'lower'})\n"
         )
         (tmp_path / "not_a_bench.py").write_text(
             "raise RuntimeError('must not be imported')\n"

@@ -197,14 +197,14 @@ class TestPersistence:
         path = tmp_path / "memo.json"
         a = TimingMemo(path)
         b = TimingMemo(path)
-        a.put_run("ra", {"estimated_cycles": 1.0})
-        b.put_run("rb", {"estimated_cycles": 2.0})
+        a.put_run("ra", {**RUN, "cycles": 1.0})
+        b.put_run("rb", {**RUN, "cycles": 2.0})
         a.save()
         b.save()  # must absorb a's entry, not clobber it
         fresh = TimingMemo(path)
         assert fresh.n_runs == 2
-        assert fresh.get_run("ra") == {"estimated_cycles": 1.0}
-        assert fresh.get_run("rb") == {"estimated_cycles": 2.0}
+        assert fresh.get_run("ra") == {**RUN, "cycles": 1.0}
+        assert fresh.get_run("rb") == {**RUN, "cycles": 2.0}
 
     def test_clean_memo_save_is_noop(self, tmp_path):
         path = tmp_path / "memo.json"

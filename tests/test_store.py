@@ -17,9 +17,10 @@ from repro.harness.measure import Measurement, MeasurementEngine
 from repro.obs import counter
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.registry import ModelRegistry
-from repro.sim.memo import SIM_MEMO_VERSION, TimingMemo
+from repro.sim.memo import RUN_HITS, SIM_MEMO_VERSION, TimingMemo
 
 QUARANTINED = counter("store.quarantined")
+SKIPPED = counter("store.skipped_entries")
 
 
 def _measurement(i):
@@ -30,6 +31,16 @@ def _measurement(i):
         sampling_error=0.01,
         code_size=4,
     )
+
+
+def _run(cycles):
+    """A timing-memo run entry."""
+    return {
+        "cycles": cycles,
+        "checksum": 7,
+        "instructions": 100,
+        "sampling_error": 0.01,
+    }
 
 
 def _damage(path, n_bytes=7):
@@ -161,20 +172,20 @@ class TestQuarantinePerStore:
         path = tmp_path / "sim_memo.json"
         full = TimingMemo(path)
         for i in range(50):
-            full.put_run(f"r{i}", {"estimated_cycles": float(i)})
+            full.put_run(f"r{i}", _run(float(i)))
         full.save()
         damaged = _damage(path)
         before = QUARANTINED.value
 
         memo = TimingMemo(path)
         assert memo.n_runs == 0
-        memo.put_run("new", {"estimated_cycles": 3.0})
+        memo.put_run("new", _run(3.0))
         memo.save()
 
         (aside,) = _corrupt_files(path)
         assert aside.read_bytes() == damaged
         assert QUARANTINED.value == before + 1
-        assert TimingMemo(path).get_run("new") == {"estimated_cycles": 3.0}
+        assert TimingMemo(path).get_run("new") == _run(3.0)
 
     def test_memo_with_other_version_is_replaced_not_quarantined(self, tmp_path):
         path = tmp_path / "sim_memo.json"
@@ -182,12 +193,12 @@ class TestQuarantinePerStore:
             json.dumps({"version": -1, "runs": {"old": {"estimated_cycles": 1.0}}})
         )
         memo = TimingMemo(path)
-        memo.put_run("new", {"estimated_cycles": 3.0})
+        memo.put_run("new", _run(3.0))
         memo.save()
         assert _corrupt_files(path) == []
         raw = json.loads(path.read_text())
         assert raw["version"] == SIM_MEMO_VERSION
-        assert raw["binary_runs"] == {"new": {"estimated_cycles": 3.0}}
+        assert raw["binary_runs"] == {"new": _run(3.0)}
 
     def test_metrics(self, tmp_path):
         path = tmp_path / "metrics.json"
@@ -261,6 +272,79 @@ def _run_together(target, arg):
     return [p.exitcode for p in procs]
 
 
+# ----------------------------------------------------------------------
+# An entry without its store's fields is skipped and counted, not served
+# ----------------------------------------------------------------------
+class TestMalformedEntries:
+    @pytest.mark.parametrize(
+        "bad",
+        [{"cycles": 1.0}, 5, None, {**_run(1.0), "bogus": 1}],
+        ids=["missing-fields", "number", "null", "extra-field"],
+    )
+    def test_engine_serves_the_good_entries_and_saves(self, tmp_path, bad):
+        """One malformed and one good entry in each of measurements.json
+        and sim_memo.json: the engine constructs, serves both good
+        entries without simulating, counts the bad ones and saves.  The
+        measurement cache keeps what it skipped on disk; the memo
+        writes only what it holds."""
+        from repro.harness.configs import TABLE5_CONFIGS
+        from repro.opt import O2
+
+        typical = TABLE5_CONFIGS["typical"]
+        aggressive = TABLE5_CONFIGS["aggressive"]
+        exe, _ = MeasurementEngine().compile_and_trace(
+            "art", "train", O2, aggressive.issue_width
+        )
+        run_key = MeasurementEngine()._run_key(exe, aggressive)
+        result_key = MeasurementEngine._result_key(
+            "art", "train", O2, typical, "smarts", 3
+        )
+        (tmp_path / "measurements.json").write_text(
+            json.dumps({"bad": bad, result_key: vars(_measurement(1))})
+        )
+        (tmp_path / "sim_memo.json").write_text(
+            json.dumps(
+                {
+                    "version": SIM_MEMO_VERSION,
+                    "binary_runs": {"bad": bad, run_key: _run(123.5)},
+                }
+            )
+        )
+        skipped = SKIPPED.value
+        hits = RUN_HITS.value
+
+        engine = MeasurementEngine(cache_dir=str(tmp_path))
+        assert SKIPPED.value - skipped == 2
+        assert engine.measure_configs("art", O2, typical) == _measurement(1)
+        served = engine.measure_configs("art", O2, aggressive)
+        assert served == Measurement(**_run(123.5), code_size=len(exe.instrs))
+        assert RUN_HITS.value - hits == 1
+        engine.memo.put_run("new", _run(9.0))
+        engine.save()
+
+        saved = json.loads((tmp_path / "measurements.json").read_text())
+        assert saved["bad"] == bad
+        assert len(saved) == 3
+        memo = json.loads((tmp_path / "sim_memo.json").read_text())
+        assert set(memo["binary_runs"]) == {run_key, "new"}
+        assert SKIPPED.value - skipped >= 3  # the save's merge read "bad" too
+        assert _corrupt_files(tmp_path / "measurements.json") == []
+
+    @pytest.mark.parametrize("runs", [[1, 2], "runs", 3])
+    def test_memo_runs_that_are_not_an_object(self, tmp_path, runs):
+        path = tmp_path / "sim_memo.json"
+        path.write_text(
+            json.dumps({"version": SIM_MEMO_VERSION, "binary_runs": runs})
+        )
+        skipped = SKIPPED.value
+        memo = TimingMemo(path)
+        assert memo.n_runs == 0
+        assert SKIPPED.value == skipped + 1
+        memo.put_run("new", _run(3.0))
+        memo.save()
+        assert TimingMemo(path).get_run("new") == _run(3.0)
+
+
 class TestConcurrentWriters:
     def test_metrics_persists_keep_every_count(self, tmp_path):
         path = tmp_path / "metrics.json"
@@ -306,7 +390,7 @@ def _die_mid_write(kind, directory, fraction, conn):
         engine.save()
     else:
         memo = TimingMemo(directory / "sim_memo.json")
-        memo.put_run("crashed", {"estimated_cycles": 9.0})
+        memo.put_run("crashed", _run(9.0))
         memo.save()
 
 
@@ -330,7 +414,7 @@ class TestCrashMidWrite:
             )
         memo = TimingMemo(directory / "sim_memo.json")
         for i in range(20):
-            memo.put_run(f"r{i}", {"estimated_cycles": float(i)})
+            memo.put_run(f"r{i}", _run(float(i)))
         memo.save()
 
         def load():
@@ -376,10 +460,10 @@ class TestCrashMidWrite:
             assert after == {**before, "after": _measurement(1)}
         else:
             memo = TimingMemo(path)
-            memo.put_run("after", {"estimated_cycles": 1.0})
+            memo.put_run("after", _run(1.0))
             memo.save()
             after = load()
-            assert after == {**before, "after": {"estimated_cycles": 1.0}}
+            assert after == {**before, "after": _run(1.0)}
         assert set(tmp_path.glob(path.name + "*.tmp")) == temps
         assert _corrupt_files(path) == []
         assert QUARANTINED.value == quarantined
