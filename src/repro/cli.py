@@ -484,7 +484,7 @@ def _measure_random_points(args) -> int:
     for i, m in enumerate(measurements):
         print(
             f"  point {i:3d}: {m.cycles:12.0f} cycles "
-            f"(±{m.sampling_error:.2f}%, {m.instructions} instructions)"
+            f"(±{m.sampling_error * 100:.2f}%, {m.instructions} instructions)"
         )
     cycles = [m.cycles for m in measurements]
     print(

@@ -71,6 +71,7 @@ from repro.sim import simulate
 from repro.sim.config import MicroarchConfig
 from repro.sim.func import FunctionalResult, execute
 from repro.sim.memo import RUN_FIELDS, TimingMemo, timing_key
+from repro.sim.smarts import SMARTS_INTERVAL
 from repro.sim.tracepack import static_digest
 from repro.workloads import get_workload
 
@@ -169,7 +170,7 @@ class MeasurementEngine:
     def __init__(
         self,
         mode: str = "smarts",
-        smarts_interval: int = 3,
+        smarts_interval: int = SMARTS_INTERVAL,
         cache_dir: Optional[str] = None,
         jobs: Optional[int] = None,
         artifact_dir: Optional[str] = None,

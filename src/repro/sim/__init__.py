@@ -16,9 +16,10 @@ Components:
   loop (fetch -> RUU dispatch -> issue over FU pools -> commit, with a
   store buffer, a memory bus and fetch redirects on taken branches and
   mispredictions) that reads the kernel's per-position outcomes;
-* :mod:`repro.sim.smarts` -- SMARTS systematic sampling: continuous
-  functional warming with detailed timing on periodic windows, and a
-  confidence interval on the CPI estimate;
+* :mod:`repro.sim.smarts` -- SMARTS systematic sampling: unit 0 timed
+  exactly, functional warming with detailed timing on one unit in
+  every interval, each position walked once, a regression estimate on
+  per-unit miss and mispredict counts and a confidence interval;
 * :mod:`repro.sim.tracepack` -- the packed trace, the simulator's only
   trace type, and the op records and event columns the hot loops read
   (built once per trace and configuration, kept by the trace and freed

@@ -48,7 +48,7 @@ from repro.sim.config import MicroarchConfig
 
 #: Bump when timing semantics change: stale entries must never be served
 #: across simulator versions.
-SIM_MEMO_VERSION = 1
+SIM_MEMO_VERSION = 2
 
 RUN_HITS = counter("sim.memo.run.hits")
 RUN_MISSES = counter("sim.memo.run.misses")

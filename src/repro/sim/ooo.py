@@ -35,15 +35,18 @@ It zips the event columns of its slice -- kind, operand, branch target,
 same-block refetch flag -- and never indexes a per-position table.  It
 can write one outcome code per position: where the IL1 and DL1 accesses
 were served, and whether a control transfer was a correctly predicted
-redirect or a mispredict.  Functional warming
-(:meth:`~OooTimingModel.warm`) is that kernel alone.
-:meth:`~OooTimingModel.simulate_window` runs the kernel over its window
-first, then a timing loop (fetch, RUU, FU pools, store buffer, memory
-bus, commit) that reads only the codes, one op record per instruction
-and the window's addresses from the packed trace.  The loop times the
-window's warm-up and measured segments and stops at ``measure_to``: an
-instruction's commit cycle depends only on earlier instructions, so the
-cool-down is walked by the kernel but never timed.
+redirect or a mispredict.  It counts those outcomes (:data:`COUNTED`)
+and returns the counts.  Functional warming
+(:meth:`~OooTimingModel.warm`) is that kernel alone; it can record the
+codes of its last positions.  :meth:`~OooTimingModel.simulate_window`
+runs a timing loop (fetch, RUU, FU pools, store buffer, memory bus,
+commit) that reads only the codes, one op record per instruction and
+the window's addresses from the packed trace; it runs the kernel over
+its window first unless it is handed codes that warming recorded.  So a
+SMARTS run (:mod:`repro.sim.smarts`) walks every position through the
+caches and predictor exactly once.  The loop times the window's warm-up
+and measured segments and stops at ``measure_to``: an instruction's
+commit cycle depends only on earlier instructions.
 
 The split is exact because no cache or predictor update depends on the
 clock:
@@ -73,7 +76,8 @@ from collections import deque
 from heapq import heapreplace
 from dataclasses import dataclass
 from itertools import repeat
-from typing import List, Optional
+from operator import add
+from typing import List, Optional, Tuple
 
 from repro.codegen.linker import Executable, INSTR_BYTES, TEXT_BASE
 from repro.codegen.machine_desc import MachineDescription
@@ -118,6 +122,11 @@ IL1_L2, IL1_MEM, DL1_L2, DL1_MEM, REDIRECT, MISPREDICT = 1, 2, 4, 8, 16, 32
 _IL1_MISS = IL1_L2 | IL1_MEM
 _DL1_MISS = DL1_L2 | DL1_MEM
 
+#: The outcomes a walk counts, in the order of the counts it returns:
+#: IL1 misses served by L2 and by memory, DL1 misses served by L2 and
+#: by memory, mispredicts and correctly predicted redirects.
+COUNTED = (IL1_L2, IL1_MEM, DL1_L2, DL1_MEM, MISPREDICT, REDIRECT)
+
 
 @dataclass
 class TimingResult:
@@ -146,7 +155,7 @@ class OooTimingModel:
     # ------------------------------------------------------------------
     def _walk(
         self, tables: TraceTables, start: int, end: int, out: Optional[List[int]]
-    ) -> None:
+    ) -> Tuple[int, ...]:
         """Apply trace[start:end] to the caches, predictor, BTB and RAS.
 
         Zips the event columns of the slice, so only event positions
@@ -155,10 +164,13 @@ class OooTimingModel:
         would.  When ``out`` is given (a zeroed list of
         ``end - start`` ints), ``out[i - start]`` receives position
         ``i``'s outcome code (``IL1_*``, ``DL1_*``, ``REDIRECT``,
-        ``MISPREDICT``).
+        ``MISPREDICT``).  Returns the slice's :data:`COUNTED` outcomes:
+        how many positions carry each of those codes.
         """
+        # Outcomes by code, read out in COUNTED order.
+        tally = [0] * (MISPREDICT + 1)
         if start >= end:
-            return
+            return tuple(tally[c] for c in COUNTED)
         block_size = self.config.block_size
         ev = tables.events_for(block_size)
         lo, hi = ev.pos.searchsorted((start, end)).tolist()
@@ -209,6 +221,7 @@ class OooTimingModel:
         first_block = (first_pc * INSTR_BYTES + TEXT_BASE) // block_size
         if not il1.access_block(first_block):
             level = IL1_L2 if ul2.access_block(first_block) else IL1_MEM
+            tally[level] += 1
             if out is not None:
                 out[0] = level
 
@@ -221,6 +234,7 @@ class OooTimingModel:
                     d_mru += 1
                 elif not dl1.access_block(arg):
                     level = DL1_L2 if ul2.access_block(arg) else DL1_MEM
+                    tally[level] += 1
                     if out is not None:
                         out[i] += level
                 continue
@@ -230,6 +244,7 @@ class OooTimingModel:
                     i_mru += 1
                 elif not il1.access_block(arg):
                     level = IL1_L2 if ul2.access_block(arg) else IL1_MEM
+                    tally[level] += 1
                     if out is not None:
                         out[i] = level
                 continue
@@ -285,6 +300,7 @@ class OooTimingModel:
             # hit.
             if again:
                 i_mru += 1
+            tally[code] += 1
             if out is not None:
                 out[i] += code
 
@@ -293,6 +309,7 @@ class OooTimingModel:
         bpred._history = history
         bpred.lookups += bp_lookups
         bpred.mispredictions += bp_wrong
+        return tuple(tally[c] for c in COUNTED)
 
     # ------------------------------------------------------------------
     def simulate_window(
@@ -302,6 +319,7 @@ class OooTimingModel:
         end: int,
         measure_from: Optional[int] = None,
         measure_to: Optional[int] = None,
+        codes: Optional[List[int]] = None,
     ) -> TimingResult:
         """Detailed timing for trace[start:end].
 
@@ -311,14 +329,20 @@ class OooTimingModel:
         ``measure_to`` are given, only the commit-time interval between
         those trace positions is reported: instructions before
         ``measure_from`` are *detailed warming* (removing cold-pipeline
-        bias).  Instructions from ``measure_to`` on are *cool-down*: the
-        kernel applies them to the caches and predictor, but they are
-        not timed, since no commit cycle depends on a later instruction.
-        The four ``sim.ooo.*`` counters and ``memory_accesses`` cover
-        the timed instructions, ``start`` to ``measure_to``.
+        bias).  Instructions from ``measure_to`` on are applied to the
+        caches and predictor but not timed, since no commit cycle
+        depends on a later instruction.  The four ``sim.ooo.*`` counters
+        and ``memory_accesses`` cover the timed instructions, ``start``
+        to ``measure_to``.
+
+        ``codes``, when given, holds the outcome codes of the window's
+        ``end - start`` positions, recorded by the walks that already
+        applied them to the caches and predictor (:meth:`warm`): the
+        window then only times them, so no position is walked twice.
 
         Raises ``ValueError`` unless ``0 <= start <= measure_from <=
-        measure_to <= end <= len(trace)``.
+        measure_to <= end <= len(trace)``, or if ``codes`` has another
+        length.
         """
         measure_from = start if measure_from is None else measure_from
         measure_to = end if measure_to is None else measure_to
@@ -332,8 +356,13 @@ class OooTimingModel:
         mdesc = self.mdesc
         block_size = cfg.block_size
         T = tables_for(self.exe, trace, block_size, mdesc)
-        codes = [0] * (end - start)
-        self._walk(T, start, end, codes)
+        if codes is None:
+            codes = [0] * (end - start)
+            self._walk(T, start, end, codes)
+        elif len(codes) != end - start:
+            raise ValueError(
+                f"codes must hold {end - start} entries, got {len(codes)}"
+            )
 
         width = cfg.issue_width
         sbuf_size = cfg.store_buffer_size
@@ -391,9 +420,9 @@ class OooTimingModel:
         n_icache_stall_cycles = 0
         n_ruu_stalls = 0
         # Time the warm-up, then the measured segment, whose cycles are
-        # reported.  The cool-down is not timed: every structure below is
-        # updated in program order, so no commit cycle depends on a later
-        # instruction.
+        # reported.  Nothing from ``measure_to`` on is timed: every
+        # structure below is updated in program order, so no commit cycle
+        # depends on a later instruction.
         for lo, hi in ((start, measure_from), (measure_from, measure_to)):
             boundary = last_commit
             for (code, s0, s1, dst, lat), oc, ea in zip(
@@ -531,15 +560,29 @@ class OooTimingModel:
         return self.simulate_window(trace, 0, len(trace))
 
     # ------------------------------------------------------------------
-    def warm(self, trace: PackedTrace, start: int, end: int) -> None:
+    def warm(
+        self,
+        trace: PackedTrace,
+        start: int,
+        end: int,
+        codes: Optional[List[int]] = None,
+    ) -> Tuple[int, ...]:
         """Functional warming only: update caches and predictors.
 
         Used by SMARTS between detailed windows; no timing state changes.
         Only event positions are visited, so straight-line instructions
-        inside an already-fetched block cost nothing.
+        inside an already-fetched block cost nothing.  Returns the
+        :data:`COUNTED` outcomes of ``trace[start:end]``.  ``codes``,
+        when given, is a zeroed list that receives the outcome codes of
+        the last ``len(codes)`` positions, for a detailed window over
+        them (:meth:`simulate_window`).
         """
         tables = tables_for(self.exe, trace, self.config.block_size, self.mdesc)
-        self._walk(tables, start, end, None)
+        if not codes:
+            return self._walk(tables, start, end, None)
+        mid = end - len(codes)
+        head = self._walk(tables, start, mid, None)
+        return tuple(map(add, head, self._walk(tables, mid, end, codes)))
 
     # Inert: perfbench/tracer.py looks replay_window up in every benchmark run.
     replay_window = warm

@@ -9,7 +9,7 @@ from repro.obs import counter, span
 from repro.sim.config import MicroarchConfig
 from repro.sim.func import FunctionalResult
 from repro.sim.ooo import OooTimingModel
-from repro.sim.smarts import smarts_simulate
+from repro.sim.smarts import SMARTS_INTERVAL, smarts_simulate
 
 _DETAILED_RUNS = counter("sim.detailed_runs")
 _SMARTS_RUNS = counter("sim.smarts_runs")
@@ -37,7 +37,7 @@ def simulate(
     functional: FunctionalResult,
     mode: str = "smarts",
     unit_size: int = 1000,
-    interval: int = 10,
+    interval: int = SMARTS_INTERVAL,
 ) -> SimulationOutcome:
     """Measure the execution time of ``exe`` on ``config``.
 

@@ -1,17 +1,36 @@
 """SMARTS: statistical sampling of the timing simulation.
 
-Following Wunderlich et al. [19] as used in the paper's Section 5: the
-dynamic instruction stream is divided into sampling units of ``unit_size``
-instructions; one unit in every ``interval`` is simulated in detail and
-the rest receive *functional warming* only (caches and branch predictors
-stay warm, no pipeline timing).  Total execution time is estimated as
-``mean(unit CPI) * instruction count`` with a confidence interval from
-the unit-CPI variance (systematic sampling treated as random sampling,
-as SMARTS does).
+Following Wunderlich et al. [19] as used in the paper's Section 5, the
+dynamic instruction stream is divided into sampling units of
+``unit_size`` instructions.  Unit 0, which starts with cold caches and a
+cold predictor, is its own stratum and is timed exactly, with no
+warm-up.  Of the units after it, one in every ``interval`` is timed in
+detail; the offset of the first is a hash of the binary and the
+configuration.  Every other position gets *functional warming* only:
+the caches and the branch predictor see it, the pipeline does not.
+Each sampled unit is timed after a detailed warm-up of the positions
+just before it.  Warming walks every position, sampled units included,
+one call per stretch, and records the outcome codes a detailed window
+needs, which the window then only times: every position is walked
+through the caches and predictor exactly once, and a run applies the
+outcome codes of one walk over the whole trace.
 
-The paper tuned sampling to <1% error at 99.7% confidence; the benchmark
-``bench_smarts_accuracy`` reproduces that check against the exhaustive
-simulator.
+Each walk counts six outcomes: IL1 misses served by L2 and by memory,
+DL1 misses served by L2 and by memory, mispredicts and correctly
+predicted redirects (:data:`repro.sim.ooo.COUNTED`).  The total is
+estimated by regression (Cochran, *Sampling Techniques*, ch. 7): the
+sampled units' CPI is fitted by least squares, weighted by unit length,
+on an intercept and those six counts per instruction, and the fit
+predicts every unit after unit 0, which comes to applying it to their
+summed lengths and counts.  With too few sampled units
+for the fit the estimate falls back to their plain mean CPI.  The
+confidence interval is the plain 99.7% half-width of the sampled units'
+mean CPI (systematic sampling treated as random sampling, as SMARTS
+does).
+
+The paper tuned sampling to <1% error at 99.7% confidence; the ``repro
+bench smarts_accuracy`` scenario checks :data:`SMARTS_INTERVAL` against
+the exhaustive simulator on two committed grids.
 
 Everything here is a pure function of the binary, the trace, the
 configuration and the schedule.  The sampling constants below are part
@@ -21,15 +40,19 @@ bump :data:`repro.sim.memo.SIM_MEMO_VERSION`.
 
 from __future__ import annotations
 
+import copy
+import hashlib
 import math
 from dataclasses import dataclass
-from typing import List
+from operator import add, mul
+from typing import List, Sequence, Tuple
 
 from repro.codegen.linker import Executable
 from repro.obs import counter, span
 from repro.sim.config import MicroarchConfig
-from repro.sim.ooo import OooTimingModel
-from repro.sim.tracepack import PackedTrace
+from repro.sim.memo import timing_key
+from repro.sim.ooo import COUNTED, OooTimingModel
+from repro.sim.tracepack import PackedTrace, static_digest
 
 # Unused: perfbench/tracer.py looks packed_for up here in every benchmark run.
 packed_for = PackedTrace.from_pairs
@@ -40,18 +63,19 @@ _UNITS_SKIPPED = counter("smarts.units.skipped")
 #: z-value for 99.7% confidence (three sigma), as the paper quotes.
 Z_997 = 3.0
 
-#: Index of the first sampled unit within each interval.
-SAMPLE_OFFSET = 0
+#: One unit in every ``SMARTS_INTERVAL`` after unit 0 is timed in
+#: detail: the default of :func:`smarts_simulate`,
+#: :func:`repro.sim.run.simulate`, the measurement engine and the
+#: accuracy experiment.  The sparsest interval whose error on the
+#: ``smarts_accuracy`` grids is no worse than the old sampler's at 3.
+SMARTS_INTERVAL = 8
 
-#: Instructions of detailed pipeline warming before each measured unit
-#: (their cycles are discarded), removing cold-start bias.
-DETAILED_WARMUP = 300
+#: Fewest instructions of detailed warm-up before a sampled unit.
+MIN_WARMUP = 300
 
-#: Instructions past each unit's end that its detailed window walks
-#: through the caches and predictor without timing them.  No commit
-#: cycle depends on a later instruction, so the cool-down never changes
-#: the unit's own cycles; the next unit walks the same positions again.
-DETAILED_COOLDOWN = 150
+#: Instructions of detailed warm-up per RUU entry: a large window needs a
+#: long warm-up before its pipeline reaches a steady state.
+WARMUP_PER_RUU_ENTRY = 8
 
 
 @dataclass
@@ -64,7 +88,7 @@ class SmartsResult:
     cpi: float
     #: Relative confidence-interval half-width at 99.7% confidence.
     relative_error: float
-    #: Number of sampled (detailed) units.
+    #: Number of units timed in detail, unit 0 included.
     sampled_units: int
     #: Instructions in the trace.
     instructions: int
@@ -79,7 +103,7 @@ def smarts_simulate(
     config: MicroarchConfig,
     trace: PackedTrace,
     unit_size: int = 1000,
-    interval: int = 10,
+    interval: int = SMARTS_INTERVAL,
 ) -> SmartsResult:
     """Estimate execution time by systematic sampling.
 
@@ -88,96 +112,151 @@ def smarts_simulate(
     unit_size:
         Instructions per sampling unit (the paper uses 1000).
     interval:
-        Detail-simulate one unit in every ``interval`` (the paper's
-        billion-instruction runs use 1000; our short traces default to
-        10 so enough units are sampled).
-
-    Each sampled unit is timed in a window from ``DETAILED_WARMUP``
-    instructions before it to ``DETAILED_COOLDOWN`` instructions past
-    it; see the module constants.
+        Detail-simulate one unit in every ``interval`` after unit 0 (the
+        paper's billion-instruction runs use 1000; our short traces use
+        :data:`SMARTS_INTERVAL` so enough units are sampled).
     """
     if unit_size < 1 or interval < 1:
         raise ValueError("unit_size and interval must be positive")
+    return _sample(
+        exe, config, trace, unit_size, interval, _offset(exe, config, interval)
+    )
+
+
+def _offset(exe: Executable, config: MicroarchConfig, interval: int) -> int:
+    """Which unit of every ``interval`` after unit 0 is timed: a hash of
+    the binary and the configuration, so no fixed position in the
+    program is favoured."""
+    # static_digest caches the digest on the executable it is given; a
+    # shallow copy leaves the binary being simulated as it was.
+    binary = static_digest(copy.copy(exe))
+    digest = hashlib.md5(
+        f"{binary}|{timing_key(config)}".encode(), usedforsecurity=False
+    )
+    return int(digest.hexdigest(), 16) % interval
+
+
+def _sample(
+    exe: Executable,
+    config: MicroarchConfig,
+    trace: PackedTrace,
+    unit_size: int,
+    interval: int,
+    offset: int,
+) -> SmartsResult:
+    """:func:`smarts_simulate` at a given offset: unit ``u >= 1`` is
+    timed when ``(u - 1) % interval == offset``."""
     n = len(trace)
     model = OooTimingModel(exe, config)
-    unit_cpis: List[float] = []
-    pos = 0
-    unit_index = 0
-    while pos < n:
-        end = min(pos + unit_size, n)
-        if unit_index % interval == SAMPLE_OFFSET % interval:
-            warm_start = max(0, pos - DETAILED_WARMUP)
-            cool_end = min(n, end + DETAILED_COOLDOWN)
-            with span("smarts.detailed_unit", unit=unit_index, instructions=end - pos):
-                result = model.simulate_window(
-                    trace, warm_start, cool_end, measure_from=pos, measure_to=end
-                )
-            _UNITS_SAMPLED.inc()
-            # The window walked [warm_start, cool_end) through the
-            # caches and predictor.  The warm-up positions were already
-            # walked by the previous unit, and the next unit walks the
-            # cool-down positions again.
-            if result.instructions > 0:
-                unit_cpis.append(result.cycles / result.instructions)
-        else:
-            with span("smarts.warm", unit=unit_index, instructions=end - pos):
-                model.warm(trace, pos, end)
-            _UNITS_SKIPPED.inc()
-        pos = end
-        unit_index += 1
-
-    if not unit_cpis:
-        # Degenerate short trace: fall back to detailed simulation.
-        with span("smarts.fallback_detailed", instructions=n):
-            result = model.simulate_trace(trace)
+    warmup = min(unit_size, max(MIN_WARMUP, WARMUP_PER_RUU_ENTRY * config.ruu_size))
+    # Unit 0 is timed exactly.  A trace that ends before the first
+    # sampled unit is timed exactly as a whole.
+    head = n if n <= (offset + 1) * unit_size else unit_size
+    codes = [0] * head
+    with span("smarts.detailed_unit", unit=0, instructions=head):
+        model.warm(trace, 0, head, codes)
+        head_cycles = model.simulate_window(trace, 0, head, codes=codes).cycles
+    # Warming walks the stretch up to each sampled unit in one call and
+    # records the codes of its last positions, the unit's warm-up.  Only
+    # the sum of the counts over the units after unit 0 is needed, and
+    # the length, CPI and counts of each sampled one.  ``codes`` holds
+    # the codes of the last positions walked.
+    totals = [0] * len(COUNTED)
+    lengths: List[int] = []
+    cpis: List[float] = []
+    rates: List[List[float]] = []
+    walked = head
+    for start in range((offset + 1) * unit_size, n, interval * unit_size):
+        end = min(start + unit_size, n)
+        if walked < start:
+            codes = [0] * warmup
+            with span("smarts.warm", instructions=start - walked):
+                counts = model.warm(trace, walked, start, codes)
+            totals = list(map(add, totals, counts))
+        unit = [0] * (end - start)
+        u = start // unit_size
+        with span("smarts.detailed_unit", unit=u, instructions=end - start):
+            counts = model.warm(trace, start, end, unit)
+            codes = codes[-warmup:] + unit
+            cycles = model.simulate_window(
+                trace, start - warmup, end, measure_from=start, codes=codes
+            ).cycles
+        totals = list(map(add, totals, counts))
+        lengths.append(end - start)
+        cpis.append(cycles / (end - start))
+        rates.append([1.0] + [c / (end - start) for c in counts])
+        walked = end
+    if walked < n:
+        with span("smarts.warm", instructions=n - walked):
+            counts = model.warm(trace, walked, n)
+        totals = list(map(add, totals, counts))
+    k = len(cpis)
+    _UNITS_SAMPLED.inc(k + 1)
+    _UNITS_SKIPPED.inc(len(range(head, n, unit_size)) - k)
+    if k == 0:
+        # Unit 0 covered the whole trace: the estimate is exact.
         return SmartsResult(
-            estimated_cycles=float(result.cycles),
-            cpi=result.cpi,
+            estimated_cycles=float(head_cycles),
+            cpi=head_cycles / n if n else 0.0,
             relative_error=0.0,
             sampled_units=1,
             instructions=n,
         )
-    k = len(unit_cpis)
-    mean_cpi = sum(unit_cpis) / k
+    mean_cpi = sum(cpis) / k
+    if k < len(COUNTED) + 2:
+        # Too few units to fit the regression.
+        rest = mean_cpi * (n - head)
+    else:
+        rest = math.fsum(map(mul, _fit(rates, cpis, lengths), [n - head] + totals))
     if k > 1:
-        var = sum((c - mean_cpi) ** 2 for c in unit_cpis) / (k - 1)
-        stderr = math.sqrt(var / k)
-        rel_err = Z_997 * stderr / mean_cpi if mean_cpi > 0 else 0.0
-    elif n <= unit_size:
-        # The single unit covered the whole trace: the estimate is exact.
-        rel_err = 0.0
+        var = sum((c - mean_cpi) ** 2 for c in cpis) / (k - 1)
+        rel_err = Z_997 * math.sqrt(var / k) / mean_cpi if mean_cpi > 0 else 0.0
     else:
         rel_err = float("inf")
+    estimated = head_cycles + rest
     return SmartsResult(
-        estimated_cycles=mean_cpi * n,
-        cpi=mean_cpi,
+        estimated_cycles=estimated,
+        cpi=estimated / n,
         relative_error=rel_err,
-        sampled_units=k,
+        sampled_units=k + 1,
         instructions=n,
     )
 
 
-def smarts_with_target_error(
-    exe: Executable,
-    config: MicroarchConfig,
-    trace: PackedTrace,
-    target_relative_error: float = 0.01,
-    unit_size: int = 1000,
-    initial_interval: int = 20,
-) -> SmartsResult:
-    """Iteratively densify sampling until the error bound is met.
+def _fit(
+    rows: Sequence[Sequence[float]], ys: Sequence[float], weights: Sequence[int]
+) -> Tuple[float, ...]:
+    """Weighted least-squares coefficients of ``ys`` on ``rows``.
 
-    Mirrors the paper's use of SMARTS error estimates to "tune the
-    sampling parameters and repeat the simulation until a desired level
-    of accuracy is obtained".  Halves the sampling interval until the
-    99.7% confidence half-width drops below the target (or sampling
-    becomes exhaustive).
+    Solves the normal equations by a Cholesky factorization in Python
+    floats, so the bits do not depend on the host's linear-algebra
+    library.  A regressor that is zero, or a linear combination of the
+    ones before it, over the sampled units gets coefficient 0.
     """
-    interval = initial_interval
-    while True:
-        result = smarts_simulate(
-            exe, config, trace, unit_size=unit_size, interval=interval
-        )
-        if result.relative_error <= target_relative_error or interval == 1:
-            return result
-        interval = max(1, interval // 2)
+    p = len(rows[0])
+    columns = list(zip(*rows))
+    weighted = [list(map(mul, weights, column)) for column in columns]
+    # The lower triangle of the normal matrix is all the factorization reads.
+    a = [
+        [math.fsum(map(mul, weighted[i], columns[j])) for j in range(i + 1)]
+        for i in range(p)
+    ]
+    b = [math.fsum(map(mul, column, ys)) for column in weighted]
+    low = [[0.0] * p for _ in range(p)]
+    kept: List[int] = []
+    for j in range(p):
+        pivot = a[j][j] - math.fsum(low[j][m] ** 2 for m in kept)
+        if pivot <= 1e-9 * a[j][j]:
+            continue
+        low[j][j] = d = math.sqrt(pivot)
+        for i in range(j + 1, p):
+            low[i][j] = (a[i][j] - math.fsum(low[i][m] * low[j][m] for m in kept)) / d
+        kept.append(j)
+    z = [0.0] * p
+    for j in kept:
+        z[j] = (b[j] - math.fsum(low[j][m] * z[m] for m in kept if m < j)) / low[j][j]
+    beta = [0.0] * p
+    for j in reversed(kept):
+        later = math.fsum(low[m][j] * beta[m] for m in kept if m > j)
+        beta[j] = (z[j] - later) / low[j][j]
+    return tuple(beta)

@@ -87,6 +87,25 @@ class TestCli:
             ]
         ) == 0
 
+    def test_random_points_print_sampling_error_in_percent(self, capsys, monkeypatch):
+        """``Measurement.sampling_error`` is a fraction: 0.028 is ±2.80%."""
+        from repro import cli
+        from repro.harness.measure import Measurement
+
+        class Engine:
+            jobs = 1
+
+            def measure_batch(self, workload, points, input_name):
+                return [Measurement(1000.0, 7, 900, 0.028, 40) for _ in points]
+
+            def save(self):
+                pass
+
+        monkeypatch.setattr(cli, "_measure_engine", lambda args: Engine())
+        assert main(["measure", "art", "--random-points", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("(±2.80%, 900 instructions)") == 2, out
+
     def test_bad_flag_rejected(self):
         with pytest.raises(SystemExit):
             main(["measure", "gzip", "--flag", "warp_speed=1"])

@@ -1,4 +1,4 @@
-"""Tests for smaller surfaces: adaptive SMARTS, reorder polarity,
+"""Tests for smaller surfaces: SMARTS at interval 1, reorder polarity,
 space description, disassembly."""
 
 import numpy as np
@@ -10,28 +10,12 @@ from repro.minic import compile_source
 from repro.opt import CompilerConfig, O2, cleanup_module, reorder_blocks
 from repro.sim import MicroarchConfig, OooTimingModel
 from repro.sim.func import execute
-from repro.sim.smarts import smarts_simulate, smarts_with_target_error
+from repro.sim.smarts import smarts_simulate
 from repro.space import full_space
 from tests.util import ALL_PROGRAMS
 
 
 class TestAdaptiveSmarts:
-    def test_densifies_until_target(self):
-        module = compile_source(ALL_PROGRAMS["calls_and_branches"])
-        exe = compile_module(module, O2)
-        fr = execute(exe)
-        result = smarts_with_target_error(
-            exe,
-            MicroarchConfig(),
-            fr.trace,
-            target_relative_error=0.05,
-            unit_size=500,
-            initial_interval=16,
-        )
-        assert result.relative_error <= 0.05 or result.sampled_units >= (
-            len(fr.trace) // 500
-        )
-
     def test_interval_one_is_near_exhaustive(self):
         # Needs a long enough trace that per-window pipeline-fill
         # bracketing effects amortize away.

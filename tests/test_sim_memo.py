@@ -1,10 +1,15 @@
 """Bit-identity, key-soundness and size tests for the timing memo.
 
-``tests/data/golden_measure_pr8.json`` holds 27 measurements captured
+``tests/data/golden_measure_pr8.json`` holds 27 SMARTS measurements.
+Their checksums, instruction counts and code sizes were captured
 *before* the hot-loop rewrite and the memo/artifact caches existed.
-Every cached path -- fresh engine, artifact-store warm engine, run memo
-hit -- must reproduce those numbers exactly: the caches are allowed to
-make measurement cheaper, never different.
+Their cycles and sampling errors were captured again when the sampler
+began to time unit 0 exactly, walk every position once and estimate
+the total by regression, at interval 8 (``SIM_MEMO_VERSION`` 2); every
+one moved towards the exhaustive cycles.  Every cached path -- fresh
+engine, artifact-store warm engine, run memo hit -- must reproduce
+those numbers exactly: the caches are allowed to make measurement
+cheaper, never different.
 
 The memo belongs to :class:`MeasurementEngine`, which looks a run up as
 soon as it has the binary, so a hit loads no trace and runs no
