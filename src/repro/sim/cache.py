@@ -108,10 +108,17 @@ class CacheHierarchy:
         self.memory_accesses = 0
 
     def warm_data(self, addr: int) -> None:
-        """Functional warming of the data path (SMARTS skip mode)."""
+        """One data access: DL1, then UL2 on a miss.
+
+        The simulator's kernel (``OooTimingModel._walk``) makes the
+        same accesses from the trace's event list, with the MRU hit
+        inlined; the kernel's test reference walks every instruction
+        through this method and :meth:`warm_inst`.
+        """
         if not self.dl1.access(addr):
             self.ul2.access(addr)
 
     def warm_inst(self, addr: int) -> None:
+        """One instruction fetch: IL1, then UL2 on a miss."""
         if not self.il1.access(addr):
             self.ul2.access(addr)

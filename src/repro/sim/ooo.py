@@ -33,10 +33,16 @@ position for the issue width
 arrays, the predictor tables, the BTB and the RAS and their counters.
 It zips the event columns of its slice -- kind, operand, branch target,
 same-block refetch flag -- and never indexes a per-position table.  It
-can write one outcome code per position: where the IL1 and DL1 accesses
-were served, and whether a control transfer was a correctly predicted
-redirect or a mispredict.  It counts those outcomes (:data:`COUNTED`)
-and returns the counts.  Functional warming
+loops only over the events that can change state.  An L1 access whose
+set was last accessed in the same walk, with the same block, is an MRU
+hit; when the walk writes no codes, a jump is a correctly predicted
+redirect, plus an MRU hit if it re-fetches its own block.  Those events
+change only counters, so the walk counts them in bulk with numpy
+(:meth:`OooTimingModel._repeats` finds the L1 repeats once per model).
+It can write one outcome code per position: where the IL1 and DL1
+accesses were served, and whether a control transfer was a correctly
+predicted redirect or a mispredict.  It counts those outcomes
+(:data:`COUNTED`) and returns the counts.  Functional warming
 (:meth:`~OooTimingModel.warm`) is that kernel alone; it can record the
 codes of its last positions.  :meth:`~OooTimingModel.simulate_window`
 runs a timing loop (fetch, RUU, FU pools, store buffer, memory bus,
@@ -79,6 +85,8 @@ from itertools import repeat
 from operator import add
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.codegen.linker import Executable, INSTR_BYTES, TEXT_BASE
 from repro.codegen.machine_desc import MachineDescription
 from repro.obs import counter
@@ -93,6 +101,7 @@ from repro.sim.tracepack import (
     EV_CALL,
     EV_DATA,
     EV_INST,
+    EV_JUMP,
     EV_RET,
     JUMP as _JUMP,
     LOAD as _LOAD,
@@ -100,6 +109,7 @@ from repro.sim.tracepack import (
     NOP as _NOP,
     RET as _RET,
     STORE as _STORE,
+    EventColumns,
     PackedTrace,
     TraceTables,
     tables_for,
@@ -112,6 +122,10 @@ _INSTRUCTIONS = counter("sim.ooo.instructions")
 _MISPREDICTS = counter("sim.ooo.branch_mispredicts")
 _ICACHE_STALLS = counter("sim.ooo.icache_stall_cycles")
 _RUU_STALLS = counter("sim.ooo.ruu_stalls")
+# Events the kernel's loop visited and events it counted in bulk,
+# flushed once per walk.
+_WALK_EVENTS = counter("sim.ooo.walk.events")
+_WALK_SKIPPED = counter("sim.ooo.walk.skipped")
 
 #: Front-end pipeline depth between fetch and dispatch.
 FRONT_DEPTH = 2
@@ -151,21 +165,74 @@ class OooTimingModel:
         self.bpred = CombinedPredictor(config.bpred_size)
         self.btb = BranchTargetBuffer(config.btb_entries)
         self.ras = ReturnAddressStack()
+        #: ``(event list, column)`` of :meth:`_repeats`.
+        self._repeat_column: Optional[Tuple[EventColumns, np.ndarray]] = None
 
     # ------------------------------------------------------------------
+    def _repeats(self, ev: EventColumns) -> np.ndarray:
+        """Per event of ``ev``: for an IL1 access (``EV_INST``) or a DL1
+        access (``EV_DATA``), the index of the previous access to the
+        same set of that cache if it was to the same block, else -1;
+        -1 for every other kind.
+
+        Built once per model and event list, with one stable sort of
+        each cache's set indices: within a set, accesses stay in trace
+        order, so the previous access to a set is the entry before.  The
+        indices are sorted in the smallest unsigned type that holds
+        them, which numpy sorts by radix.
+        """
+        cached = self._repeat_column
+        if cached is not None and cached[0] is ev:
+            return cached[1]
+        column = np.full(len(ev.kind), -1, dtype=np.int32)
+        hierarchy = self.hierarchy
+        # Each step drops the arrays it no longer needs: on a trace of a
+        # million positions, the sort's temporaries would otherwise
+        # outweigh the column several times over.
+        for kind, cache in ((EV_INST, hierarchy.il1), (EV_DATA, hierarchy.dl1)):
+            index = np.flatnonzero(ev.kind == kind).astype(np.int32)
+            sets = ev.arg[index]
+            sets %= cache.n_sets
+            sets = sets.astype(np.min_scalar_type(cache.n_sets - 1))
+            index = index[sets.argsort(kind="stable")]
+            del sets
+            blocks = ev.arg[index]
+            # Equal blocks map to one set, so an equal neighbour is the
+            # set's previous access.
+            again = blocks[1:] == blocks[:-1]
+            del blocks
+            column[index[1:][again]] = index[:-1][again]
+        self._repeat_column = (ev, column)
+        return column
+
     def _walk(
         self, tables: TraceTables, start: int, end: int, out: Optional[List[int]]
     ) -> Tuple[int, ...]:
         """Apply trace[start:end] to the caches, predictor, BTB and RAS.
 
-        Zips the event columns of the slice, so only event positions
-        cost anything; every counter (cache hits/misses, predictor
-        lookups/mispredictions) is updated as the detailed pipeline
-        would.  When ``out`` is given (a zeroed list of
-        ``end - start`` ints), ``out[i - start]`` receives position
-        ``i``'s outcome code (``IL1_*``, ``DL1_*``, ``REDIRECT``,
-        ``MISPREDICT``).  Returns the slice's :data:`COUNTED` outcomes:
-        how many positions carry each of those codes.
+        Loops over the events of the slice that can change state; every
+        counter (cache hits/misses, predictor lookups/mispredictions) is
+        updated as the detailed pipeline would.  Two kinds of event
+        change nothing but a counter, so they are counted in bulk and
+        skipped:
+
+        * an IL1 or DL1 access whose set was last accessed inside this
+          walk, with the same block (:meth:`_repeats`).  Every access
+          leaves its block most recently used, and inside one walk
+          nothing else touches the set in between: only ``EV_DATA``
+          events access DL1, and IL1 sees ``EV_INST`` events, the
+          walk's first fetch, which comes before them, and same-block
+          re-fetches, which hit the block last fetched.  So the access
+          is an MRU hit, which changes only the hit count.
+        * when no codes are written, a jump: a correctly predicted
+          redirect, plus an MRU hit when it re-fetches its own block.
+          It touches no predictor, BTB or RAS state.
+
+        When ``out`` is given (a zeroed list of ``end - start`` ints),
+        ``out[i - start]`` receives position ``i``'s outcome code
+        (``IL1_*``, ``DL1_*``, ``REDIRECT``, ``MISPREDICT``).  Returns
+        the slice's :data:`COUNTED` outcomes: how many positions carry
+        each of those codes.
         """
         # Outcomes by code, read out in COUNTED order.
         tally = [0] * (MISPREDICT + 1)
@@ -179,15 +246,35 @@ class OooTimingModel:
         if lo < hi and ev.pos.item(lo) == start and ev.kind[lo] == EV_INST:
             lo += 1
         kinds = ev.kind[lo:hi]
-        args = ev.arg[lo:hi].tolist()
-        targets = ev.target[lo:hi].tolist()
         refetch = ev.refetch[lo:hi]
         # A transfer at the walk's last position is followed by the next
         # walk, which makes its own first access.
-        if refetch and refetch[-1] and ev.pos.item(hi - 1) == end - 1:
-            refetch = refetch[:-1] + b"\0"
+        if hi > lo and refetch[-1] and ev.pos.item(hi - 1) == end - 1:
+            refetch = refetch.copy()
+            refetch[-1] = False
+        # Count the skipped events' outcomes: MRU hits and redirects.
+        skip = self._repeats(ev)[lo:hi] >= lo
+        i_mru = 0
+        if out is None:
+            jumps = kinds == EV_JUMP
+            skip |= jumps
+            i_mru = int(np.count_nonzero(refetch & jumps))
+        skipped = np.bincount(kinds[skip], minlength=EV_JUMP + 1).tolist()
+        i_mru += skipped[EV_INST]
+        d_mru = skipped[EV_DATA]
+        tally[REDIRECT] = skipped[EV_JUMP]
+        keep = np.flatnonzero(~skip)
+        _WALK_EVENTS.inc(len(keep))
+        _WALK_SKIPPED.inc(hi - lo - len(keep))
+        # The kept events' columns, as the loop zips them.
+        kinds = kinds[keep].tobytes()
+        args = ev.arg[lo:hi][keep].tolist()
+        targets = ev.target[lo:hi][keep].tolist()
+        refetch = refetch[keep].tobytes()
         # Positions relative to the walk, listed only to write codes.
-        positions = repeat(0) if out is None else (ev.pos[lo:hi] - start).tolist()
+        positions = (
+            repeat(0) if out is None else (ev.pos[lo:hi][keep] - start).tolist()
+        )
 
         # Tag arrays: the MRU-hit fast path is inline; any other access
         # goes through Cache.access_block, which keeps its own counts.
@@ -199,7 +286,6 @@ class OooTimingModel:
         i_nsets = il1.n_sets
         d_sets = dl1._sets
         d_nsets = dl1.n_sets
-        i_mru = d_mru = 0
 
         bpred = self.bpred
         bim_tab = bpred._bimodal
@@ -570,13 +656,18 @@ class OooTimingModel:
         """Functional warming only: update caches and predictors.
 
         Used by SMARTS between detailed windows; no timing state changes.
-        Only event positions are visited, so straight-line instructions
-        inside an already-fetched block cost nothing.  Returns the
-        :data:`COUNTED` outcomes of ``trace[start:end]``.  ``codes``,
-        when given, is a zeroed list that receives the outcome codes of
-        the last ``len(codes)`` positions, for a detailed window over
-        them (:meth:`simulate_window`).
+        Only events that change state are visited, so straight-line
+        instructions inside an already-fetched block cost nothing.
+        Returns the :data:`COUNTED` outcomes of ``trace[start:end]``.
+        ``codes``, when given, is a zeroed list that receives the
+        outcome codes of the last ``len(codes)`` positions, for a
+        detailed window over them (:meth:`simulate_window`); it raises
+        ``ValueError`` if the list is longer than ``end - start``.
         """
+        if codes and len(codes) > end - start:
+            raise ValueError(
+                f"codes must hold at most {end - start} entries, got {len(codes)}"
+            )
         tables = tables_for(self.exe, trace, self.config.block_size, self.mdesc)
         if not codes:
             return self._walk(tables, start, end, None)

@@ -188,15 +188,15 @@ class EventColumns:
 
     * ``pos`` -- int64 positions; a walk bounds its slice with
       ``searchsorted``;
-    * ``kind`` -- one ``EV_*`` code per byte;
+    * ``kind`` -- uint8 ``EV_*`` codes;
     * ``arg`` -- int64 operand: the block number of an ``EV_INST`` or
       ``EV_DATA`` event, the pc of a branch, call or jump, the return
       target of a return;
     * ``target`` -- int64 next pc of a branch (0 for other kinds);
-    * ``refetch`` -- one byte, 1 where a control transfer's next
+    * ``refetch`` -- bool, true where a control transfer's next
       position is in the same instruction block, so fetching it again
-      is an MRU hit with no ``EV_INST`` event (0 at the trace's last
-      position).
+      is an MRU hit with no ``EV_INST`` event (false at the trace's
+      last position).
     """
 
     __slots__ = ("pos", "kind", "arg", "target", "refetch")
@@ -218,7 +218,7 @@ class EventColumns:
         after = np.minimum(pos + 1, n - 1)
         next_pc = np.where(pos + 1 < n, pcs[after], pcs[pos] + 1)
         self.pos = pos
-        self.kind = kind.astype(np.uint8).tobytes()
+        self.kind = kind.astype(np.uint8)
         self.arg = np.select(
             (kind == EV_INST, kind == EV_DATA, kind == EV_RET),
             (blocks[pos], eas[pos] // block_size, next_pc),
@@ -226,9 +226,7 @@ class EventColumns:
         )
         self.target = np.where(kind == EV_BRANCH, next_pc, 0)
         self.refetch = (
-            ((kind >= EV_BRANCH) & (pos + 1 < n) & (blocks[after] == blocks[pos]))
-            .astype(np.uint8)
-            .tobytes()
+            (kind >= EV_BRANCH) & (pos + 1 < n) & (blocks[after] == blocks[pos])
         )
 
 

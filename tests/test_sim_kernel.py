@@ -2,20 +2,25 @@
 
 :meth:`OooTimingModel._walk` updates the tag arrays, predictor tables,
 BTB and RAS from the trace's event list only, with the caches' MRU hits
-inlined.  The reference here walks every instruction through the
-component classes instead -- the front end's fetch rule written out:
-``warm_inst`` at the window start, at each instruction-block change and
-after each taken or mispredicted transfer; ``warm_data`` for loads,
-stores and prefetches; ``predict_and_update``; BTB ``predict``/``update``;
-RAS ``push``/``pop``.  After each of the same windows, both models must
-hold the same state and the same counters, whichever public method
-(``warm``, ``simulate_window``) drove the kernel.
+inlined, and counts in bulk the events that change only a counter.  The
+reference here walks every instruction through the component classes
+instead -- the front end's fetch rule written out: ``warm_inst`` at the
+window start, at each instruction-block change and after each taken or
+mispredicted transfer; ``warm_data`` for loads, stores and prefetches;
+``predict_and_update``; BTB ``predict``/``update``; RAS ``push``/``pop``
+-- and writes each position's outcome code.  Windows start anywhere:
+after a gap, over positions already walked, or before the last window.
+After each window both models must hold the same state and the same
+counters, whichever public method drove the kernel; ``warm`` must return
+the same outcome counts with and without codes, and the codes it writes
+must be the reference's.
 """
 
 from dataclasses import replace
 from functools import lru_cache
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.codegen import compile_module
@@ -24,6 +29,15 @@ from repro.minic import compile_source
 from repro.opt.flags import O2
 from repro.sim import MicroarchConfig, OooTimingModel
 from repro.sim.func import execute
+from repro.sim.ooo import (
+    COUNTED,
+    DL1_L2,
+    DL1_MEM,
+    IL1_L2,
+    IL1_MEM,
+    MISPREDICT,
+    REDIRECT,
+)
 from tests.util import ALL_PROGRAMS
 
 RECURSIVE = """
@@ -68,16 +82,22 @@ def _build(name: str, inline: bool, unroll: bool, prefetch: bool):
 
 
 def _reference_walk(model, exe, trace, start, end):
-    """Per-instruction walk through the component classes."""
+    """Per-instruction walk through the component classes; returns the
+    outcome code of each position of trace[start:end]."""
     hierarchy, bpred, btb, ras = model.hierarchy, model.bpred, model.btb, model.ras
     block_size = model.config.block_size
     pcs, eas = trace.pcs.tolist(), trace.eas.tolist()
+    codes = []
     refetch = True
     prev_block = None
     for i in range(start, end):
         pc, ea = pcs[i], eas[i]
         addr = exe.pc_to_byte_addr(pc)
+        code = 0
         if refetch or addr // block_size != prev_block:
+            # Where the access is served, read before it is made.
+            if not hierarchy.il1.probe(addr):
+                code = IL1_L2 if hierarchy.ul2.probe(addr) else IL1_MEM
             hierarchy.warm_inst(addr)
         prev_block = addr // block_size
         next_pc = pcs[i + 1] if i + 1 < len(pcs) else pc + 1
@@ -85,6 +105,8 @@ def _reference_walk(model, exe, trace, start, end):
         op = exe.instrs[pc].op_class
         refetch = op in (OpClass.JUMP, OpClass.CALL, OpClass.RET)
         if op in (OpClass.LOAD, OpClass.STORE, OpClass.PREFETCH):
+            if not hierarchy.dl1.probe(ea):
+                code |= DL1_L2 if hierarchy.ul2.probe(ea) else DL1_MEM
             hierarchy.warm_data(ea)
         elif op is OpClass.BRANCH:
             predicted = bpred.predict_and_update(pc, taken)
@@ -94,10 +116,24 @@ def _reference_walk(model, exe, trace, start, end):
             if taken:
                 btb.update(pc, next_pc)
             refetch = taken or mispredicted
+            if mispredicted:
+                code |= MISPREDICT
+            elif taken:
+                code |= REDIRECT
         elif op is OpClass.CALL:
             ras.push(pc + 1)
+            code |= REDIRECT
         elif op is OpClass.RET:
-            ras.pop()
+            code |= REDIRECT if ras.pop() == next_pc else MISPREDICT
+        elif op is OpClass.JUMP:
+            code |= REDIRECT
+        codes.append(code)
+    return codes
+
+
+def _counts(codes):
+    """How many positions carry each :data:`COUNTED` outcome."""
+    return tuple(sum(1 for c in codes if c & outcome) for outcome in COUNTED)
 
 
 def _state(model):
@@ -129,28 +165,94 @@ GEOMETRY = st.fixed_dictionaries(
 )
 
 
-@settings(max_examples=40, deadline=None)
+#: How a window drives the kernel: ``warm`` without codes, with codes
+#: for every position or for the second half, or ``simulate_window``.
+METHODS = ("warm", "warm_codes", "warm_tail", "simulate_window")
+
+
+#: Small direct-mapped caches with 64-byte blocks: conflicts everywhere,
+#: and unrolling off leaves jumps that land in their own block.
+SMALL = {
+    "block_size": 64,
+    "icache_size": 512,
+    "icache_assoc": 1,
+    "dcache_size": 512,
+    "dcache_assoc": 1,
+    "l2_size": 4096,
+    "l2_assoc": 1,
+    "bpred_size": 64,
+    "btb_entries": 8,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@example(
+    name="nested_loops",
+    flags=(False, False, False),
+    geometry=SMALL,
+    windows=[
+        (0.5, 0.3, "warm"),
+        (0.2, 0.5, "warm_tail"),
+        (None, 1.0, "warm"),
+        (0.1, 0.4, "warm_codes"),
+        (0.3, 0.2, "simulate_window"),
+    ],
+)
+@example(
+    name="stream",
+    flags=(True, False, True),
+    geometry=SMALL,
+    windows=[(0.4, 0.1, "warm"), (0.1, 0.2, "warm"), (None, 0.05, "warm_tail")],
+)
 @given(
     name=st.sampled_from(sorted(PROGRAMS)),
     flags=st.tuples(st.booleans(), st.booleans(), st.booleans()),
     geometry=GEOMETRY,
-    cuts=st.lists(st.floats(0.0, 1.0), max_size=4),
-    methods=st.lists(
-        st.sampled_from(["warm", "simulate_window"]),
-        min_size=5,
-        max_size=5,
+    windows=st.lists(
+        st.tuples(
+            # None: start where the last window ended (0 at first).
+            st.one_of(st.none(), st.floats(0.0, 1.0)),
+            st.floats(0.0, 1.0),
+            st.sampled_from(METHODS),
+        ),
+        min_size=1,
+        max_size=6,
     ),
 )
-def test_kernel_matches_per_instruction_reference(
-    name, flags, geometry, cuts, methods
-):
+def test_kernel_matches_per_instruction_reference(name, flags, geometry, windows):
     exe, trace = _build(name, *flags)
     config = MicroarchConfig(**geometry)
     n = len(trace)
-    bounds = sorted({0, n, *(int(c * n) for c in cuts)})
     kernel = OooTimingModel(exe, config)
     reference = OooTimingModel(exe, config)
-    for (start, end), method in zip(zip(bounds, bounds[1:]), methods):
-        getattr(kernel, method)(trace, start, end)
-        _reference_walk(reference, exe, trace, start, end)
+    end = 0
+    for at, length, method in windows:
+        start = end if at is None else int(at * n)
+        end = start + int(length * (n - start))
+        # ``warm`` walks the positions before its codes and those with
+        # codes as two walks, each with its own first fetch.
+        mid = (start + end) // 2 if method == "warm_tail" else start
+        want = _reference_walk(reference, exe, trace, start, mid)
+        want += _reference_walk(reference, exe, trace, mid, end)
+        if method == "simulate_window":
+            kernel.simulate_window(trace, start, end)
+        elif method == "warm":
+            assert kernel.warm(trace, start, end) == _counts(want), (start, end)
+        else:
+            codes = [0] * (end - mid)
+            assert kernel.warm(trace, start, end, codes) == _counts(want), (start, end)
+            assert codes == want[mid - start :], (method, start, end)
         assert _state(kernel) == _state(reference), (method, start, end)
+
+
+def test_warm_rejects_more_codes_than_positions():
+    exe, trace = _build("recursive", False, False, False)
+    model = OooTimingModel(exe, MicroarchConfig())
+    with pytest.raises(ValueError):
+        model.warm(trace, 500, 600, [0] * 400)
+    with pytest.raises(ValueError):
+        model.warm(trace, 600, 500, [0])
+    # Nothing was walked.
+    assert model.hierarchy.il1.accesses == 0
+    codes = [0] * 100
+    assert model.warm(trace, 500, 600, codes) == _counts(codes)

@@ -59,6 +59,7 @@ COUNTERS = (
     "smarts.units.sampled",
     "smarts.units.skipped",
     "sim.ooo.instructions",
+    "sim.ooo.walk.",
     "ga.evaluations",
     "serve.cache_hit",
     "serve.cache_miss",
