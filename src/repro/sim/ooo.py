@@ -32,27 +32,31 @@ position for the issue width
 :meth:`OooTimingModel._walk` is the only code that updates the tag
 arrays, the predictor tables, the BTB and the RAS and their counters.
 It zips the event columns of its slice -- kind, operand, branch target,
-same-block refetch flag -- and never indexes a per-position table.  It
-loops only over the events that can change state.  An L1 access whose
-set was last accessed in the same walk, with the same block, is an MRU
-hit; when the walk writes no codes, a jump is a correctly predicted
-redirect, plus an MRU hit if it re-fetches its own block.  Those events
-change only counters, so the walk counts them in bulk with numpy
-(:meth:`OooTimingModel._repeats` finds the L1 repeats once per model).
-It can write one outcome code per position: where the IL1 and DL1
+gshare index, same-block refetch flag -- and never indexes a
+per-position table.  It loops only over the events that can change
+state.  Three kinds of event change only counters, so the walk counts
+them in bulk with numpy: an L1 access whose set was last accessed in
+the same walk, with the same block, is an MRU hit
+(:meth:`OooTimingModel._repeats` finds those with one sort); a jump is
+a correctly predicted redirect, plus an MRU hit if it re-fetches its
+own block; and a conditional branch whose counters and BTB entry the
+walk has already saturated toward its outcome
+(:func:`_saturated_branches`) is predicted right and rewrites nothing.
+The walk writes one outcome code per position: where the IL1 and DL1
 accesses were served, and whether a control transfer was a correctly
 predicted redirect or a mispredict.  It counts those outcomes
 (:data:`COUNTED`) and returns the counts.  Functional warming
-(:meth:`~OooTimingModel.warm`) is that kernel alone; it can record the
-codes of its last positions.  :meth:`~OooTimingModel.simulate_window`
-runs a timing loop (fetch, RUU, FU pools, store buffer, memory bus,
-commit) that reads only the codes, one op record per instruction and
-the window's addresses from the packed trace; it runs the kernel over
-its window first unless it is handed codes that warming recorded.  So a
-SMARTS run (:mod:`repro.sim.smarts`) walks every position through the
-caches and predictor exactly once.  The loop times the window's warm-up
-and measured segments and stops at ``measure_to``: an instruction's
-commit cycle depends only on earlier instructions.
+(:meth:`~OooTimingModel.warm`) is that kernel alone, and can record the
+code of every position it walks.
+:meth:`~OooTimingModel.simulate_window` runs a timing loop (fetch, RUU,
+FU pools, store buffer, memory bus, commit) that reads only the codes,
+one op record per instruction and the window's addresses from the
+packed trace; it runs the kernel over its window first unless it is
+handed codes that warming recorded.  So a SMARTS run
+(:mod:`repro.sim.smarts`) walks its whole trace once, and its windows
+only time slices of that walk's codes.  The loop times the window's
+warm-up and measured segments and stops at ``measure_to``: an
+instruction's commit cycle depends only on earlier instructions.
 
 The split is exact because no cache or predictor update depends on the
 clock:
@@ -81,9 +85,8 @@ from __future__ import annotations
 from collections import deque
 from heapq import heapreplace
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add
-from typing import List, Optional, Tuple
+from itertools import chain
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -102,7 +105,6 @@ from repro.sim.tracepack import (
     EV_DATA,
     EV_INST,
     EV_JUMP,
-    EV_RET,
     JUMP as _JUMP,
     LOAD as _LOAD,
     N_REG_SLOTS,
@@ -141,6 +143,80 @@ _DL1_MISS = DL1_L2 | DL1_MEM
 #: by memory, mispredicts and correctly predicted redirects.
 COUNTED = (IL1_L2, IL1_MEM, DL1_L2, DL1_MEM, MISPREDICT, REDIRECT)
 
+#: Events whose columns the kernel's loop converts to Python lists at a
+#: time: a walk over a whole trace would otherwise hold a list per
+#: column of every event it visits.
+_CHUNK = 8192
+
+
+def _after_three_alike(index: np.ndarray, taken: np.ndarray, mask: int) -> np.ndarray:
+    """Per branch: whether the three previous branches with the same
+    ``index`` (at most ``mask``) all had its outcome ``taken``.
+
+    One stable sort of the indices, in the smallest unsigned type that
+    holds them, keeps the branches of an index in walk order, as
+    :meth:`OooTimingModel._repeats` does for sets.
+    """
+    order = index.astype(np.min_scalar_type(mask)).argsort(kind="stable")
+    key = index[order]
+    outcome = taken[order]
+    alike = (key[1:] == key[:-1]) & (outcome[1:] == outcome[:-1])
+    after = np.zeros(len(index), dtype=bool)
+    after[order[3:]] = alike[2:] & alike[1:-1] & alike[:-2]
+    return after
+
+
+def _saturated_branches(
+    pcs: np.ndarray,
+    targets: np.ndarray,
+    bpred: CombinedPredictor,
+    btb_mask: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The walk's conditional branches, in walk order, as the kernel
+    sees them: ``(taken, gshare index, saturated, history after the
+    last)``, starting from ``bpred``'s history.
+
+    A branch is *saturated* when the three previous branches of the walk
+    with its bimodal index, and the three with its gshare index, all had
+    its outcome, and, if it is taken, the previous taken branch of the
+    walk with its BTB index had its pc and target.  Each of those
+    counters is then saturated toward the outcome (three steps from any
+    value), so both components predict it, the chooser is not trained,
+    and the BTB entry holds the target: the branch only counts a lookup
+    and shifts the history, plus a redirect if it is taken, and rewrites
+    every entry it touches unchanged.
+    """
+    taken = targets != pcs + 1
+    bits = bpred._history_bits
+    mask = bpred._mask
+    # The history before the k-th branch is the last ``bits`` outcomes
+    # of the stream h0's bits (oldest first), then the walk's outcomes.
+    h0 = bpred._history
+    stream = np.concatenate(
+        ([(h0 >> b) & 1 for b in range(bits - 1, -1, -1)], taken)
+    ).astype(np.int64)
+    m = len(pcs)
+    history = np.zeros(m, dtype=np.int64)
+    for b in range(bits):
+        history |= stream[bits - 1 - b : bits - 1 - b + m] << b
+    after = int(stream[m:] @ (1 << np.arange(bits - 1, -1, -1)))
+    gshare = (pcs ^ history) & mask
+    saturated = _after_three_alike(pcs & mask, taken, mask)
+    saturated &= _after_three_alike(gshare, taken, mask)
+    # BTB entries are written only by taken branches, so the entry a
+    # taken branch reads is the previous taken branch's with its index.
+    hits = np.flatnonzero(taken)
+    order = (pcs[hits] & btb_mask).astype(np.min_scalar_type(btb_mask))
+    order = hits[order.argsort(kind="stable")]
+    # Equal pcs share an index, so an equal neighbour is the previous
+    # taken branch with that index.
+    same = (pcs[order[1:]] == pcs[order[:-1]]) & (
+        targets[order[1:]] == targets[order[:-1]]
+    )
+    saturated[order[0:1]] = False
+    saturated[order[1:]] &= same
+    return taken, gshare, saturated, after
+
 
 @dataclass
 class TimingResult:
@@ -165,54 +241,47 @@ class OooTimingModel:
         self.bpred = CombinedPredictor(config.bpred_size)
         self.btb = BranchTargetBuffer(config.btb_entries)
         self.ras = ReturnAddressStack()
-        #: ``(event list, column)`` of :meth:`_repeats`.
-        self._repeat_column: Optional[Tuple[EventColumns, np.ndarray]] = None
 
     # ------------------------------------------------------------------
-    def _repeats(self, ev: EventColumns) -> np.ndarray:
-        """Per event of ``ev``: for an IL1 access (``EV_INST``) or a DL1
-        access (``EV_DATA``), the index of the previous access to the
-        same set of that cache if it was to the same block, else -1;
-        -1 for every other kind.
+    def _repeats(self, ev: EventColumns, lo: int, hi: int) -> np.ndarray:
+        """Per event of ``ev[lo:hi]``: whether it is an IL1 access
+        (``EV_INST``) or a DL1 access (``EV_DATA``) whose previous
+        access to the same set of that cache in the slice was to the
+        same block.
 
-        Built once per model and event list, with one stable sort of
-        each cache's set indices: within a set, accesses stay in trace
-        order, so the previous access to a set is the entry before.  The
-        indices are sorted in the smallest unsigned type that holds
-        them, which numpy sorts by radix.
+        One stable sort of each cache's set indices: within a set,
+        accesses stay in trace order, so the previous access to a set
+        is the entry before.  The indices are sorted in the smallest
+        unsigned type that holds them, which numpy sorts by radix.
         """
-        cached = self._repeat_column
-        if cached is not None and cached[0] is ev:
-            return cached[1]
-        column = np.full(len(ev.kind), -1, dtype=np.int32)
+        kinds = ev.kind[lo:hi]
+        args = ev.arg[lo:hi]
+        repeat = np.zeros(hi - lo, dtype=bool)
         hierarchy = self.hierarchy
         # Each step drops the arrays it no longer needs: on a trace of a
         # million positions, the sort's temporaries would otherwise
-        # outweigh the column several times over.
+        # outweigh the mask several times over.
         for kind, cache in ((EV_INST, hierarchy.il1), (EV_DATA, hierarchy.dl1)):
-            index = np.flatnonzero(ev.kind == kind).astype(np.int32)
-            sets = ev.arg[index]
+            index = np.flatnonzero(kinds == kind).astype(np.int32)
+            sets = args[index]
             sets %= cache.n_sets
             sets = sets.astype(np.min_scalar_type(cache.n_sets - 1))
             index = index[sets.argsort(kind="stable")]
             del sets
-            blocks = ev.arg[index]
+            blocks = args[index]
             # Equal blocks map to one set, so an equal neighbour is the
             # set's previous access.
-            again = blocks[1:] == blocks[:-1]
-            del blocks
-            column[index[1:][again]] = index[:-1][again]
-        self._repeat_column = (ev, column)
-        return column
+            repeat[index[1:]] = blocks[1:] == blocks[:-1]
+        return repeat
 
     def _walk(
-        self, tables: TraceTables, start: int, end: int, out: Optional[List[int]]
+        self, tables: TraceTables, start: int, end: int, out: bytearray
     ) -> Tuple[int, ...]:
         """Apply trace[start:end] to the caches, predictor, BTB and RAS.
 
         Loops over the events of the slice that can change state; every
         counter (cache hits/misses, predictor lookups/mispredictions) is
-        updated as the detailed pipeline would.  Two kinds of event
+        updated as the detailed pipeline would.  Three kinds of event
         change nothing but a counter, so they are counted in bulk and
         skipped:
 
@@ -224,11 +293,18 @@ class OooTimingModel:
           walk's first fetch, which comes before them, and same-block
           re-fetches, which hit the block last fetched.  So the access
           is an MRU hit, which changes only the hit count.
-        * when no codes are written, a jump: a correctly predicted
-          redirect, plus an MRU hit when it re-fetches its own block.
-          It touches no predictor, BTB or RAS state.
+        * a jump: a correctly predicted redirect, plus an MRU hit when
+          it re-fetches its own block.  It touches no predictor, BTB or
+          RAS state.
+        * a conditional branch that the walk's earlier branches have
+          saturated (:func:`_saturated_branches`): a lookup and a history
+          shift, plus, if it is taken, a redirect and an MRU hit when it
+          re-fetches its own block.
 
-        When ``out`` is given (a zeroed list of ``end - start`` ints),
+        The loop reads each branch's gshare index from a column computed
+        from the outcomes, so it keeps no history of its own.
+
+        ``out`` is a zeroed bytearray of ``end - start`` bytes;
         ``out[i - start]`` receives position ``i``'s outcome code
         (``IL1_*``, ``DL1_*``, ``REDIRECT``, ``MISPREDICT``).  Returns
         the slice's :data:`COUNTED` outcomes: how many positions carry
@@ -246,34 +322,51 @@ class OooTimingModel:
         if lo < hi and ev.pos.item(lo) == start and ev.kind[lo] == EV_INST:
             lo += 1
         kinds = ev.kind[lo:hi]
+        args = ev.arg[lo:hi]
+        targets = ev.target[lo:hi]
         refetch = ev.refetch[lo:hi]
         # A transfer at the walk's last position is followed by the next
         # walk, which makes its own first access.
         if hi > lo and refetch[-1] and ev.pos.item(hi - 1) == end - 1:
             refetch = refetch.copy()
             refetch[-1] = False
-        # Count the skipped events' outcomes: MRU hits and redirects.
-        skip = self._repeats(ev)[lo:hi] >= lo
-        i_mru = 0
-        if out is None:
-            jumps = kinds == EV_JUMP
-            skip |= jumps
-            i_mru = int(np.count_nonzero(refetch & jumps))
+
+        bpred = self.bpred
+        btb_mask = self.btb._mask
+        branches = np.flatnonzero(kinds == EV_BRANCH)
+        outcome, gshare, saturated, history = _saturated_branches(
+            args[branches], targets[branches], bpred, btb_mask
+        )
+        # Count the skipped events' outcomes: MRU hits, lookups and
+        # redirects.
+        skip = self._repeats(ev, lo, hi)
+        redirects = kinds == EV_JUMP
+        redirects[branches[saturated & outcome]] = True
+        skip |= redirects
+        skip[branches[saturated]] = True
         skipped = np.bincount(kinds[skip], minlength=EV_JUMP + 1).tolist()
-        i_mru += skipped[EV_INST]
+        i_mru = skipped[EV_INST] + int(np.count_nonzero(refetch & redirects))
         d_mru = skipped[EV_DATA]
-        tally[REDIRECT] = skipped[EV_JUMP]
+        tally[REDIRECT] = int(np.count_nonzero(redirects))
         keep = np.flatnonzero(~skip)
         _WALK_EVENTS.inc(len(keep))
         _WALK_SKIPPED.inc(hi - lo - len(keep))
-        # The kept events' columns, as the loop zips them.
-        kinds = kinds[keep].tobytes()
-        args = ev.arg[lo:hi][keep].tolist()
-        targets = ev.target[lo:hi][keep].tolist()
-        refetch = refetch[keep].tobytes()
-        # Positions relative to the walk, listed only to write codes.
-        positions = (
-            repeat(0) if out is None else (ev.pos[lo:hi][keep] - start).tolist()
+        # The kept events' columns, as the loop zips them, converted to
+        # lists one chunk at a time.  The gshare index is zipped for
+        # every event, read only for branches.
+        gshare_column = np.zeros(hi - lo, dtype=np.min_scalar_type(bpred._mask))
+        gshare_column[branches] = gshare
+        pos = ev.pos[lo:hi]
+        rows = chain.from_iterable(
+            zip(
+                (pos[part] - start).tolist(),
+                kinds[part].tobytes(),
+                args[part].tolist(),
+                targets[part].tolist(),
+                gshare_column[part].tolist(),
+                refetch[part].tobytes(),
+            )
+            for part in (keep[at : at + _CHUNK] for at in range(0, len(keep), _CHUNK))
         )
 
         # Tag arrays: the MRU-hit fast path is inline; any other access
@@ -287,17 +380,13 @@ class OooTimingModel:
         d_sets = dl1._sets
         d_nsets = dl1.n_sets
 
-        bpred = self.bpred
         bim_tab = bpred._bimodal
         gsh_tab = bpred._gshare
         cho_tab = bpred._chooser
         bp_mask = bpred._mask
-        history = bpred._history
-        h_mask = bpred._history_mask
-        bp_lookups = bp_wrong = 0
+        bp_wrong = 0
         btb_tags = self.btb._tags
         btb_targets = self.btb._targets
-        btb_mask = self.btb._mask
         ras_stack = self.ras._stack
         ras_depth = self.ras.depth
 
@@ -308,12 +397,9 @@ class OooTimingModel:
         if not il1.access_block(first_block):
             level = IL1_L2 if ul2.access_block(first_block) else IL1_MEM
             tally[level] += 1
-            if out is not None:
-                out[0] = level
+            out[0] = level
 
-        for i, kind, arg, target, again in zip(
-            positions, kinds, args, targets, refetch
-        ):
+        for i, kind, arg, target, gsh, again in rows:
             if kind == EV_DATA:
                 ways = d_sets[arg % d_nsets]
                 if ways and ways[-1] == arg // d_nsets:
@@ -321,8 +407,7 @@ class OooTimingModel:
                 elif not dl1.access_block(arg):
                     level = DL1_L2 if ul2.access_block(arg) else DL1_MEM
                     tally[level] += 1
-                    if out is not None:
-                        out[i] += level
+                    out[i] += level
                 continue
             if kind == EV_INST:
                 ways = i_sets[arg % i_nsets]
@@ -331,20 +416,17 @@ class OooTimingModel:
                 elif not il1.access_block(arg):
                     level = IL1_L2 if ul2.access_block(arg) else IL1_MEM
                     tally[level] += 1
-                    if out is not None:
-                        out[i] = level
+                    out[i] = level
                 continue
             if kind == EV_BRANCH:
                 pc = arg
                 taken = target != pc + 1
                 pcm = pc & bp_mask
-                gsh = (pc ^ history) & bp_mask
                 b = bim_tab[pcm]
                 g = gsh_tab[gsh]
                 bim_p = b >= 2
                 gsh_p = g >= 2
                 pred = bim_p if cho_tab[pcm] >= 2 else gsh_p
-                bp_lookups += 1
                 if pred != taken:
                     bp_wrong += 1
                 if bim_p != gsh_p:
@@ -356,7 +438,6 @@ class OooTimingModel:
                 if taken:
                     bim_tab[pcm] = b + 1 if b < 3 else 3
                     gsh_tab[gsh] = g + 1 if g < 3 else 3
-                    history = ((history << 1) | 1) & h_mask
                     bi = pc & btb_mask
                     if pred and btb_tags[bi] == pc and btb_targets[bi] == target:
                         code = REDIRECT
@@ -367,7 +448,6 @@ class OooTimingModel:
                 else:
                     bim_tab[pcm] = b - 1 if b > 0 else 0
                     gsh_tab[gsh] = g - 1 if g > 0 else 0
-                    history = (history << 1) & h_mask
                     if not pred:
                         continue  # correctly predicted fall-through
                     code = MISPREDICT
@@ -376,24 +456,24 @@ class OooTimingModel:
                 if len(ras_stack) > ras_depth:
                     del ras_stack[0]
                 code = REDIRECT
-            elif kind == EV_RET:
+            else:  # EV_RET
                 predicted = ras_stack.pop() if ras_stack else None
                 code = REDIRECT if predicted == arg else MISPREDICT
-            else:  # EV_JUMP
-                code = REDIRECT
             # Fetch restarts at the next position.  A new block has its
             # own EV_INST event; a re-fetch of the same block is an MRU
             # hit.
             if again:
                 i_mru += 1
             tally[code] += 1
-            if out is not None:
-                out[i] += code
+            out[i] += code
 
+        # The skipped redirects' codes; an IL1 code at the same position
+        # was written with ``=`` above.
+        np.frombuffer(out, dtype=np.uint8)[pos[redirects] - start] |= REDIRECT
         il1.hits += i_mru
         dl1.hits += d_mru
         bpred._history = history
-        bpred.lookups += bp_lookups
+        bpred.lookups += len(branches)
         bpred.mispredictions += bp_wrong
         return tuple(tally[c] for c in COUNTED)
 
@@ -405,7 +485,7 @@ class OooTimingModel:
         end: int,
         measure_from: Optional[int] = None,
         measure_to: Optional[int] = None,
-        codes: Optional[List[int]] = None,
+        codes: Optional[Sequence[int]] = None,
     ) -> TimingResult:
         """Detailed timing for trace[start:end].
 
@@ -422,7 +502,7 @@ class OooTimingModel:
         to ``measure_to``.
 
         ``codes``, when given, holds the outcome codes of the window's
-        ``end - start`` positions, recorded by the walks that already
+        ``end - start`` positions, recorded by the walk that already
         applied them to the caches and predictor (:meth:`warm`): the
         window then only times them, so no position is walked twice.
 
@@ -443,7 +523,7 @@ class OooTimingModel:
         block_size = cfg.block_size
         T = tables_for(self.exe, trace, block_size, mdesc)
         if codes is None:
-            codes = [0] * (end - start)
+            codes = bytearray(end - start)
             self._walk(T, start, end, codes)
         elif len(codes) != end - start:
             raise ValueError(
@@ -497,10 +577,21 @@ class OooTimingModel:
         sb_drain: List[int] = []
         sb_block: List[int] = []
 
-        fetch_cycle = 0
+        # Fetch is tracked as ``disp0``, the cycle its instruction could
+        # dispatch (fetch cycle + FRONT_DEPTH): the only fetch value
+        # dispatch reads.
+        disp0 = FRONT_DEPTH
         slots = 0
         last_commit = 0
         commits = 0
+        # A missing fetch asks memory for the block after both cache
+        # lookups; a mispredict lets fetch resume after the penalty.
+        ifetch_request = icache_lat + l2_lat - FRONT_DEPTH
+        redirect_delay = penalty + FRONT_DEPTH
+        # Module constants the loop reads on every instruction, as locals.
+        load, store = _LOAD, _STORE
+        il1_miss, dl1_miss = _IL1_MISS, _DL1_MISS
+        take_unit = heapreplace
 
         n_mispredicts = 0
         n_icache_stall_cycles = 0
@@ -515,28 +606,30 @@ class OooTimingModel:
                 ops[lo:hi], codes[lo - start : hi - start], eas[lo - start : hi - start]
             ):
                 # ---------------- fetch ----------------
-                if oc & _IL1_MISS:
+                # Most positions carry code 0: no miss, no redirect.
+                if oc and oc & il1_miss:
                     stall = l2_lat
                     if oc & IL1_MEM:
-                        stall += memory_fetch(fetch_cycle + icache_lat + l2_lat)
+                        stall += memory_fetch(disp0 + ifetch_request)
                     if stall:
-                        fetch_cycle += stall
+                        disp0 += stall
                         n_icache_stall_cycles += stall
                         slots = 0
-                if slots >= width:
-                    fetch_cycle += 1
+                if slots == width:
+                    disp0 += 1
                     slots = 0
                 slots += 1
 
                 # ---------------- dispatch (RUU) ----------------
-                disp = fetch_cycle + FRONT_DEPTH
-                oldest = ruu[0]
-                if oldest > disp:
-                    disp = oldest
+                # The commit cycle of the instruction ``ruu_size`` places
+                # back frees its slot.
+                issue = ruu[0]
+                if issue > disp0:
                     n_ruu_stalls += 1
+                else:
+                    issue = disp0
 
                 # ---------------- issue ----------------
-                issue = disp
                 t = regs_ready[s0]
                 if t > issue:
                     issue = t
@@ -550,12 +643,12 @@ class OooTimingModel:
                     free = pool[0]
                     if free > issue:
                         issue = free
-                    heapreplace(pool, issue + 1)
+                    take_unit(pool, issue + 1)
 
                 # ---------------- execute / complete ----------------
-                if code < _LOAD:  # not a memory operation
+                if code < load:  # not a memory operation
                     complete = issue + lat
-                elif code == _LOAD:
+                elif code == load:
                     eb = ea // block_size
                     forwarded = False
                     if eb in sb_block:
@@ -569,12 +662,12 @@ class OooTimingModel:
                         complete = issue + 1
                     else:
                         dlat = dcache_lat
-                        if oc & _DL1_MISS:
+                        if oc & dl1_miss:
                             dlat += l2_lat
                             if oc & DL1_MEM:
                                 dlat += memory_fetch(issue + dlat)
                         complete = issue + dlat
-                elif code == _STORE:
+                elif code == store:
                     if sb_drain:
                         if min(sb_drain) <= issue:
                             sb_block = [
@@ -589,7 +682,7 @@ class OooTimingModel:
                             ]
                             sb_drain = [d for d in sb_drain if d > issue]
                     dlat = dcache_lat
-                    if oc & _DL1_MISS:
+                    if oc & dl1_miss:
                         dlat += l2_lat
                         if oc & DL1_MEM:
                             dlat += memory_fetch(issue + dlat)
@@ -607,13 +700,13 @@ class OooTimingModel:
                     if oc & MISPREDICT:
                         # Fetch resumes once the transfer resolves; it
                         # never moves backwards.
-                        t = complete + penalty
-                        if t > fetch_cycle:
-                            fetch_cycle = t
+                        t = complete + redirect_delay
+                        if t > disp0:
+                            disp0 = t
                             slots = 0
                         n_mispredicts += 1
                     else:
-                        fetch_cycle += 1
+                        disp0 += 1
                         slots = 0
 
                 # ---------------- commit ----------------
@@ -651,29 +744,33 @@ class OooTimingModel:
         trace: PackedTrace,
         start: int,
         end: int,
-        codes: Optional[List[int]] = None,
+        codes: Optional[bytearray] = None,
     ) -> Tuple[int, ...]:
-        """Functional warming only: update caches and predictors.
+        """Functional warming only: apply ``trace[start:end]`` to the
+        caches, the predictor, the BTB and the RAS, as one walk of the
+        kernel (:meth:`_walk`); no timing state changes.
 
-        Used by SMARTS between detailed windows; no timing state changes.
         Only events that change state are visited, so straight-line
         instructions inside an already-fetched block cost nothing.
         Returns the :data:`COUNTED` outcomes of ``trace[start:end]``.
-        ``codes``, when given, is a zeroed list that receives the
-        outcome codes of the last ``len(codes)`` positions, for a
-        detailed window over them (:meth:`simulate_window`); it raises
-        ``ValueError`` if the list is longer than ``end - start``.
+        ``codes``, when given, is a zeroed bytearray of ``end - start``
+        bytes that receives the outcome code of each position, for
+        detailed windows over them (:meth:`simulate_window`).  SMARTS
+        walks a whole trace in one call.  Raises ``ValueError`` unless
+        ``0 <= start <= end <= len(trace)``, or if ``codes`` has another
+        length; nothing is walked then.
         """
-        if codes and len(codes) > end - start:
+        if not 0 <= start <= end <= len(trace):
             raise ValueError(
-                f"codes must hold at most {end - start} entries, got {len(codes)}"
+                "warming bounds must satisfy 0 <= start <= end <= len(trace), "
+                f"got {start}, {end}, {len(trace)}"
             )
+        if codes is None:
+            codes = bytearray(end - start)
+        elif len(codes) != end - start:
+            raise ValueError(f"codes must hold {end - start} entries, got {len(codes)}")
         tables = tables_for(self.exe, trace, self.config.block_size, self.mdesc)
-        if not codes:
-            return self._walk(tables, start, end, None)
-        mid = end - len(codes)
-        head = self._walk(tables, start, mid, None)
-        return tuple(map(add, head, self._walk(tables, mid, end, codes)))
+        return self._walk(tables, start, end, codes)
 
     # Inert: perfbench/tracer.py looks replay_window up in every benchmark run.
     replay_window = warm

@@ -9,15 +9,16 @@ detail; the offset of the first is a hash of the binary and the
 configuration.  Every other position gets *functional warming* only:
 the caches and the branch predictor see it, the pipeline does not.
 Each sampled unit is timed after a detailed warm-up of the positions
-just before it.  Warming walks every position, sampled units included,
-one call per stretch, and records the outcome codes a detailed window
-needs, which the window then only times: every position is walked
-through the caches and predictor exactly once, and a run applies the
-outcome codes of one walk over the whole trace.
+just before it.  Warming walks the whole trace, sampled units included,
+in one call that records every position's outcome code, and each
+detailed window only times a slice of those codes: every position is
+walked through the caches and predictor exactly once.
 
-Each walk counts six outcomes: IL1 misses served by L2 and by memory,
+The codes carry six outcomes: IL1 misses served by L2 and by memory,
 DL1 misses served by L2 and by memory, mispredicts and correctly
-predicted redirects (:data:`repro.sim.ooo.COUNTED`).  The total is
+predicted redirects (:data:`repro.sim.ooo.COUNTED`).  Each sampled
+unit's counts are read from its codes, and their total over the units
+after unit 0 is the walk's counts less unit 0's.  The total is
 estimated by regression (Cochran, *Sampling Techniques*, ch. 7): the
 sampled units' CPI is fitted by least squares, weighted by unit length,
 on an intercept and those six counts per instruction, and the fit
@@ -44,8 +45,10 @@ import copy
 import hashlib
 import math
 from dataclasses import dataclass
-from operator import add, mul
+from operator import mul, sub
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from repro.codegen.linker import Executable
 from repro.obs import counter, span
@@ -149,47 +152,38 @@ def _sample(
     n = len(trace)
     model = OooTimingModel(exe, config)
     warmup = min(unit_size, max(MIN_WARMUP, WARMUP_PER_RUU_ENTRY * config.ruu_size))
+    # One walk applies the whole trace to the caches and predictor and
+    # records every position's outcome code; each window only times a
+    # slice of them.
+    codes = bytearray(n)
+    with span("smarts.warm", instructions=n):
+        walked = model.warm(trace, 0, n, codes)
     # Unit 0 is timed exactly.  A trace that ends before the first
     # sampled unit is timed exactly as a whole.
     head = n if n <= (offset + 1) * unit_size else unit_size
-    codes = [0] * head
     with span("smarts.detailed_unit", unit=0, instructions=head):
-        model.warm(trace, 0, head, codes)
-        head_cycles = model.simulate_window(trace, 0, head, codes=codes).cycles
-    # Warming walks the stretch up to each sampled unit in one call and
-    # records the codes of its last positions, the unit's warm-up.  Only
-    # the sum of the counts over the units after unit 0 is needed, and
-    # the length, CPI and counts of each sampled one.  ``codes`` holds
-    # the codes of the last positions walked.
-    totals = [0] * len(COUNTED)
+        head_cycles = model.simulate_window(trace, 0, head, codes=codes[:head]).cycles
+    # Each sampled unit is timed after the detailed warm-up of the
+    # positions just before it.  The fit needs the length, CPI and counts
+    # of each sampled unit, and the counts summed over every unit after
+    # unit 0: the walk's counts less unit 0's.
     lengths: List[int] = []
     cpis: List[float] = []
     rates: List[List[float]] = []
-    walked = head
     for start in range((offset + 1) * unit_size, n, interval * unit_size):
         end = min(start + unit_size, n)
-        if walked < start:
-            codes = [0] * warmup
-            with span("smarts.warm", instructions=start - walked):
-                counts = model.warm(trace, walked, start, codes)
-            totals = list(map(add, totals, counts))
-        unit = [0] * (end - start)
         u = start // unit_size
         with span("smarts.detailed_unit", unit=u, instructions=end - start):
-            counts = model.warm(trace, start, end, unit)
-            codes = codes[-warmup:] + unit
             cycles = model.simulate_window(
-                trace, start - warmup, end, measure_from=start, codes=codes
+                trace,
+                start - warmup,
+                end,
+                measure_from=start,
+                codes=codes[start - warmup : end],
             ).cycles
-        totals = list(map(add, totals, counts))
         lengths.append(end - start)
         cpis.append(cycles / (end - start))
-        rates.append([1.0] + [c / (end - start) for c in counts])
-        walked = end
-    if walked < n:
-        with span("smarts.warm", instructions=n - walked):
-            counts = model.warm(trace, walked, n)
-        totals = list(map(add, totals, counts))
+        rates.append([1.0] + [c / (end - start) for c in _counts(codes, start, end)])
     k = len(cpis)
     _UNITS_SAMPLED.inc(k + 1)
     _UNITS_SKIPPED.inc(len(range(head, n, unit_size)) - k)
@@ -207,6 +201,7 @@ def _sample(
         # Too few units to fit the regression.
         rest = mean_cpi * (n - head)
     else:
+        totals = list(map(sub, walked, _counts(codes, 0, head)))
         rest = math.fsum(map(mul, _fit(rates, cpis, lengths), [n - head] + totals))
     if k > 1:
         var = sum((c - mean_cpi) ** 2 for c in cpis) / (k - 1)
@@ -221,6 +216,18 @@ def _sample(
         sampled_units=k + 1,
         instructions=n,
     )
+
+
+#: Row ``c``: which :data:`COUNTED` outcomes the outcome code ``c``
+#: carries (codes OR six bits, so they are below 64).
+_CARRIES = np.array([[int(c & bit != 0) for bit in COUNTED] for c in range(64)])
+
+
+def _counts(codes: bytearray, start: int, end: int) -> List[int]:
+    """How many of ``codes[start:end]`` carry each :data:`COUNTED`
+    outcome, from one count of the code bytes."""
+    tally = np.bincount(np.frombuffer(codes, dtype=np.uint8)[start:end], minlength=64)
+    return (tally @ _CARRIES).tolist()
 
 
 def _fit(

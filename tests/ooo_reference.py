@@ -114,7 +114,7 @@ def simulate_window_reference(
     block_size = cfg.block_size
     T = tables_for(self.exe, trace, block_size, mdesc)
     R = reference_tables(self.exe, T)
-    codes = [0] * (end - start)
+    codes = bytearray(end - start)
     self._walk(T, start, end, codes)
 
     width = cfg.issue_width

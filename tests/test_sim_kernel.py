@@ -2,7 +2,8 @@
 
 :meth:`OooTimingModel._walk` updates the tag arrays, predictor tables,
 BTB and RAS from the trace's event list only, with the caches' MRU hits
-inlined, and counts in bulk the events that change only a counter.  The
+inlined, and counts in bulk the events that change only a counter: L1
+repeats, jumps and the conditional branches it proves saturated.  The
 reference here walks every instruction through the component classes
 instead -- the front end's fetch rule written out: ``warm_inst`` at the
 window start, at each instruction-block change and after each taken or
@@ -165,9 +166,9 @@ GEOMETRY = st.fixed_dictionaries(
 )
 
 
-#: How a window drives the kernel: ``warm`` without codes, with codes
-#: for every position or for the second half, or ``simulate_window``.
-METHODS = ("warm", "warm_codes", "warm_tail", "simulate_window")
+#: How a window drives the kernel: ``warm`` without or with codes, or
+#: ``simulate_window``.
+METHODS = ("warm", "warm_codes", "simulate_window")
 
 
 #: Small direct-mapped caches with 64-byte blocks: conflicts everywhere,
@@ -192,7 +193,7 @@ SMALL = {
     geometry=SMALL,
     windows=[
         (0.5, 0.3, "warm"),
-        (0.2, 0.5, "warm_tail"),
+        (0.2, 0.5, "warm_codes"),
         (None, 1.0, "warm"),
         (0.1, 0.4, "warm_codes"),
         (0.3, 0.2, "simulate_window"),
@@ -202,7 +203,16 @@ SMALL = {
     name="stream",
     flags=(True, False, True),
     geometry=SMALL,
-    windows=[(0.4, 0.1, "warm"), (0.1, 0.2, "warm"), (None, 0.05, "warm_tail")],
+    windows=[(0.4, 0.1, "warm"), (0.1, 0.2, "warm"), (None, 0.05, "warm_codes")],
+)
+# One walk over the whole trace, as a SMARTS run makes: a large
+# predictor saturates most branches, and with one BTB entry a taken
+# branch finds its target only after the same branch was taken last.
+@example(
+    name="calls_and_branches",
+    flags=(False, False, False),
+    geometry=dict(SMALL, bpred_size=2048, btb_entries=1),
+    windows=[(None, 1.0, "warm_codes")],
 )
 @given(
     name=st.sampled_from(sorted(PROGRAMS)),
@@ -229,30 +239,40 @@ def test_kernel_matches_per_instruction_reference(name, flags, geometry, windows
     for at, length, method in windows:
         start = end if at is None else int(at * n)
         end = start + int(length * (n - start))
-        # ``warm`` walks the positions before its codes and those with
-        # codes as two walks, each with its own first fetch.
-        mid = (start + end) // 2 if method == "warm_tail" else start
-        want = _reference_walk(reference, exe, trace, start, mid)
-        want += _reference_walk(reference, exe, trace, mid, end)
+        want = _reference_walk(reference, exe, trace, start, end)
         if method == "simulate_window":
             kernel.simulate_window(trace, start, end)
         elif method == "warm":
             assert kernel.warm(trace, start, end) == _counts(want), (start, end)
         else:
-            codes = [0] * (end - mid)
+            codes = bytearray(end - start)
             assert kernel.warm(trace, start, end, codes) == _counts(want), (start, end)
-            assert codes == want[mid - start :], (method, start, end)
+            assert list(codes) == want, (method, start, end)
         assert _state(kernel) == _state(reference), (method, start, end)
 
 
 def test_warm_rejects_more_codes_than_positions():
     exe, trace = _build("recursive", False, False, False)
+    n = len(trace)
     model = OooTimingModel(exe, MicroarchConfig())
-    with pytest.raises(ValueError):
-        model.warm(trace, 500, 600, [0] * 400)
-    with pytest.raises(ValueError):
-        model.warm(trace, 600, 500, [0])
+    for start, end, codes in [
+        (500, 600, bytearray(400)),
+        # ``codes`` holds exactly one entry per position of the window.
+        (500, 600, bytearray(50)),
+        (600, 500, bytearray(1)),
+        # The window lies inside the trace.
+        (600, 500, None),
+        (-5, 10, None),
+        (n, n + 10, None),
+        (n - 5, n + 5, bytearray(10)),
+    ]:
+        with pytest.raises(ValueError):
+            model.warm(trace, start, end, codes)
     # Nothing was walked.
     assert model.hierarchy.il1.accesses == 0
-    codes = [0] * 100
+    codes = bytearray(100)
     assert model.warm(trace, 500, 600, codes) == _counts(codes)
+    # A window may end at the trace's end, or be empty there.
+    codes = bytearray(10)
+    assert model.warm(trace, n - 10, n, codes) == _counts(codes)
+    assert model.warm(trace, n, n) == (0,) * len(COUNTED)

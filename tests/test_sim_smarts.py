@@ -1,14 +1,14 @@
 """The SMARTS sampler's schedule, walk and estimator.
 
-A SMARTS run walks every trace position through the caches and predictor
-exactly once: warming walks each position and records the outcome codes
-the detailed windows need, and a window only times them.  So the codes a
-run applies equal those of one ``_walk(tables, 0, n, out)`` over the
-whole trace, on the workgen families and the Table-2 configurations.
-Every walk's six counts are the counts of its codes, the offset is a
-private hash of the binary and the timing key, a trace that ends before
-the first sampled unit is timed exactly, and too few sampled units fall
-back to the plain mean CPI.
+A SMARTS run walks its whole trace through the caches and predictor in
+one ``warm`` call that records every position's outcome code, and each
+detailed window only times a slice of those codes.  So, on the workgen
+families and the Table-2 configurations, every window gets the codes
+that one ``_walk(tables, 0, n, out)`` over the whole trace writes for
+its positions, and every count the regression reads is the count of
+those codes.  The offset is a private hash of the binary and the timing
+key, a trace that ends before the first sampled unit is timed exactly,
+and too few sampled units fall back to the plain mean CPI.
 """
 
 import hashlib
@@ -63,35 +63,41 @@ def _whole_walk(exe, trace, config):
     """The codes of one walk over the whole trace, on fresh state."""
     model = OooTimingModel(exe, config)
     n = len(trace)
-    codes = [0] * n
+    codes = bytearray(n)
     model._walk(tables_for(exe, trace, config.block_size, model.mdesc), 0, n, codes)
-    return codes
+    return list(codes)
 
 
 @contextmanager
-def _recorded_walks(n):
-    """Every code the kernel writes while the block runs, by position
-    (``None`` where nothing walked), and the counts each ``warm`` call
-    returned, by ``(start, end)``."""
-    walk, warm = OooTimingModel._walk, OooTimingModel.warm
-    applied = [None] * n
-    warmed = {}
+def _recorded_run():
+    """While the block runs: ``(start, end, counts)`` of every ``warm``
+    call, ``(start, measure_from, end, codes)`` of every detailed
+    window, and ``(start, end, counts)`` of every count the sampler
+    takes from the codes."""
+    warm = OooTimingModel.warm
+    window, count = OooTimingModel.simulate_window, smarts._counts
+    walks = []
+    windows = []
+    counted = []
 
-    def recording_walk(self, tables, start, end, out):
-        out = [0] * (end - start) if out is None else out
-        counts = walk(self, tables, start, end, out)
-        assert counts == code_counts(out), (start, end)
-        assert applied[start:end] == [None] * (end - start), "walked twice"
-        applied[start:end] = out
-        return counts
+    def recording_warm(self, trace, start, end, codes=None):
+        walks.append((start, end, warm(self, trace, start, end, codes)))
+        return walks[-1][2]
 
-    def recording_warm(self, trace, start, end, tail=None):
-        warmed[start, end] = warm(self, trace, start, end, tail)
-        return warmed[start, end]
+    def recording_window(
+        self, trace, start, end, measure_from=None, measure_to=None, codes=None
+    ):
+        windows.append((start, measure_from, end, list(codes)))
+        return window(self, trace, start, end, measure_from, measure_to, codes)
 
-    with mock.patch.object(OooTimingModel, "_walk", recording_walk):
-        with mock.patch.object(OooTimingModel, "warm", recording_warm):
-            yield applied, warmed
+    def recording_count(codes, start, end):
+        counted.append((start, end, count(codes, start, end)))
+        return counted[-1][2]
+
+    with mock.patch.object(OooTimingModel, "warm", recording_warm):
+        with mock.patch.object(OooTimingModel, "simulate_window", recording_window):
+            with mock.patch.object(smarts, "_counts", recording_count):
+                yield walks, windows, counted
 
 
 @settings(max_examples=40, deadline=None)
@@ -113,13 +119,20 @@ def test_a_run_applies_the_codes_of_one_whole_walk(
     exe, trace = _generated(*program)
     offset = data.draw(st.integers(0, interval - 1))
     want = _whole_walk(exe, trace, config)
-    with _recorded_walks(len(trace)) as (codes, warmed):
+    with _recorded_run() as (walks, windows, counted):
         smarts._sample(exe, config, trace, unit_size, interval, offset)
-    assert codes == want
-    # Every unit, sampled or not, is walked by warming, and its counts
-    # are the counts of its codes.
-    for (start, end), counts in warmed.items():
-        assert counts == code_counts(want[start:end]), (start, end)
+    # One walk over the whole trace, whose counts are its codes' counts.
+    assert walks == [(0, len(trace), code_counts(want))]
+    # Each window times the whole walk's codes of its positions.
+    for start, _, end, codes in windows:
+        assert codes == want[start:end], (start, end)
+    # The counts of each sampled unit, then of unit 0 (left out of the
+    # walk's counts) when the regression is fitted, are their codes'.
+    (_, _, head, _), *units = windows
+    ranges = [(measure_from, end) for _, measure_from, end, _ in units]
+    assert [(start, end) for start, end, _ in counted] in (ranges, ranges + [(0, head)])
+    for start, end, counts in counted:
+        assert tuple(counts) == code_counts(want[start:end]), (start, end)
 
 
 def _build(source):
@@ -140,15 +153,21 @@ int main() {
 
 
 class TestCounts:
-    def test_warm_records_the_codes_of_its_last_positions(self):
+    def test_warm_records_the_codes_of_its_window(self):
         exe, trace = _build(LOOP)
         want = _whole_walk(exe, trace, TYPICAL)
         model = OooTimingModel(exe, TYPICAL)
-        tail = [0] * 300
-        counts = model.warm(trace, 0, 1000, tail)
-        assert tail == want[700:1000]
-        assert counts == code_counts(want[:1000])
+        codes = bytearray(1000)
+        assert model.warm(trace, 0, 1000, codes) == code_counts(want[:1000])
+        assert list(codes) == want[:1000]
         assert model.warm(trace, 1000, 2000) == code_counts(want[1000:2000])
+
+    def test_counts_read_every_outcome_of_every_code(self):
+        codes = bytearray(range(64)) * 2
+        for start, end in ((0, 128), (5, 70), (64, 64)):
+            assert tuple(smarts._counts(codes, start, end)) == code_counts(
+                codes[start:end]
+            )
 
 
 class TestOffset:
