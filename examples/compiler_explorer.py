@@ -10,7 +10,7 @@ omission) that the empirical models sit on top of.
 from repro.codegen import compile_module
 from repro.minic import compile_source
 from repro.opt import CompilerConfig, O0, O2, O3
-from repro.sim import MicroarchConfig, simulate
+from repro.sim import MicroarchConfig, OooTimingModel
 from repro.sim.func import execute
 
 SOURCE = """
@@ -64,14 +64,14 @@ def main() -> None:
     for name, config in CONFIGS.items():
         exe = compile_module(module, config, issue_width=microarch.issue_width)
         functional = execute(exe)
-        outcome = simulate(exe, microarch, mode="detailed", functional=functional)
+        timing = OooTimingModel(exe, microarch).simulate_trace(functional.trace)
         if reference is None:
             reference = functional.return_value
         assert functional.return_value == reference, "semantics changed!"
         print(
             f"{name:>14s} {len(exe.instrs):7d} "
-            f"{functional.instruction_count:8d} {outcome.cycles:8.0f} "
-            f"{outcome.cpi:5.2f}  {functional.return_value}"
+            f"{functional.instruction_count:8d} {timing.cycles:8d} "
+            f"{timing.cpi:5.2f}  {functional.return_value}"
         )
 
     print("\nDisassembly of main under -O2 (first 32 instructions):")

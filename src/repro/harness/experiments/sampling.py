@@ -23,7 +23,7 @@ from repro.opt.flags import O2, CompilerConfig
 from repro.sim.config import AGGRESSIVE, CONSTRAINED, TYPICAL, MicroarchConfig
 from repro.sim.func import execute
 from repro.sim.ooo import OooTimingModel
-from repro.sim.smarts import SMARTS_INTERVAL, _sample
+from repro.sim.smarts import SMARTS_INTERVAL, UNIT_SIZE, _sample
 from repro.space import full_space
 from repro.workloads import get_workload
 
@@ -78,7 +78,6 @@ class SmartsAccuracyRow:
 def run_smarts_accuracy(
     grid: Sequence[GridPoint],
     intervals: Sequence[int] = (SMARTS_INTERVAL,),
-    unit_size: int = 1000,
 ) -> Dict[int, List[SmartsAccuracyRow]]:
     """Compare SMARTS estimates against exhaustive detailed simulation:
     ``{interval: rows}`` over ``grid`` on the ``train`` input."""
@@ -90,7 +89,7 @@ def run_smarts_accuracy(
         detailed = OooTimingModel(exe, microarch).simulate_trace(trace).cycles
         for k in intervals:
             for offset in range(min(OFFSETS, k)):
-                est = _sample(exe, microarch, trace, unit_size, k, offset)
+                est = _sample(exe, microarch, trace, UNIT_SIZE, k, offset)
                 row = SmartsAccuracyRow(
                     name, i, offset, detailed, est.estimated_cycles, est.relative_error
                 )

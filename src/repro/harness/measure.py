@@ -4,7 +4,8 @@ Measuring a design point means: build the workload's binary for the
 point's compiler settings (and issue width -- the machine description
 depends on it, as in the paper's per-FU-configuration gcc builds), run
 it functionally once to get the dynamic trace and checksum, and estimate
-execution time with SMARTS sampling (or exhaustive detailed simulation).
+execution time with SMARTS sampling (or, in ``static`` mode, with the
+analytical cost model instead of all three).
 
 Caching layers (see ``docs/SIMULATOR.md`` for keys and invalidation):
 
@@ -91,6 +92,11 @@ _BATCH_LOST_CHUNKS = counter("measure.batch.lost_chunks")
 _WORKER_MS = histogram("measure.batch.worker_ms")
 
 
+#: The engine's measurement modes: SMARTS sampling, and the analytical
+#: cost model (``--oracle static``).
+MODES = ("smarts", "static")
+
+
 def worker_count(jobs: int) -> int:
     """Worker processes for a requested ``jobs``: ``0`` or a negative
     value means "all cores"."""
@@ -139,9 +145,10 @@ class MeasurementEngine:
     Parameters
     ----------
     mode:
-        ``"smarts"`` (default, the paper's methodology) or ``"detailed"``.
-    smarts_interval:
-        Sampling interval for SMARTS (1 unit in every N measured).
+        ``"smarts"`` (default, the paper's methodology: SMARTS sampling
+        at :data:`repro.sim.smarts.SMARTS_INTERVAL`) or ``"static"``
+        (the analytical cost model; nothing is compiled or simulated).
+        Any other value raises ``ValueError``.
     cache_dir:
         Directory for the persistent measurement cache; None disables
         persistence (in-memory caching still applies).
@@ -170,14 +177,16 @@ class MeasurementEngine:
     def __init__(
         self,
         mode: str = "smarts",
-        smarts_interval: int = SMARTS_INTERVAL,
         cache_dir: Optional[str] = None,
         jobs: Optional[int] = None,
         artifact_dir: Optional[str] = None,
         memo_path: Optional[str] = None,
     ):
+        if mode not in MODES:
+            raise ValueError(
+                f"unknown measurement mode {mode!r}, expected one of {MODES}"
+            )
         self.mode = mode
-        self.smarts_interval = smarts_interval
         self.jobs = default_jobs() if jobs is None else worker_count(jobs)
         #: The binary last built or loaded, as ``[key, exe, functional or
         #: None]`` with ``key`` (workload, input, compiler key, issue
@@ -259,7 +268,6 @@ class MeasurementEngine:
         compiler: CompilerConfig,
         microarch: MicroarchConfig,
         mode: str,
-        interval: int,
     ) -> str:
         parts = (
             [
@@ -268,7 +276,7 @@ class MeasurementEngine:
                 get_workload(workload).fingerprint(input_name),
                 f"cc{COMPILER_VERSION}",
                 mode,
-                str(interval),
+                str(SMARTS_INTERVAL),
             ]
             + [str(v) for v in compiler.cache_key()]
             + [timing_key(microarch)]
@@ -362,7 +370,7 @@ class MeasurementEngine:
         """
         return hashlib.md5(
             f"{static_digest(exe)}|{timing_key(microarch)}|"
-            f"{self.mode}|{self.smarts_interval}".encode(),
+            f"{self.mode}|{SMARTS_INTERVAL}".encode(),
             usedforsecurity=False,
         ).hexdigest()
 
@@ -384,9 +392,7 @@ class MeasurementEngine:
         microarch: MicroarchConfig,
         input_name: str = "train",
     ) -> Measurement:
-        key = self._result_key(
-            workload, input_name, compiler, microarch, self.mode, self.smarts_interval
-        )
+        key = self._result_key(workload, input_name, compiler, microarch, self.mode)
         return self._measure_keyed(key, workload, compiler, microarch, input_name)
 
     def _measure_keyed(
@@ -421,15 +427,9 @@ class MeasurementEngine:
                 workload=workload,
                 input=input_name,
                 mode=self.mode,
-                interval=self.smarts_interval,
+                interval=SMARTS_INTERVAL,
             ):
-                outcome = simulate(
-                    exe,
-                    microarch,
-                    mode=self.mode,
-                    interval=self.smarts_interval,
-                    functional=functional,
-                )
+                outcome = simulate(exe, microarch, functional)
             stored = {
                 "cycles": outcome.cycles,
                 "checksum": outcome.return_value,
@@ -542,9 +542,7 @@ class MeasurementEngine:
         jobs = self.jobs if jobs is None else worker_count(jobs)
         results: List[Optional[Measurement]] = [None] * len(requests)
         keys = [
-            self._result_key(
-                workload, input_name, comp, micro, self.mode, self.smarts_interval
-            )
+            self._result_key(workload, input_name, comp, micro, self.mode)
             for workload, comp, micro, input_name in requests
         ]
         #: cache key -> indices into `requests` still needing measurement.
@@ -611,7 +609,7 @@ class MeasurementEngine:
                 "jobs": jobs,
                 "lost_chunks": lost_chunks,
                 "mode": self.mode,
-                "interval": self.smarts_interval,
+                "interval": SMARTS_INTERVAL,
             },
             refs={
                 "config_digest": _short_md5("|".join(keys)),
@@ -721,7 +719,6 @@ class MeasurementEngine:
                 initializer=_init_worker,
                 initargs=(
                     self.mode,
-                    self.smarts_interval,
                     self._artifact_dir,
                     self._memo_path,
                     ctx,
@@ -846,7 +843,6 @@ _WORKER_ENGINE: Optional[MeasurementEngine] = None
 
 def _init_worker(
     mode: str,
-    smarts_interval: int,
     artifact_dir: Optional[str] = None,
     memo_path: Optional[str] = None,
     ctx: Optional[TelemetryContext] = None,
@@ -854,7 +850,6 @@ def _init_worker(
     global _WORKER_ENGINE
     _WORKER_ENGINE = MeasurementEngine(
         mode=mode,
-        smarts_interval=smarts_interval,
         cache_dir=None,
         jobs=1,
         artifact_dir=artifact_dir,

@@ -29,8 +29,7 @@ class Cache:
         # Per-set MRU-last list of tags.  A set stays the shared empty
         # tuple until its first fill: an 8 MB direct-mapped L2 has 262,144
         # sets, and a list each would be as many garbage-collected
-        # containers.  The kernel's MRU test needs no change, since an
-        # empty tuple is falsy like an empty list.
+        # containers.
         self._sets: List[Sequence[int]] = [()] * self.n_sets
         self.hits = 0
         self.misses = 0
@@ -111,9 +110,10 @@ class CacheHierarchy:
         """One data access: DL1, then UL2 on a miss.
 
         The simulator's kernel (``OooTimingModel._walk``) makes the
-        same accesses from the trace's event list, with the MRU hit
-        inlined; the kernel's test reference walks every instruction
-        through this method and :meth:`warm_inst`.
+        same accesses from the trace's event list, counting in bulk the
+        MRU hits it can prove and sending the rest to
+        :meth:`Cache.access_block`; the kernel's test reference walks
+        every instruction through this method and :meth:`warm_inst`.
         """
         if not self.dl1.access(addr):
             self.ul2.access(addr)

@@ -42,21 +42,23 @@ a correctly predicted redirect, plus an MRU hit if it re-fetches its
 own block; and a conditional branch whose counters and BTB entry the
 walk has already saturated toward its outcome
 (:func:`_saturated_branches`) is predicted right and rewrites nothing.
+Every other L1 access goes to :meth:`repro.sim.cache.Cache.access_block`.
 The walk writes one outcome code per position: where the IL1 and DL1
 accesses were served, and whether a control transfer was a correctly
 predicted redirect or a mispredict.  It counts those outcomes
 (:data:`COUNTED`) and returns the counts.  Functional warming
 (:meth:`~OooTimingModel.warm`) is that kernel alone, and can record the
 code of every position it walks.
-:meth:`~OooTimingModel.simulate_window` runs a timing loop (fetch, RUU,
-FU pools, store buffer, memory bus, commit) that reads only the codes,
-one op record per instruction and the window's addresses from the
-packed trace; it runs the kernel over its window first unless it is
-handed codes that warming recorded.  So a SMARTS run
-(:mod:`repro.sim.smarts`) walks its whole trace once, and its windows
-only time slices of that walk's codes.  The loop times the window's
-warm-up and measured segments and stops at ``measure_to``: an
-instruction's commit cycle depends only on earlier instructions.
+
+:meth:`~OooTimingModel.simulate_window` only times: it runs a timing
+loop (fetch, RUU, FU pools, store buffer, memory bus, commit) over the
+codes a walk recorded, one op record per instruction and the window's
+addresses from the packed trace, and touches no cache or predictor
+state.  So every way to time a trace is ``warm`` followed by windows
+over slices of its codes: a SMARTS run (:mod:`repro.sim.smarts`) walks
+its whole trace once and times unit 0 and each sampled unit, and
+:meth:`~OooTimingModel.simulate_trace` times one window over the whole
+trace.
 
 The split is exact because no cache or predictor update depends on the
 clock:
@@ -279,11 +281,12 @@ class OooTimingModel:
     ) -> Tuple[int, ...]:
         """Apply trace[start:end] to the caches, predictor, BTB and RAS.
 
-        Loops over the events of the slice that can change state; every
-        counter (cache hits/misses, predictor lookups/mispredictions) is
-        updated as the detailed pipeline would.  Three kinds of event
-        change nothing but a counter, so they are counted in bulk and
-        skipped:
+        Loops over the events of the slice that can change state, each
+        L1 access through :meth:`repro.sim.cache.Cache.access_block`;
+        every counter (cache hits/misses, predictor
+        lookups/mispredictions) is updated as the detailed pipeline
+        would.  Three kinds of event change nothing but a counter, so
+        they are counted in bulk and skipped:
 
         * an IL1 or DL1 access whose set was last accessed inside this
           walk, with the same block (:meth:`_repeats`).  Every access
@@ -346,7 +349,6 @@ class OooTimingModel:
         skip[branches[saturated]] = True
         skipped = np.bincount(kinds[skip], minlength=EV_JUMP + 1).tolist()
         i_mru = skipped[EV_INST] + int(np.count_nonzero(refetch & redirects))
-        d_mru = skipped[EV_DATA]
         tally[REDIRECT] = int(np.count_nonzero(redirects))
         keep = np.flatnonzero(~skip)
         _WALK_EVENTS.inc(len(keep))
@@ -369,16 +371,12 @@ class OooTimingModel:
             for part in (keep[at : at + _CHUNK] for at in range(0, len(keep), _CHUNK))
         )
 
-        # Tag arrays: the MRU-hit fast path is inline; any other access
-        # goes through Cache.access_block, which keeps its own counts.
+        # Tag arrays: every access the loop makes goes through
+        # Cache.access_block, which keeps its own counts.
         hierarchy = self.hierarchy
         il1 = hierarchy.il1
         dl1 = hierarchy.dl1
         ul2 = hierarchy.ul2
-        i_sets = il1._sets
-        i_nsets = il1.n_sets
-        d_sets = dl1._sets
-        d_nsets = dl1.n_sets
 
         bim_tab = bpred._bimodal
         gsh_tab = bpred._gshare
@@ -401,19 +399,13 @@ class OooTimingModel:
 
         for i, kind, arg, target, gsh, again in rows:
             if kind == EV_DATA:
-                ways = d_sets[arg % d_nsets]
-                if ways and ways[-1] == arg // d_nsets:
-                    d_mru += 1
-                elif not dl1.access_block(arg):
+                if not dl1.access_block(arg):
                     level = DL1_L2 if ul2.access_block(arg) else DL1_MEM
                     tally[level] += 1
                     out[i] += level
                 continue
             if kind == EV_INST:
-                ways = i_sets[arg % i_nsets]
-                if ways and ways[-1] == arg // i_nsets:
-                    i_mru += 1
-                elif not il1.access_block(arg):
+                if not il1.access_block(arg):
                     level = IL1_L2 if ul2.access_block(arg) else IL1_MEM
                     tally[level] += 1
                     out[i] = level
@@ -471,7 +463,7 @@ class OooTimingModel:
         # was written with ``=`` above.
         np.frombuffer(out, dtype=np.uint8)[pos[redirects] - start] |= REDIRECT
         il1.hits += i_mru
-        dl1.hits += d_mru
+        dl1.hits += skipped[EV_DATA]
         bpred._history = history
         bpred.lookups += len(branches)
         bpred.mispredictions += bp_wrong
@@ -483,52 +475,41 @@ class OooTimingModel:
         trace: PackedTrace,
         start: int,
         end: int,
+        codes: Sequence[int],
         measure_from: Optional[int] = None,
-        measure_to: Optional[int] = None,
-        codes: Optional[Sequence[int]] = None,
     ) -> TimingResult:
-        """Detailed timing for trace[start:end].
+        """Detailed timing for trace[start:end] from the outcome codes
+        a walk recorded.
 
-        Pipeline state (register readiness, FU occupancy, RUU, store
-        buffer, memory bus) starts cold at relative cycle 0; cache and
-        predictor state persists across calls.  When ``measure_from`` /
-        ``measure_to`` are given, only the commit-time interval between
-        those trace positions is reported: instructions before
-        ``measure_from`` are *detailed warming* (removing cold-pipeline
-        bias).  Instructions from ``measure_to`` on are applied to the
-        caches and predictor but not timed, since no commit cycle
-        depends on a later instruction.  The four ``sim.ooo.*`` counters
-        and ``memory_accesses`` cover the timed instructions, ``start``
-        to ``measure_to``.
+        ``codes`` holds the outcome codes of the window's ``end -
+        start`` positions, recorded by the walk that applied them to the
+        caches and predictor (:meth:`warm`); the window only times them
+        and touches no cache or predictor state.  Pipeline state
+        (register readiness, FU occupancy, RUU, store buffer, memory
+        bus) starts cold at relative cycle 0.  Only the commit-time
+        interval from ``measure_from`` (default ``start``) to ``end`` is
+        reported: instructions before it are *detailed warming*
+        (removing cold-pipeline bias).  The four ``sim.ooo.*`` counters
+        and ``memory_accesses`` cover the whole window.
 
-        ``codes``, when given, holds the outcome codes of the window's
-        ``end - start`` positions, recorded by the walk that already
-        applied them to the caches and predictor (:meth:`warm`): the
-        window then only times them, so no position is walked twice.
-
-        Raises ``ValueError`` unless ``0 <= start <= measure_from <=
-        measure_to <= end <= len(trace)``, or if ``codes`` has another
-        length.
+        Raises ``ValueError`` unless ``0 <= start <= measure_from <= end
+        <= len(trace)``, or if ``codes`` has another length.
         """
         measure_from = start if measure_from is None else measure_from
-        measure_to = end if measure_to is None else measure_to
-        if not 0 <= start <= measure_from <= measure_to <= end <= len(trace):
+        if not 0 <= start <= measure_from <= end <= len(trace):
             raise ValueError(
                 "window bounds must satisfy 0 <= start <= measure_from <= "
-                f"measure_to <= end <= len(trace), got {start}, "
-                f"{measure_from}, {measure_to}, {end}, {len(trace)}"
+                f"end <= len(trace), got {start}, {measure_from}, {end}, "
+                f"{len(trace)}"
+            )
+        if len(codes) != end - start:
+            raise ValueError(
+                f"codes must hold {end - start} entries, got {len(codes)}"
             )
         cfg = self.config
         mdesc = self.mdesc
         block_size = cfg.block_size
         T = tables_for(self.exe, trace, block_size, mdesc)
-        if codes is None:
-            codes = bytearray(end - start)
-            self._walk(T, start, end, codes)
-        elif len(codes) != end - start:
-            raise ValueError(
-                f"codes must hold {end - start} entries, got {len(codes)}"
-            )
 
         width = cfg.issue_width
         sbuf_size = cfg.store_buffer_size
@@ -540,7 +521,7 @@ class OooTimingModel:
         btc = cfg.bus_transfer_cycles
 
         ops = T.ops_for(mdesc)
-        eas = T.eas[start:measure_to].tolist()
+        eas = T.eas[start:end].tolist()
 
         bus_free = 0
         mem_acc = 0
@@ -597,10 +578,8 @@ class OooTimingModel:
         n_icache_stall_cycles = 0
         n_ruu_stalls = 0
         # Time the warm-up, then the measured segment, whose cycles are
-        # reported.  Nothing from ``measure_to`` on is timed: every
-        # structure below is updated in program order, so no commit cycle
-        # depends on a later instruction.
-        for lo, hi in ((start, measure_from), (measure_from, measure_to)):
+        # reported.
+        for lo, hi in ((start, measure_from), (measure_from, end)):
             boundary = last_commit
             for (code, s0, s1, dst, lat), oc, ea in zip(
                 ops[lo:hi], codes[lo - start : hi - start], eas[lo - start : hi - start]
@@ -722,7 +701,7 @@ class OooTimingModel:
                 ruu_append(last_commit)
 
         self.hierarchy.memory_accesses += mem_acc
-        _INSTRUCTIONS.inc(measure_to - start)
+        _INSTRUCTIONS.inc(end - start)
         if n_mispredicts:
             _MISPREDICTS.inc(n_mispredicts)
         if n_icache_stall_cycles:
@@ -731,12 +710,15 @@ class OooTimingModel:
             _RUU_STALLS.inc(n_ruu_stalls)
         return TimingResult(
             cycles=last_commit - boundary,
-            instructions=measure_to - measure_from,
+            instructions=end - measure_from,
         )
 
     def simulate_trace(self, trace: PackedTrace) -> TimingResult:
-        """Detailed timing for the whole trace (the reference simulator)."""
-        return self.simulate_window(trace, 0, len(trace))
+        """Detailed timing for the whole trace (the reference simulator):
+        one walk, then one window over its codes."""
+        codes = bytearray(len(trace))
+        self.warm(trace, 0, len(trace), codes)
+        return self.simulate_window(trace, 0, len(trace), codes)
 
     # ------------------------------------------------------------------
     def warm(
@@ -755,10 +737,10 @@ class OooTimingModel:
         Returns the :data:`COUNTED` outcomes of ``trace[start:end]``.
         ``codes``, when given, is a zeroed bytearray of ``end - start``
         bytes that receives the outcome code of each position, for
-        detailed windows over them (:meth:`simulate_window`).  SMARTS
-        walks a whole trace in one call.  Raises ``ValueError`` unless
-        ``0 <= start <= end <= len(trace)``, or if ``codes`` has another
-        length; nothing is walked then.
+        detailed windows over them (:meth:`simulate_window`).  A SMARTS
+        run and :meth:`simulate_trace` walk a whole trace in one call.
+        Raises ``ValueError`` unless ``0 <= start <= end <= len(trace)``,
+        or if ``codes`` has another length; nothing is walked then.
         """
         if not 0 <= start <= end <= len(trace):
             raise ValueError(

@@ -8,10 +8,8 @@ from repro.codegen.linker import Executable
 from repro.obs import counter, span
 from repro.sim.config import MicroarchConfig
 from repro.sim.func import FunctionalResult
-from repro.sim.ooo import OooTimingModel
-from repro.sim.smarts import SMARTS_INTERVAL, smarts_simulate
+from repro.sim.smarts import SMARTS_INTERVAL, UNIT_SIZE, smarts_simulate
 
-_DETAILED_RUNS = counter("sim.detailed_runs")
 _SMARTS_RUNS = counter("sim.smarts_runs")
 
 
@@ -27,7 +25,7 @@ class SimulationOutcome:
     instructions: int
     #: Cycles per instruction.
     cpi: float
-    #: SMARTS sampling error estimate (0 for exhaustive simulation).
+    #: SMARTS sampling error estimate (0 when unit 0 is the whole trace).
     sampling_error: float
 
 
@@ -35,54 +33,34 @@ def simulate(
     exe: Executable,
     config: MicroarchConfig,
     functional: FunctionalResult,
-    mode: str = "smarts",
-    unit_size: int = 1000,
-    interval: int = SMARTS_INTERVAL,
 ) -> SimulationOutcome:
-    """Measure the execution time of ``exe`` on ``config``.
+    """Measure the execution time of ``exe`` on ``config`` by SMARTS
+    sampling (the paper's methodology, :func:`smarts_simulate`).
 
     ``functional`` is the binary's traced functional run
     (``execute(exe, collect_trace=True)``), computed once and shared by
-    every microarchitecture.  ``mode="smarts"`` uses statistical
-    sampling (the paper's methodology); ``mode="detailed"`` simulates
-    every instruction.  The result is a pure function of the binary,
-    ``config``, ``mode`` and the sampling schedule; reusing it across
-    design points is the measurement engine's job
-    (:mod:`repro.sim.memo`).
+    every microarchitecture.  The result is a pure function of the
+    binary and ``config``; reusing it across design points is the
+    measurement engine's job (:mod:`repro.sim.memo`).  Exhaustive
+    timing is :meth:`repro.sim.ooo.OooTimingModel.simulate_trace`.
     """
     trace = functional.trace
-    if mode == "detailed":
-        _DETAILED_RUNS.inc()
-        with span("sim.detailed", instructions=len(trace)):
-            model = OooTimingModel(exe, config)
-            timing = model.simulate_trace(trace)
-        return SimulationOutcome(
-            cycles=float(timing.cycles),
-            return_value=functional.return_value,
-            instructions=timing.instructions,
-            cpi=timing.cpi,
-            sampling_error=0.0,
+    _SMARTS_RUNS.inc()
+    with span(
+        "sim.smarts",
+        instructions=len(trace),
+        unit_size=UNIT_SIZE,
+        interval=SMARTS_INTERVAL,
+    ) as sp:
+        est = smarts_simulate(exe, config, trace)
+        sp.set_attrs(
+            sampled_units=est.sampled_units,
+            relative_error=est.relative_error,
         )
-    if mode == "smarts":
-        _SMARTS_RUNS.inc()
-        with span(
-            "sim.smarts",
-            instructions=len(trace),
-            unit_size=unit_size,
-            interval=interval,
-        ) as sp:
-            est = smarts_simulate(
-                exe, config, trace, unit_size=unit_size, interval=interval
-            )
-            sp.set_attrs(
-                sampled_units=est.sampled_units,
-                relative_error=est.relative_error,
-            )
-        return SimulationOutcome(
-            cycles=est.estimated_cycles,
-            return_value=functional.return_value,
-            instructions=est.instructions,
-            cpi=est.cpi,
-            sampling_error=est.relative_error,
-        )
-    raise ValueError(f"unknown simulation mode {mode!r}")
+    return SimulationOutcome(
+        cycles=est.estimated_cycles,
+        return_value=functional.return_value,
+        instructions=est.instructions,
+        cpi=est.cpi,
+        sampling_error=est.relative_error,
+    )

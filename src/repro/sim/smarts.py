@@ -2,7 +2,7 @@
 
 Following Wunderlich et al. [19] as used in the paper's Section 5, the
 dynamic instruction stream is divided into sampling units of
-``unit_size`` instructions.  Unit 0, which starts with cold caches and a
+:data:`UNIT_SIZE` instructions.  Unit 0, which starts with cold caches and a
 cold predictor, is its own stratum and is timed exactly, with no
 warm-up.  Of the units after it, one in every ``interval`` is timed in
 detail; the offset of the first is a hash of the binary and the
@@ -73,6 +73,9 @@ Z_997 = 3.0
 #: ``smarts_accuracy`` grids is no worse than the old sampler's at 3.
 SMARTS_INTERVAL = 8
 
+#: Instructions per sampling unit, as in the paper.
+UNIT_SIZE = 1000
+
 #: Fewest instructions of detailed warm-up before a sampled unit.
 MIN_WARMUP = 300
 
@@ -105,24 +108,19 @@ def smarts_simulate(
     exe: Executable,
     config: MicroarchConfig,
     trace: PackedTrace,
-    unit_size: int = 1000,
     interval: int = SMARTS_INTERVAL,
 ) -> SmartsResult:
-    """Estimate execution time by systematic sampling.
+    """Estimate execution time by systematic sampling of
+    :data:`UNIT_SIZE`-instruction units.
 
-    Parameters
-    ----------
-    unit_size:
-        Instructions per sampling unit (the paper uses 1000).
-    interval:
-        Detail-simulate one unit in every ``interval`` after unit 0 (the
-        paper's billion-instruction runs use 1000; our short traces use
-        :data:`SMARTS_INTERVAL` so enough units are sampled).
+    ``interval``: detail-simulate one unit in every ``interval`` after
+    unit 0 (the paper's billion-instruction runs use 1000; our short
+    traces use :data:`SMARTS_INTERVAL` so enough units are sampled).
     """
-    if unit_size < 1 or interval < 1:
-        raise ValueError("unit_size and interval must be positive")
+    if interval < 1:
+        raise ValueError("interval must be positive")
     return _sample(
-        exe, config, trace, unit_size, interval, _offset(exe, config, interval)
+        exe, config, trace, UNIT_SIZE, interval, _offset(exe, config, interval)
     )
 
 
@@ -147,8 +145,8 @@ def _sample(
     interval: int,
     offset: int,
 ) -> SmartsResult:
-    """:func:`smarts_simulate` at a given offset: unit ``u >= 1`` is
-    timed when ``(u - 1) % interval == offset``."""
+    """:func:`smarts_simulate` at a given unit size and offset: unit
+    ``u >= 1`` is timed when ``(u - 1) % interval == offset``."""
     n = len(trace)
     model = OooTimingModel(exe, config)
     warmup = min(unit_size, max(MIN_WARMUP, WARMUP_PER_RUU_ENTRY * config.ruu_size))
@@ -162,7 +160,7 @@ def _sample(
     # sampled unit is timed exactly as a whole.
     head = n if n <= (offset + 1) * unit_size else unit_size
     with span("smarts.detailed_unit", unit=0, instructions=head):
-        head_cycles = model.simulate_window(trace, 0, head, codes=codes[:head]).cycles
+        head_cycles = model.simulate_window(trace, 0, head, codes[:head]).cycles
     # Each sampled unit is timed after the detailed warm-up of the
     # positions just before it.  The fit needs the length, CPI and counts
     # of each sampled unit, and the counts summed over every unit after
@@ -178,8 +176,8 @@ def _sample(
                 trace,
                 start - warmup,
                 end,
+                codes[start - warmup : end],
                 measure_from=start,
-                codes=codes[start - warmup : end],
             ).cycles
         lengths.append(end - start)
         cpis.append(cycles / (end - start))

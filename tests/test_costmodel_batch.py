@@ -312,9 +312,7 @@ def _digests(engine: MeasurementEngine, requests) -> List[str]:
     return sorted(
         {
             hashlib.md5(
-                engine._result_key(
-                    w, i, c, u, engine.mode, engine.smarts_interval
-                ).encode(),
+                engine._result_key(w, i, c, u, engine.mode).encode(),
                 usedforsecurity=False,
             ).hexdigest()[:16]
             for w, c, u, i in requests
@@ -375,7 +373,7 @@ def test_static_measure_many_matches_per_point_loop(tmp_path):
     ]
     # The result cache fills in first-request order, as a loop fills it.
     keys = [
-        engine._result_key(w, i, c, u, "static", engine.smarts_interval)
+        engine._result_key(w, i, c, u, "static")
         for w, c, u, i in first + second
     ]
     assert list(engine._result_cache) == list(dict.fromkeys(keys))

@@ -1,8 +1,10 @@
 """Smoke checks that the example scripts are importable and well formed.
 
-Running the examples costs minutes of simulation each, so the test suite
-only verifies that they parse, import, and expose a ``main`` function;
-the benchmark/experiment machinery they call is tested elsewhere.
+Most examples cost minutes of simulation each, so for them the test
+suite only verifies that they parse, import, and expose a ``main``
+function; the benchmark/experiment machinery they call is tested
+elsewhere.  The examples in :data:`FAST` take under a second and run
+end to end, so a call into an API that changed fails here.
 """
 
 import ast
@@ -14,6 +16,8 @@ import pytest
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
+#: Examples that run end to end in the suite.
+FAST = ["compiler_explorer", "design_of_experiments"]
 
 
 def load(path: Path):
@@ -42,3 +46,9 @@ class TestExamples:
 
 def test_at_least_four_examples():
     assert len(EXAMPLES) >= 4
+
+
+@pytest.mark.parametrize("name", FAST)
+def test_fast_example_runs_end_to_end(name, capsys):
+    load(EXAMPLES_DIR / f"{name}.py").main()
+    assert capsys.readouterr().out.strip()

@@ -181,9 +181,10 @@ class TestMeasurementEngine:
         point = space.decode(np.zeros(space.dim))
         assert oracle(point) == engine.cycles("art", point)
 
-    def test_detailed_mode(self):
-        engine = MeasurementEngine(mode="detailed")
-        space = full_space()
-        point = space.decode(np.zeros(space.dim))
-        m = engine.measure("art", point)
-        assert m.sampling_error == 0.0
+    @pytest.mark.parametrize("mode", ["Static", "detailed", "SMARTS", "accurate"])
+    def test_unknown_mode_is_rejected_at_construction(self, mode):
+        """A mistyped mode fails when the engine is built, before any
+        point is compiled or run: the only modes are ``smarts`` and
+        ``static``."""
+        with pytest.raises(ValueError, match="unknown measurement mode"):
+            MeasurementEngine(mode=mode)

@@ -23,7 +23,7 @@ from repro.doe import d_optimal_design, random_candidates
 def mini_corpus():
     """~45 measured design points for gzip (about a minute)."""
     space = full_space()
-    engine = MeasurementEngine(smarts_interval=5)
+    engine = MeasurementEngine()
     rng = np.random.default_rng(2007)
     candidates = random_candidates(space, 250, rng)
     design = d_optimal_design(candidates, 36, rng).design

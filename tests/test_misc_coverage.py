@@ -10,7 +10,7 @@ from repro.minic import compile_source
 from repro.opt import CompilerConfig, O2, cleanup_module, reorder_blocks
 from repro.sim import MicroarchConfig, OooTimingModel
 from repro.sim.func import execute
-from repro.sim.smarts import smarts_simulate
+from repro.sim.smarts import _sample
 from repro.space import full_space
 from tests.util import ALL_PROGRAMS
 
@@ -33,8 +33,8 @@ class TestAdaptiveSmarts:
         module = compile_source(src)
         exe = compile_module(module, O2)
         fr = execute(exe)
-        est = smarts_simulate(exe, MicroarchConfig(), fr.trace,
-                              unit_size=2000, interval=1)
+        # Units of 2000 instructions, every one timed (offset 0).
+        est = _sample(exe, MicroarchConfig(), fr.trace, 2000, 1, 0)
         detailed = OooTimingModel(exe, MicroarchConfig()).simulate_trace(
             fr.trace
         )

@@ -176,9 +176,7 @@ class TestChunkPlanning:
     def _pending(engine, requests):
         pending = OrderedDict()
         for i, (w, comp, micro, inp) in enumerate(requests):
-            key = engine._result_key(
-                w, inp, comp, micro, engine.mode, engine.smarts_interval
-            )
+            key = engine._result_key(w, inp, comp, micro, engine.mode)
             pending.setdefault(key, []).append(i)
         return pending
 

@@ -1,9 +1,9 @@
 """Differential test of the simulator's cache/predictor kernel.
 
 :meth:`OooTimingModel._walk` updates the tag arrays, predictor tables,
-BTB and RAS from the trace's event list only, with the caches' MRU hits
-inlined, and counts in bulk the events that change only a counter: L1
-repeats, jumps and the conditional branches it proves saturated.  The
+BTB and RAS from the trace's event list only, and counts in bulk the
+events that change only a counter: L1 repeats, jumps and the
+conditional branches it proves saturated.  The
 reference here walks every instruction through the component classes
 instead -- the front end's fetch rule written out: ``warm_inst`` at the
 window start, at each instruction-block change and after each taken or
@@ -11,10 +11,11 @@ mispredicted transfer; ``warm_data`` for loads, stores and prefetches;
 ``predict_and_update``; BTB ``predict``/``update``; RAS ``push``/``pop``
 -- and writes each position's outcome code.  Windows start anywhere:
 after a gap, over positions already walked, or before the last window.
-After each window both models must hold the same state and the same
-counters, whichever public method drove the kernel; ``warm`` must return
-the same outcome counts with and without codes, and the codes it writes
-must be the reference's.
+``warm``, the kernel's one public driver, runs each window with or
+without codes.  After each window both models must hold the same state
+and the same counters; ``warm`` must return the same outcome counts
+with and without codes, and the codes it writes must be the
+reference's.
 """
 
 from dataclasses import replace
@@ -166,9 +167,8 @@ GEOMETRY = st.fixed_dictionaries(
 )
 
 
-#: How a window drives the kernel: ``warm`` without or with codes, or
-#: ``simulate_window``.
-METHODS = ("warm", "warm_codes", "simulate_window")
+#: How a window drives the kernel: ``warm`` without or with codes.
+METHODS = ("warm", "warm_codes")
 
 
 #: Small direct-mapped caches with 64-byte blocks: conflicts everywhere,
@@ -196,7 +196,7 @@ SMALL = {
         (0.2, 0.5, "warm_codes"),
         (None, 1.0, "warm"),
         (0.1, 0.4, "warm_codes"),
-        (0.3, 0.2, "simulate_window"),
+        (0.3, 0.2, "warm"),
     ],
 )
 @example(
@@ -240,9 +240,7 @@ def test_kernel_matches_per_instruction_reference(name, flags, geometry, windows
         start = end if at is None else int(at * n)
         end = start + int(length * (n - start))
         want = _reference_walk(reference, exe, trace, start, end)
-        if method == "simulate_window":
-            kernel.simulate_window(trace, start, end)
-        elif method == "warm":
+        if method == "warm":
             assert kernel.warm(trace, start, end) == _counts(want), (start, end)
         else:
             codes = bytearray(end - start)

@@ -1,15 +1,17 @@
 """Differential tests of the detailed timing loop.
 
-:meth:`OooTimingModel.simulate_window` times only what a window's
-reported cycles depend on: the warm-up segment, then the measured
-segment, stopping at ``measure_to``.  It reads one per-pc op record per
-instruction and moves fetch, fills the RUU and purges the store buffer
-without per-instruction tests.  ``tests/ooo_reference.py`` keeps the
-loop it replaced, which times the whole window and tests every bound on
-every instruction.  Both must report the same ``TimingResult`` for every
-window, and leave the same cache, predictor, BTB and RAS state.  When a
-window is measured to its end, they must also flush the same
-``sim.ooo.*`` counters and count the same memory accesses.
+:meth:`OooTimingModel.simulate_window` only times the outcome codes a
+``warm`` walk recorded: the warm-up segment, then the measured segment
+to the window's end.  It reads one per-pc op record per instruction
+and moves fetch, fills the RUU and purges the store buffer without
+per-instruction tests.  ``tests/ooo_reference.py`` keeps the loop it
+replaced, which walks the window itself and tests every bound on every
+instruction; it is called with ``measure_to=end``.  ``warm`` then
+``simulate_window`` and the reference must report the same
+``TimingResult`` for every window, flush the same ``sim.ooo.*``
+counters, count the same memory accesses and leave the same cache,
+predictor, BTB and RAS state.  A window on its own leaves that state,
+and the walk's counters, as it found them.
 
 Inputs: generated programs of every workgen family and prefixes of
 built-in workloads, compiled with seeded random flag vectors at issue
@@ -18,10 +20,12 @@ paper's three named ones and an 8-wide one; and random windows.
 Hand-built programs cover a full store buffer, a load whose block was
 purged from the store buffer, a load issuing on the cycle a store to
 its block drains, a one-entry RUU, an instruction with no sources, one
-reading its own destination and ``jal``.  Bounds outside
-the window and instructions the op records cannot represent raise.
+reading its own destination and ``jal``.  Bounds outside the window,
+codes of another length and instructions the op records cannot
+represent raise.
 """
 
+import copy
 import random
 from dataclasses import replace
 from functools import lru_cache
@@ -104,7 +108,14 @@ def _state(model):
     }
 
 
-def _run(simulate, model, trace, window):
+def _timed(model, trace, start, end, measure_from):
+    """``warm`` over the window, then ``simulate_window`` over its codes."""
+    codes = bytearray(end - start)
+    model.warm(trace, start, end, codes)
+    return model.simulate_window(trace, start, end, codes, measure_from)
+
+
+def _run(simulate, model, trace, *window):
     """``simulate``'s result with its counter and memory-access deltas."""
     before = [counter(name).value for name in COUNTERS]
     accesses = model.hierarchy.memory_accesses
@@ -117,31 +128,26 @@ def _assert_windows_match(exe, trace, config, windows):
     """Both loops on their own model, window after window."""
     new = OooTimingModel(exe, config)
     ref = OooTimingModel(exe, config)
-    for window in windows:
-        start, end, measure_from, measure_to = window
-        got = _run(OooTimingModel.simulate_window, new, trace, window)
-        want = _run(simulate_window_reference, ref, trace, window)
-        assert got[0] == want[0], window
+    for start, end, measure_from in windows:
+        window = (start, end, measure_from)
+        got = _run(_timed, new, trace, *window)
+        want = _run(simulate_window_reference, ref, trace, *window, end)
+        assert got == want, window
         assert _state(new) == _state(ref), window
-        assert got[1][0] == measure_to - start, window
-        if measure_to == end:
-            assert got[1:] == want[1:], window
     return new
 
 
 @st.composite
 def windows(draw, n: int):
-    """``start <= measure_from <= measure_to <= end <= n``, with
-    ``measure_from < end`` unless the window is empty (the reference
-    reports the whole window for zero instructions there)."""
+    """``start <= measure_from <= end <= n``, with ``measure_from <
+    end`` unless the window is empty (the reference reports the whole
+    window for zero instructions there)."""
     size = draw(st.integers(0, min(n, MAX_WINDOW)))
     start = draw(st.sampled_from([0, n - size]) | st.integers(0, n - size))
     end = start + size
     if size == 0:
-        return start, end, start, end
-    measure_from = draw(st.integers(start, end - 1))
-    measure_to = draw(st.just(end) | st.integers(measure_from, end))
-    return start, end, measure_from, measure_to
+        return start, end, start
+    return start, end, draw(st.integers(start, end - 1))
 
 
 PROGRAMS = st.one_of(
@@ -186,13 +192,11 @@ def _exe(instrs):
 
 def _whole_and_split(exe, config, start=0):
     """A window over ``[0, start)`` to warm the caches, then ``[start,
-    n)`` whole and split into warm-up, measured and cool-down at a few
-    points."""
+    n)`` whole and split into warm-up and measured at a few points."""
     trace = execute(exe).trace
     n = len(trace)
-    cuts = sorted({start, (start + n) // 2, n - 1, n})
-    windows = [(0, start, 0, start), (start, n, start, n)]
-    windows += [(start, n, a, b) for a in cuts for b in cuts if a <= b and a < n]
+    cuts = sorted({start, (start + n) // 2, n - 1})
+    windows = [(0, start, 0)] + [(start, n, cut) for cut in cuts]
     return _assert_windows_match(exe, trace, config, windows), trace
 
 
@@ -273,17 +277,13 @@ def test_load_issuing_as_a_store_drains_is_not_forwarded():
     )
     trace = execute(exe).trace
     n = len(trace)
-    _assert_windows_match(exe, trace, TYPICAL, [(0, n, 0, n)] * 2)
+    _assert_windows_match(exe, trace, TYPICAL, [(0, n, 0)] * 2)
 
 
 def test_one_entry_ruu():
     exe, trace = _builtin("art", 0, 4)
     n = len(trace)
-    windows = [
-        (0, 3000, 0, 3000),
-        (n - 2000, n, n - 1500, n),
-        (5000, 7000, 5100, 6000),
-    ]
+    windows = [(0, 3000, 0), (n - 2000, n, n - 1500), (5000, 7000, 5100)]
     _assert_windows_match(exe, trace, replace(TYPICAL, ruu_size=1), windows)
 
 
@@ -332,32 +332,73 @@ def small():
 @pytest.mark.parametrize(
     "window",
     [
-        (-1, 100, None, None),  # start before the trace
-        (50, 40, None, None),  # end before start
-        (10, 100, 5, 50),  # measure_from before start
-        (10, 100, 60, 50),  # measure_to before measure_from
-        (10, 100, 20, 101),  # measure_to past end
-        (10, 100, 101, None),  # measure_from past end
-        (0, PREFIX + 1, None, None),  # end past the trace
+        (-1, 100, None),  # start before the trace
+        (50, 40, None),  # end before start
+        (10, 100, 5),  # measure_from before start
+        (0, 100, -1),  # measure_from before the trace
+        (PREFIX + 1, PREFIX + 1, None),  # an empty window past the trace
+        (10, 100, 101),  # measure_from past end
+        (0, PREFIX + 1, None),  # end past the trace
     ],
 )
 def test_bounds_outside_the_window_raise(small, window):
     exe, trace = small
-    start, end, measure_from, measure_to = window
+    start, end, measure_from = window
+    codes = bytearray(max(end - start, 0))
     with pytest.raises(ValueError, match="window bounds"):
         OooTimingModel(exe, TYPICAL).simulate_window(
-            trace, start, end, measure_from=measure_from, measure_to=measure_to
+            trace, start, end, codes, measure_from=measure_from
         )
+
+
+@pytest.mark.parametrize("length", [0, 99, 101])
+def test_codes_of_another_length_raise(small, length):
+    exe, trace = small
+    with pytest.raises(ValueError, match="codes must hold 100 entries"):
+        OooTimingModel(exe, TYPICAL).simulate_window(
+            trace, 200, 300, bytearray(length)
+        )
+
+
+WALK_COUNTERS = ("sim.ooo.walk.events", "sim.ooo.walk.skipped")
+
+
+@pytest.mark.parametrize(
+    "config", NAMED, ids=["constrained", "typical", "aggressive", "wide"]
+)
+def test_a_window_changes_no_cache_or_predictor_state(small, config):
+    """Windows anywhere over a walk's codes, measured from anywhere,
+    leave the tag arrays, the predictor, BTB and RAS tables and their
+    counters, and the walk's own counters, as the walk left them."""
+    exe, trace = small
+    n = len(trace)
+    model = OooTimingModel(exe, config)
+    codes = bytearray(n)
+    model.warm(trace, 0, n, codes)
+    before = copy.deepcopy(_state(model))
+    walked = [counter(name).value for name in WALK_COUNTERS]
+    for start, end, measure_from in [
+        (0, n, 0),
+        (0, 1000, 400),
+        (17_000, 19_500, 18_000),
+        (n - 700, n, n - 1),
+        (n, n, n),
+    ]:
+        model.simulate_window(trace, start, end, codes[start:end], measure_from)
+    assert _state(model) == before
+    assert [counter(name).value for name in WALK_COUNTERS] == walked
 
 
 def test_empty_measurement_at_the_window_end(small):
     exe, trace = small
     model = OooTimingModel(exe, TYPICAL)
-    result = model.simulate_window(trace, 0, 500, measure_from=500)
+    codes = bytearray(500)
+    model.warm(trace, 0, 500, codes)
+    result = model.simulate_window(trace, 0, 500, codes, measure_from=500)
     assert (result.cycles, result.instructions) == (0, 0)
     # The reference timed the whole window and reported its last commit.
     stale = simulate_window_reference(
-        OooTimingModel(exe, TYPICAL), trace, 0, 500, measure_from=500
+        OooTimingModel(exe, TYPICAL), trace, 0, 500, measure_from=500, measure_to=500
     )
     assert stale.instructions == 0 and stale.cycles > 0
 
@@ -375,7 +416,7 @@ def test_unrepresentable_instructions_raise(instr):
     exe = _exe([instr, HALT])
     trace = PackedTrace(np.array([0, 1]), np.array([0, 0]))
     with pytest.raises(ValueError, match="register"):
-        OooTimingModel(exe, TYPICAL).simulate_window(trace, 0, 2)
+        OooTimingModel(exe, TYPICAL).simulate_window(trace, 0, 2, bytearray(2))
 
 
 def test_third_source_is_ignored_by_execute_but_rejected_by_timing():

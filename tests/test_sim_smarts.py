@@ -84,11 +84,9 @@ def _recorded_run():
         walks.append((start, end, warm(self, trace, start, end, codes)))
         return walks[-1][2]
 
-    def recording_window(
-        self, trace, start, end, measure_from=None, measure_to=None, codes=None
-    ):
+    def recording_window(self, trace, start, end, codes, measure_from=None):
         windows.append((start, measure_from, end, list(codes)))
-        return window(self, trace, start, end, measure_from, measure_to, codes)
+        return window(self, trace, start, end, codes, measure_from)
 
     def recording_count(codes, start, end):
         counted.append((start, end, count(codes, start, end)))
@@ -190,8 +188,8 @@ class TestOffset:
     def test_smarts_simulate_samples_at_the_hashed_offset(self):
         exe, trace = _build(LOOP)
         offset = smarts._offset(exe, TYPICAL, 3)
-        assert smarts_simulate(exe, TYPICAL, trace, 500, 3) == smarts._sample(
-            exe, TYPICAL, trace, 500, 3, offset
+        assert smarts_simulate(exe, TYPICAL, trace, 3) == smarts._sample(
+            exe, TYPICAL, trace, smarts.UNIT_SIZE, 3, offset
         )
 
     @pytest.mark.parametrize(
@@ -201,12 +199,10 @@ class TestOffset:
     def test_no_public_offset_warmup_or_estimator_parameter(self, function):
         names = inspect.signature(function).parameters
         for name in names:
-            for word in ("offset", "warm", "estimat", "regress"):
+            for word in ("offset", "warm", "unit", "estimat", "regress"):
                 assert word not in name, (function, name)
         if "interval" in names:
             assert names["interval"].default == smarts.SMARTS_INTERVAL
-        if "smarts_interval" in names:
-            assert names["smarts_interval"].default == smarts.SMARTS_INTERVAL
         if "intervals" in names:
             assert names["intervals"].default == (smarts.SMARTS_INTERVAL,)
 
@@ -218,7 +214,7 @@ class TestEstimate:
             " for (i = 0; i < 20; i = i + 1) { s = s + i; } return s; }"
         )
         assert len(trace) <= 1000
-        est = smarts_simulate(exe, AGGRESSIVE, trace, unit_size=1000)
+        est = smarts_simulate(exe, AGGRESSIVE, trace)
         exact = OooTimingModel(exe, AGGRESSIVE).simulate_trace(trace).cycles
         assert est.relative_error == 0.0
         assert est.estimated_cycles == exact

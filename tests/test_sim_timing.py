@@ -7,7 +7,7 @@ import pytest
 from repro.codegen import compile_module
 from repro.minic import compile_source
 from repro.opt import CompilerConfig, O2
-from repro.sim import MicroarchConfig, OooTimingModel, simulate, smarts_simulate
+from repro.sim import MicroarchConfig, OooTimingModel, smarts_simulate
 from repro.sim.func import execute
 from tests.util import ALL_PROGRAMS
 
@@ -72,8 +72,9 @@ class TestTimingBasics:
         exe, fr = build(ALL_PROGRAMS["sum_loop"])
         model = OooTimingModel(exe, MicroarchConfig())
         n = len(fr.trace)
-        res = model.simulate_window(fr.trace, 0, n, measure_from=n // 4,
-                                    measure_to=n // 2)
+        codes = bytearray(n // 2)
+        model.warm(fr.trace, 0, n // 2, codes)
+        res = model.simulate_window(fr.trace, 0, n // 2, codes, measure_from=n // 4)
         assert res.instructions == n // 2 - n // 4
         assert 0 < res.cycles
 
@@ -168,7 +169,7 @@ class TestSmarts:
         exe, fr = build(MEMORY_BOUND)
         mc = MicroarchConfig()
         detailed = OooTimingModel(exe, mc).simulate_trace(fr.trace)
-        est = smarts_simulate(exe, mc, fr.trace, unit_size=1000, interval=3)
+        est = smarts_simulate(exe, mc, fr.trace, interval=3)
         err = abs(est.estimated_cycles - detailed.cycles) / detailed.cycles
         assert err < 0.08
 
@@ -183,19 +184,10 @@ class TestSmarts:
     def test_short_trace_falls_back_to_detailed(self):
         exe, fr = build("int main() { return 1; }")
         mc = MicroarchConfig()
-        est = smarts_simulate(exe, mc, fr.trace, unit_size=1000, interval=50)
+        est = smarts_simulate(exe, mc, fr.trace, interval=50)
         assert est.relative_error == 0.0
 
     def test_invalid_parameters(self):
         exe, fr = build("int main() { return 1; }")
         with pytest.raises(ValueError):
-            smarts_simulate(exe, MicroarchConfig(), fr.trace, unit_size=0)
-
-    def test_simulate_entry_point_modes(self):
-        exe, fr = build(ALL_PROGRAMS["sum_loop"])
-        mc = MicroarchConfig()
-        det = simulate(exe, mc, mode="detailed", functional=fr)
-        smt = simulate(exe, mc, mode="smarts", functional=fr)
-        assert det.return_value == smt.return_value
-        with pytest.raises(ValueError):
-            simulate(exe, mc, mode="magic", functional=fr)
+            smarts_simulate(exe, MicroarchConfig(), fr.trace, interval=0)

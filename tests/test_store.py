@@ -18,7 +18,6 @@ from repro.obs import counter
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.registry import ModelRegistry
 from repro.sim.memo import RUN_HITS, SIM_MEMO_VERSION, TimingMemo
-from repro.sim.smarts import SMARTS_INTERVAL
 
 QUARANTINED = counter("store.quarantined")
 SKIPPED = counter("store.skipped_entries")
@@ -297,9 +296,7 @@ class TestMalformedEntries:
             "art", "train", O2, aggressive.issue_width
         )
         run_key = MeasurementEngine()._run_key(exe, aggressive)
-        result_key = MeasurementEngine._result_key(
-            "art", "train", O2, typical, "smarts", SMARTS_INTERVAL
-        )
+        result_key = MeasurementEngine._result_key("art", "train", O2, typical, "smarts")
         (tmp_path / "measurements.json").write_text(
             json.dumps({"bad": bad, result_key: vars(_measurement(1))})
         )
