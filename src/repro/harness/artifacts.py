@@ -106,7 +106,11 @@ class ArtifactStore:
 
     # ------------------------------------------------------------------
     def load_trace(self, exe: Executable) -> Optional[FunctionalResult]:
-        """The stored functional outcome for this exact binary, if any."""
+        """The stored functional outcome for this exact binary, if any.
+
+        The trace's arrays are read-only views of the stored bytes, not
+        copies: nothing writes into a trace.
+        """
         payload = self._read(
             self._trace_dir / f"{static_digest(exe)}.pkl"
         )
@@ -123,7 +127,7 @@ class ArtifactStore:
             result = FunctionalResult(
                 return_value=int(payload["return_value"]),
                 instruction_count=int(payload["instruction_count"]),
-                trace=PackedTrace(pcs.copy(), eas.copy()),
+                trace=PackedTrace(pcs, eas),
             )
         except (KeyError, ValueError, TypeError):
             TRACE_MISSES.inc()

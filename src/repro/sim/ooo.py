@@ -26,9 +26,10 @@ One kernel, one timing loop
 configuration, kept by the trace) the two tables the model reads: the
 trace's *event list* for the block size (instruction-block changes,
 memory operations, control transfers;
-:class:`repro.sim.tracepack.EventColumns`) and one op record per
-position for the issue width
-(:meth:`repro.sim.tracepack.TraceTables.ops_for`).
+:class:`repro.sim.tracepack.EventColumns`) and one op record per pc
+for the issue width (:meth:`repro.sim.tracepack.TraceTables.ops_for`),
+from which each detailed window gathers its positions' records with
+one numpy take.
 :meth:`OooTimingModel._walk` is the only code that updates the tag
 arrays, the predictor tables, the BTB and the RAS and their counters.
 It zips the event columns of its slice -- kind, operand, branch target,
@@ -243,6 +244,13 @@ class OooTimingModel:
         self.bpred = CombinedPredictor(config.bpred_size)
         self.btb = BranchTargetBuffer(config.btb_entries)
         self.ras = ReturnAddressStack()
+        # Functional units per class code.  Control ops and NOPs contend
+        # only for issue bandwidth (no FU pool), exactly as in the
+        # per-event model.
+        self._fu_units = [0] * 12
+        for op_class, code in _CLASS_CODE.items():
+            if code not in (_BRANCH, _JUMP, _CALL, _RET, _NOP):
+                self._fu_units[code] = self.mdesc.units(op_class)
 
     # ------------------------------------------------------------------
     def _repeats(self, ev: EventColumns, lo: int, hi: int) -> np.ndarray:
@@ -319,7 +327,9 @@ class OooTimingModel:
             return tuple(tally[c] for c in COUNTED)
         block_size = self.config.block_size
         ev = tables.events_for(block_size)
-        lo, hi = ev.pos.searchsorted((start, end)).tolist()
+        # Bounds of the positions' own dtype: others would make numpy
+        # convert the whole column first.
+        lo, hi = ev.pos.searchsorted(np.array((start, end), np.int32)).tolist()
         # The walk's first fetch is made before the loop; a block change
         # at ``start`` is that fetch.
         if lo < hi and ev.pos.item(lo) == start and ev.kind[lo] == EV_INST:
@@ -520,7 +530,7 @@ class OooTimingModel:
         mem_lat = cfg.memory_latency
         btc = cfg.bus_transfer_cycles
 
-        ops = T.ops_for(mdesc)
+        ops = T.ops_for(mdesc).take(T.pcs[start:end]).tolist()
         eas = T.eas[start:end].tolist()
 
         bus_free = 0
@@ -540,15 +550,8 @@ class OooTimingModel:
             mem_acc += 1
             return begin - request + mem_lat
 
-        # Control ops and NOPs contend only for issue bandwidth (no FU
-        # pool), exactly as in the per-event model.
-        fu_pools: List[Optional[List[int]]] = [None] * 12
-        for op_class, code in _CLASS_CODE.items():
-            if code in (_BRANCH, _JUMP, _CALL, _RET, _NOP):
-                continue
-            n_units = mdesc.units(op_class)
-            if n_units:
-                fu_pools[code] = [0] * n_units
+        # Every functional unit starts free.
+        fu_pools = [[0] * k if k else None for k in self._fu_units]
         regs_ready = [0] * N_REG_SLOTS
         # Commit cycles of the last ruu_size instructions.  The zeros it
         # starts with never stall dispatch, which is at least FRONT_DEPTH.
@@ -582,7 +585,9 @@ class OooTimingModel:
         for lo, hi in ((start, measure_from), (measure_from, end)):
             boundary = last_commit
             for (code, s0, s1, dst, lat), oc, ea in zip(
-                ops[lo:hi], codes[lo - start : hi - start], eas[lo - start : hi - start]
+                ops[lo - start : hi - start],
+                codes[lo - start : hi - start],
+                eas[lo - start : hi - start],
             ):
                 # ---------------- fetch ----------------
                 # Most positions carry code 0: no miss, no redirect.

@@ -9,13 +9,14 @@ microarchitecture that measures the trace:
   trace in this form, and it is the only form the simulator takes;
   :meth:`PackedTrace.from_pairs` packs a hand-built list of ``(pc, ea)``
   pairs.
-* :class:`TraceTables` -- per issue width, one op record per position
-  (the timing loop's view of each instruction, shared per pc); per
-  block size, the trace's *event list* as :class:`EventColumns`: the
-  positions where the cache/predictor kernel must touch a cache, the
-  predictor, the BTB or the RAS, and one column per field the kernel
-  reads there.  Every other position is skipped, so nothing per
-  position is kept beside the op records and the packed trace.
+* :class:`TraceTables` -- per issue width, one op record per pc (the
+  timing loop's view of an instruction), from which a detailed window
+  gathers its positions' records; per block size, the trace's *event
+  list* as :class:`EventColumns`: the positions where the
+  cache/predictor kernel must touch a cache, the predictor, the BTB or
+  the RAS, and one column per field the kernel reads there, built a
+  chunk of positions at a time.  Every other position is skipped, so
+  nothing per position is kept beside the packed trace.
 
 The trace owns its tables (:func:`tables_for`), so they are shared by
 every ``OooTimingModel`` that simulates the trace and die with it, that
@@ -100,7 +101,11 @@ def op_record(instr, mdesc) -> OpRecord:
 
 class PackedTrace:
     """A dynamic trace as two parallel flat arrays, and the owner of the
-    timing model's tables for it (``tables``; see :func:`tables_for`)."""
+    timing model's tables for it (``tables``; see :func:`tables_for`).
+
+    Nothing writes into a trace's arrays, so they may be read-only: a
+    trace loaded from the artifact store wraps the stored bytes.
+    """
 
     __slots__ = ("pcs", "eas", "tables")
 
@@ -176,6 +181,58 @@ _EVENT_OF_CLASS[[LOAD, STORE, PF]] = EV_DATA
 _EVENT_OF_CLASS[[BRANCH, CALL, RET, JUMP]] = [EV_BRANCH, EV_CALL, EV_RET, EV_JUMP]
 
 
+#: Positions an :class:`EventColumns` build handles at a time: only
+#: temporaries of this many positions exist at once.
+_CHUNK = 1 << 16
+
+
+def _chunk_events(
+    pcs: np.ndarray,
+    eas: np.ndarray,
+    kind_pc: np.ndarray,
+    block_size: int,
+    a: int,
+    b: int,
+) -> Tuple[np.ndarray, ...]:
+    """The :class:`EventColumns` columns of positions ``[a, b)``.
+
+    Reads one position of context on each side: the block of position
+    ``a - 1`` decides a block change at ``a``, and position ``b`` gives
+    position ``b - 1`` its next pc and refetch flag.
+    """
+    lo = a - 1 if a else 0
+    p = pcs[lo : b + 1]
+    # Position ``a + i`` is ``p[off + i]``.
+    off = a - lo
+    m = b - a
+    blocks = (p * INSTR_BYTES + TEXT_BASE) // block_size
+    kind_at = kind_pc[p[off : off + m]]
+    own = np.flatnonzero(kind_at >= 0)
+    change = np.flatnonzero(blocks[1 : off + m] != blocks[: off + m - 1]) + 1 - off
+    # Both runs are sorted, so the stable sort of (position, kind) keys
+    # is one merge.
+    keys = np.concatenate((change * 8 + EV_INST, own * 8 + kind_at[own]))
+    keys.sort(kind="stable")
+    rel = keys >> 3
+    kind = keys & 7
+    at = rel + off
+    has_next = at + 1 < len(p)
+    after = np.minimum(at + 1, len(p) - 1)
+    next_pc = np.where(has_next, p[after], p[at] + 1)
+    here = blocks[at]
+    return (
+        (rel + a).astype(np.int32),
+        kind.astype(np.uint8),
+        np.select(
+            (kind == EV_INST, kind == EV_DATA, kind == EV_RET),
+            (here, eas[rel + a] // block_size, next_pc),
+            p[at],
+        ),
+        np.where(kind == EV_BRANCH, next_pc, 0).astype(np.int32),
+        (kind >= EV_BRANCH) & has_next & (blocks[after] == here),
+    )
+
+
 class EventColumns:
     """One block size's event list, one column per field.
 
@@ -186,17 +243,22 @@ class EventColumns:
     ``EV_INST`` event: a walk starts with no current fetch block, so
     the kernel makes its first access itself.
 
-    * ``pos`` -- int64 positions; a walk bounds its slice with
+    * ``pos`` -- int32 positions; a walk bounds its slice with
       ``searchsorted``;
     * ``kind`` -- uint8 ``EV_*`` codes;
     * ``arg`` -- int64 operand: the block number of an ``EV_INST`` or
       ``EV_DATA`` event, the pc of a branch, call or jump, the return
       target of a return;
-    * ``target`` -- int64 next pc of a branch (0 for other kinds);
+    * ``target`` -- int32 next pc of a branch (0 for other kinds);
     * ``refetch`` -- bool, true where a control transfer's next
       position is in the same instruction block, so fetching it again
       is an MRU hit with no ``EV_INST`` event (false at the trace's
       last position).
+
+    The columns are built :data:`_CHUNK` positions at a time, so the
+    build's temporaries stay that size whatever the trace's length.
+    Raises ``ValueError`` for a trace of 2**31 or more positions, whose
+    positions int32 cannot hold.
     """
 
     __slots__ = ("pos", "kind", "arg", "target", "refetch")
@@ -205,36 +267,29 @@ class EventColumns:
         self, pcs: np.ndarray, eas: np.ndarray, kind_pc: np.ndarray, block_size: int
     ):
         n = len(pcs)
-        blocks = (pcs * INSTR_BYTES + TEXT_BASE) // block_size
-        kind_at = kind_pc[pcs]
-        own = np.flatnonzero(kind_at >= 0)
-        change = np.flatnonzero(blocks[1:] != blocks[:-1]) + 1
-        # Both runs are sorted, so the stable sort of (position, kind)
-        # keys is one merge.
-        keys = np.concatenate((change * 8 + EV_INST, own * 8 + kind_at[own]))
-        keys.sort(kind="stable")
-        pos = keys >> 3
-        kind = keys & 7
-        after = np.minimum(pos + 1, n - 1)
-        next_pc = np.where(pos + 1 < n, pcs[after], pcs[pos] + 1)
-        self.pos = pos
-        self.kind = kind.astype(np.uint8)
-        self.arg = np.select(
-            (kind == EV_INST, kind == EV_DATA, kind == EV_RET),
-            (blocks[pos], eas[pos] // block_size, next_pc),
-            pcs[pos],
-        )
-        self.target = np.where(kind == EV_BRANCH, next_pc, 0)
-        self.refetch = (
-            (kind >= EV_BRANCH) & (pos + 1 < n) & (blocks[after] == blocks[pos])
-        )
+        if n >= 1 << 31:
+            raise ValueError(
+                f"a trace of {n} positions: int32 event positions need fewer "
+                "than 2**31"
+            )
+        parts = {name: [] for name in self.__slots__}
+        # An empty trace makes one empty chunk, which gives the columns
+        # their dtypes.
+        for a in range(0, n or 1, _CHUNK):
+            b = min(a + _CHUNK, n)
+            columns = _chunk_events(pcs, eas, kind_pc, block_size, a, b)
+            for name, column in zip(self.__slots__, columns):
+                parts[name].append(column)
+        # Each column's chunks are freed as soon as they are joined.
+        for name in self.__slots__:
+            setattr(self, name, np.concatenate(parts.pop(name)))
 
 
 class TraceTables:
     """The timing model's tables for one trace of one binary.
 
-    Per issue width, :meth:`ops_for` holds one op record per position;
-    per block size, :meth:`events_for` holds the event list as
+    Per issue width, :meth:`ops_for` holds one op record per pc; per
+    block size, :meth:`events_for` holds the event list as
     :class:`EventColumns`.  Those are the only microarchitectural
     parameters the tables depend on.  The tables keep the trace's
     arrays and the binary's instruction list, never the
@@ -247,26 +302,24 @@ class TraceTables:
         self.instrs = instrs
         self.pcs = pcs
         self.eas = eas
-        self._ops: Dict[int, Tuple[OpRecord, ...]] = {}
+        self._ops: Dict[int, np.ndarray] = {}
         self._events: Dict[int, EventColumns] = {}
 
-    def ops_for(self, mdesc) -> Tuple[OpRecord, ...]:
-        """Per-position op records for one machine description.
+    def ops_for(self, mdesc) -> np.ndarray:
+        """The op records of one machine description, one per pc.
 
-        Position ``i`` holds the record of the instruction at pc
-        ``pcs[i]`` (see :func:`op_record`).  Records are built once per
-        pc, so equal pcs share one record and a position costs one
-        pointer.
+        Item ``pc`` of the object array is the record of the instruction
+        at that pc (see :func:`op_record`), so a window gathers its
+        positions' records with one take, ``records[pcs[start:end]]``,
+        and equal pcs share one record.
         """
         width = mdesc.issue_width
-        ops = self._ops.get(width)
-        if ops is None:
-            records = _objects([op_record(instr, mdesc) for instr in self.instrs])
-            # A tuple of shared records: the garbage collector stops
-            # tracking it after one collection; a list it would walk in
-            # every full one.
-            ops = self._ops[width] = tuple(records[self.pcs].tolist())
-        return ops
+        records = self._ops.get(width)
+        if records is None:
+            records = self._ops[width] = _objects(
+                [op_record(instr, mdesc) for instr in self.instrs]
+            )
+        return records
 
     def events_for(self, block_size: int) -> EventColumns:
         """The event list for one block size (see :class:`EventColumns`)."""

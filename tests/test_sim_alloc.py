@@ -9,8 +9,15 @@ allocate no container per instruction and none per cache set:
 
 * ``execute`` keeps no per-instruction container: what it allocates
   grows with the static code, not with the run;
-* a trace's tables cost at most 48 bytes per position beside the
-  packed trace itself, and equal pcs share one op record;
+* a trace's tables cost at most 16 bytes per position beside the
+  packed trace itself, and keep one op record per pc, which every
+  position with that pc shares;
+* building them peaks at most 32 bytes per position above the trace,
+  on each of the seven programs: the event list is built a chunk of
+  positions at a time;
+* a trace loaded from the artifact store wraps the stored bytes
+  read-only instead of copying them, and simulates exactly as the
+  trace it was stored from, so nothing writes into a trace;
 * the trace owns its tables, and they hold no reference to the trace
   or its binary, so a binary and its trace are freed the moment the
   measurement engine moves to another binary, not at the next full
@@ -23,11 +30,13 @@ allocate no container per instruction and none per cache set:
 Counts are ``len(gc.get_objects())`` deltas with the collector off, so
 nothing is collected while they are taken.  The eviction tests run with
 the collector off too, so only reference counting can free a binary.
+Peaks are ``tracemalloc``'s, which sees numpy's array buffers too.
 """
 
 import gc
 import pickle
 import sys
+import tracemalloc
 import weakref
 from contextlib import contextmanager
 from dataclasses import replace
@@ -38,6 +47,7 @@ import pytest
 
 from repro.codegen import compile_module
 from repro.codegen.machine_desc import MachineDescription
+from repro.harness.artifacts import ArtifactStore
 from repro.harness.measure import MeasurementEngine
 from repro.opt.flags import O2
 from repro.sim import MicroarchConfig, OooTimingModel, smarts_simulate
@@ -124,7 +134,7 @@ def _deep_size(root, skip) -> int:
     return total
 
 
-def test_trace_tables_cost_at_most_48_bytes_per_position():
+def test_trace_tables_cost_at_most_16_bytes_per_position():
     exe = _binary("mcf")
     trace = execute(exe).trace
     config = MicroarchConfig()
@@ -134,11 +144,68 @@ def test_trace_tables_cost_at_most_48_bytes_per_position():
     # The packed trace and the instruction list are the trace's and the
     # binary's, whatever tables are built on them.
     size = _deep_size(tables, skip=(trace.pcs, trace.eas, exe.instrs))
-    assert size <= 48 * len(trace)
-    # Equal pcs share one op record.
-    record = {}
-    for pc, op in zip(trace.pcs.tolist(), tables.ops_for(mdesc)):
-        assert record.setdefault(pc, op) is op
+    assert size <= 16 * len(trace)
+    # One op record per pc; a window's records are gathered from them,
+    # so equal pcs share one record.
+    records = tables.ops_for(mdesc)
+    assert len(records) == len(exe.instrs)
+    pcs = trace.pcs[:20_000]
+    for pc, op in zip(pcs.tolist(), records.take(pcs).tolist()):
+        assert op is records[pc]
+
+
+@pytest.mark.parametrize(
+    "name", ["art", "bzip2", "gzip", "mcf", "mesa", "vortex", "vpr"]
+)
+def test_building_a_traces_tables_peaks_at_most_32_bytes_per_position(name):
+    exe = _binary(name)
+    trace = execute(exe).trace
+    mdesc = MachineDescription.for_issue_width(TYPICAL.issue_width)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tables_for(exe, trace, TYPICAL.block_size, mdesc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * len(trace)
+
+
+def _stored_and_loaded(tmp_path, exe):
+    """The executed run of ``exe`` and the same run stored in, then
+    loaded from, a fresh artifact store."""
+    functional = execute(exe)
+    store = ArtifactStore(tmp_path)
+    store.store_trace(exe, functional)
+    return functional, store.load_trace(exe)
+
+
+def test_a_loaded_trace_wraps_the_stored_bytes_read_only(tmp_path):
+    exe = _binary("gzip")
+    functional, loaded = _stored_and_loaded(tmp_path, exe)
+    n = len(functional.trace)
+    assert len(loaded.trace) == n
+    for array, executed in (
+        (loaded.trace.pcs, functional.trace.pcs),
+        (loaded.trace.eas, functional.trace.eas),
+    ):
+        assert np.array_equal(array, executed)
+        assert not array.flags.writeable and not array.flags.owndata
+        # The unpickled bytes object is the array's buffer.
+        assert isinstance(array.base, bytes) and len(array.base) == 8 * n
+
+
+def test_a_loaded_trace_simulates_like_the_executed_one(tmp_path):
+    exe = _binary("art")
+    functional, loaded = _stored_and_loaded(tmp_path, exe)
+    config = MicroarchConfig()
+    # A write into the read-only arrays would raise.
+    assert smarts_simulate(exe, config, loaded.trace) == smarts_simulate(
+        exe, config, functional.trace
+    )
+    assert OooTimingModel(exe, config).simulate_trace(
+        loaded.trace
+    ) == OooTimingModel(exe, config).simulate_trace(functional.trace)
 
 
 def test_an_evicted_binary_and_its_trace_are_freed_at_once():
@@ -194,7 +261,7 @@ def test_a_trace_rebuilds_its_tables_only_for_another_binary():
     twin = replace(exe, instrs=list(exe.instrs))
     rebuilt = tables_for(twin, trace, TYPICAL.block_size, mdesc)
     assert rebuilt is not tables and trace.tables is rebuilt
-    assert rebuilt.ops_for(mdesc) == tables.ops_for(mdesc)
+    assert rebuilt.ops_for(mdesc).tolist() == tables.ops_for(mdesc).tolist()
 
 
 class TestNeverTouchedSets:

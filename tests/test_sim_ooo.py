@@ -302,8 +302,11 @@ def test_no_sources_own_destination_and_jal():
     )
     model, trace = _whole_and_split(exe, CONSTRAINED)
     tables = tables_for(exe, trace, CONSTRAINED.block_size, model.mdesc)
-    ops = tables.ops_for(model.mdesc)
-    records = {pc: op for pc, op in zip(tables.pcs.tolist(), ops)}
+    # One record per pc, shared by every position with that pc.
+    records = tables.ops_for(model.mdesc)
+    assert len(records) == len(exe.instrs)
+    for pc, op in zip(tables.pcs.tolist(), records.take(tables.pcs).tolist()):
+        assert op is records[pc]
     assert records[0] == (IALU, NO_SRC, NO_SRC, 8, 1)
     assert records[1] == (IALU, 8, NO_SRC, 8, 1)
     assert records[2] == (CALL, NO_SRC, NO_SRC, RA, 1)
@@ -316,9 +319,10 @@ def test_store_reads_base_and_value_and_writes_nothing():
     exe = _exe([BASE, *stores, HALT])
     trace = execute(exe).trace
     mdesc = OooTimingModel(exe, TYPICAL).mdesc
-    ops = tables_for(exe, trace, TYPICAL.block_size, mdesc).ops_for(mdesc)
-    assert ops[1] == (STORE, 9, NO_SRC, NO_DST, 1)  # r0 is never waited on
-    assert ops[2] == (STORE, 9, 9, NO_DST, 1)
+    records = tables_for(exe, trace, TYPICAL.block_size, mdesc).ops_for(mdesc)
+    # Indexed by pc: the stores are instructions 1 and 2.
+    assert records[1] == (STORE, 9, NO_SRC, NO_DST, 1)  # r0 is never waited on
+    assert records[2] == (STORE, 9, 9, NO_DST, 1)
 
 
 # ----------------------------------------------------------------------
